@@ -59,16 +59,10 @@ _OVERFLOW_GUARD = 1e280
 
 @dataclass(frozen=True)
 class ComplexSeries:
-    """A finite window of Laurent coefficients a_j, j = offset .. offset+len-1.
-
-    ``residual`` records the estimated aliasing/truncation level of the
-    coefficients (an absolute bound on how far any stored a_j may be from
-    the true expansion coefficient).
-    """
+    """A finite window of Laurent coefficients a_j, j = offset .. offset+len-1."""
 
     offset: int
     coeffs: np.ndarray
-    residual: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
@@ -96,29 +90,19 @@ def series_from_circle_samples(
     """Laurent coefficients of ``f`` from equispaced samples on |z| = radius.
 
     ``n_samples`` must be a power of two (>= 4).  Orders j in
-    [-n_samples/2, n_samples/2) are returned; the recorded residual is the
-    largest coefficient magnitude in the outer quarter of orders, which is
-    where aliasing of any decaying expansion piles up.
+    [-n_samples/2, n_samples/2) are returned.
     """
     if n_samples < 4 or (n_samples & (n_samples - 1)) != 0:
         raise ValueError(f"n_samples must be a power of two >= 4, got {n_samples}")
     if radius <= 0.0:
         raise ValueError(f"sampling radius must be positive, got {radius}")
 
-    k = np.arange(n_samples)
-    z = radius * np.exp(2j * np.pi * k / n_samples)
-    try:
-        vals = np.asarray(f(z), dtype=complex)
-        if vals.shape != z.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        # Permit scalar-only callables.
-        vals = np.array([f(zi) for zi in z], dtype=complex)
+    vals = _sample_circle(f, radius, n_samples)
     if not np.all(np.isfinite(vals)):
-        bad = z[~np.isfinite(vals)][0]
+        bad = np.argmax(~np.isfinite(vals))
         raise ApproximationError(
-            f"sample value at z = {bad} is not finite; the contour of radius "
-            f"{radius} passes too close to a singularity -- sample on a "
+            f"sample {bad} on the contour of radius {radius} is not finite; "
+            "the contour passes too close to a singularity -- sample on a "
             "different radius"
         )
 
@@ -127,13 +111,12 @@ def series_from_circle_samples(
     j = np.concatenate([np.arange(-half, 0), np.arange(0, half)])
     # c[m] aliases order j = m (mod n_samples); undo the radius**j scaling.
     coeffs = c[np.mod(j, n_samples)] / radius**j.astype(float)
-
-    tail = np.abs(j) >= (3 * half) // 4
-    residual = float(np.max(np.abs(coeffs[tail]))) if np.any(tail) else 0.0
-    return ComplexSeries(offset=-half, coeffs=coeffs, residual=residual)
+    return ComplexSeries(offset=-half, coeffs=coeffs)
 
 
 def _sample_circle(f, radius: float, n_samples: int) -> np.ndarray:
+    """f at n_samples equispaced points of |z| = radius; scalar-only
+    callables are evaluated point by point."""
     z = radius * np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     with np.errstate(all="ignore"):
         try:
@@ -182,8 +165,7 @@ def _series_from_radius_ladder(
     never resumes once lost).
 
     ``max_radius`` must keep the whole ladder inside the domain of
-    analyticity of ``f``; the recorded residual is the largest modeled
-    absolute coefficient error.
+    analyticity of ``f``.
     """
     orders = np.arange(length + 1, dtype=float)
     best = np.zeros(length + 1, dtype=complex)
@@ -220,10 +202,7 @@ def _series_from_radius_ladder(
         best[better] = cand[better]
         best_log[better] = cand_log[better]
         sampled = True
-    finite = np.isfinite(best_log)
-    residual = float(np.finfo(float).eps * np.exp(np.max(best_log[finite]))) \
-        if np.any(finite) else 0.0
-    return ComplexSeries(offset=0, coeffs=best, residual=residual)
+    return ComplexSeries(offset=0, coeffs=best)
 
 
 def hankel_matrix(a: Sequence[complex], m: int, n: int) -> np.ndarray:
@@ -346,8 +325,8 @@ def cf_approximate(
     quantities.
 
     Roots within ``circle_tol`` of the unit circle are not counted as
-    poles; each one is recorded as a warning on the result, and the pole
-    count may then come out below n.
+    poles; each one is recorded as a warning on the result.  A pole count
+    below n, whatever its cause, is recorded as a warning too.
     """
     a = _check_cf_input(series, n)
     length = len(a) - 1
@@ -363,6 +342,12 @@ def cf_approximate(
         "unreliable"
         for z in roots[np.abs(mods - 1.0) <= circle_tol]
     )
+    if len(outside) < n:
+        warnings += (
+            f"only {len(outside)} of the {n} denominator roots lie outside "
+            f"the unit circle; the approximant has {len(outside)} poles, "
+            f"not {n}",
+        )
     if len(outside) == 0:
         raise ApproximationError(
             "no denominator roots outside the unit circle; the target admits "
@@ -481,7 +466,7 @@ def faber_coefficients(
     full = series_from_circle_samples(
         lambda z: g(joukowski_eval(mp, z)), radius=radius, n_samples=n_samples
     )
-    return ComplexSeries(offset=0, coeffs=full.head(length + 1), residual=full.residual)
+    return ComplexSeries(offset=0, coeffs=full.head(length + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,13 @@ from .approx import (
 )
 from .errors import ConfigError, NumericalError
 from .integrate import (
+    DENSE_ORACLE_MAX_DOF,
+    Stepper,
     chebyshev_prepare,
-    chebyshev_run,
     dense_decomposition,
     dense_expm_apply,
     max_step_size,
     rexi_prepare,
-    rexi_run,
 )
 from .spatial import (
     PhysicalConstants,
@@ -213,6 +213,36 @@ def _build_experiment(cfg: ExperimentConfig):
     return mesh, consts, system, u0
 
 
+def _prepare_rexi(cfg: ExperimentConfig, system, approx, sr) -> Stepper:
+    return rexi_prepare(
+        system, approx, cfg.dt,
+        workers=cfg.workers,
+        sr_value=sr,
+        override_admissibility=cfg.override_admissibility,
+    )
+
+
+def _prepare_chebyshev(cfg: ExperimentConfig, system, approx, sr) -> Stepper:
+    return chebyshev_prepare(
+        system, cfg.dt,
+        degree=COMPARISON_CHEB_DEGREE,
+        radius=approx.domain_radius,
+        sr_value=sr,
+        override_admissibility=cfg.override_admissibility,
+    )
+
+
+_METHODS = {"rexi": _prepare_rexi, "chebyshev": _prepare_chebyshev}
+
+
+def _timed_run(stepper: Stepper, u0, n_steps: int, observer=None):
+    """Run ``stepper`` and close it; return (final state, wall seconds)."""
+    with stepper:
+        t0 = time.perf_counter()
+        u = stepper.run(u0, n_steps, observer)
+        return u, time.perf_counter() - t0
+
+
 def _g12(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -241,6 +271,8 @@ def cmd_approx(args) -> int:
         approx = stabilize(approx, args.stabilize)
     with open(args.out, "w") as fh:
         fh.write(approx_to_json(approx) + "\n")
+    for warning in approx.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"K={approx.K} R1={approx.domain_radius:g} "
           f"sup_error={approx.sup_error:.6e}")
     return 0
@@ -335,18 +367,8 @@ def cmd_tunnel(args) -> int:
                 xs, evaluate_state(state, mesh, xs))
             snapshots += 1
 
-    stepper = rexi_prepare(
-        system, approx, cfg.dt,
-        workers=cfg.workers,
-        sr_value=sr,
-        override_admissibility=cfg.override_admissibility,
-    )
-    try:
-        t0 = time.perf_counter()
-        u_final = rexi_run(stepper, u0, n_steps, observer)
-        wall = time.perf_counter() - t0
-    finally:
-        stepper.close()
+    stepper = _prepare_rexi(cfg, system, approx, sr)
+    u_final, wall = _timed_run(stepper, u0, n_steps, observer)
 
     norm0 = b_norm(u0, system.B)
     drift = abs(b_norm(u_final, system.B) - norm0) / norm0
@@ -374,39 +396,6 @@ def cmd_tunnel(args) -> int:
     return 0
 
 
-def _run_rexi_method(cfg, system, u0, approx, sr):
-    stepper = rexi_prepare(
-        system, approx, cfg.dt,
-        workers=cfg.workers,
-        sr_value=sr,
-        override_admissibility=cfg.override_admissibility,
-    )
-    try:
-        t0 = time.perf_counter()
-        u = rexi_run(stepper, u0, cfg.n_steps)
-        total = time.perf_counter() - t0
-    finally:
-        stepper.close()
-    return u, total, dict(stepper.timers)
-
-
-def _run_chebyshev_method(cfg, system, u0, approx, sr):
-    stepper = chebyshev_prepare(
-        system, cfg.dt,
-        degree=COMPARISON_CHEB_DEGREE,
-        radius=approx.domain_radius,
-        sr_value=sr,
-        override_admissibility=cfg.override_admissibility,
-    )
-    t0 = time.perf_counter()
-    u = chebyshev_run(stepper, system, u0, cfg.n_steps)
-    total = time.perf_counter() - t0
-    return u, total, dict(stepper.timers)
-
-
-_METHODS = {"rexi": _run_rexi_method, "chebyshev": _run_chebyshev_method}
-
-
 def cmd_compare(args) -> int:
     """Run the selected methods against a reference and tabulate errors."""
     cfg = parse_config(args.config)
@@ -425,10 +414,10 @@ def cmd_compare(args) -> int:
     n_steps = cfg.n_steps
 
     if args.reference == "dense":
-        if system.n_dof > 512:
+        if system.n_dof > DENSE_ORACLE_MAX_DOF:
             raise ConfigError(
-                f"reference=dense requires n_dof <= 512, got {system.n_dof}; "
-                "use reference=fine"
+                f"reference=dense requires n_dof <= {DENSE_ORACLE_MAX_DOF}, "
+                f"got {system.n_dof}; use reference=fine"
             )
         dec = dense_decomposition(system)
         u_ref = dense_expm_apply(system, n_steps * cfg.dt, u0,
@@ -441,23 +430,23 @@ def cmd_compare(args) -> int:
             sr_value=sr,
             override_admissibility=cfg.override_admissibility,
         )
-        u_ref = chebyshev_run(fine, system, u0,
-                              FINE_REFERENCE_REFINEMENT * n_steps)
+        u_ref, _ = _timed_run(fine, u0, FINE_REFERENCE_REFINEMENT * n_steps)
 
     ref_inf = float(np.max(np.abs(u_ref)))
     ref_b = b_norm(u_ref, system.B)
     rows = []
     for name in methods:
-        u, total, timers = _METHODS[name](cfg, system, u0, approx, sr)
+        stepper = _METHODS[name](cfg, system, approx, sr)
+        u, total = _timed_run(stepper, u0, n_steps)
         rows.append({
             "method": name,
             "dt": cfg.dt,
             "error_inf": float(np.max(np.abs(u - u_ref))) / ref_inf,
             "error_b": b_norm(u - u_ref, system.B) / ref_b,
             "time_total_s": total,
-            "time_rhs_s": timers["rhs"],
-            "time_local_s": timers["local"],
-            "time_reduce_s": timers["reduce"],
+            "time_rhs_s": stepper.timers["rhs"],
+            "time_local_s": stepper.timers["local"],
+            "time_reduce_s": stepper.timers["reduce"],
         })
 
     with open(args.out, "w") as fh:

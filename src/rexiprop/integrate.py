@@ -21,10 +21,15 @@ apply the propagator live here:
   pencil (A, B), for small systems only; supplies the conditioning
   number used in the a-priori error bound.
 
+Both steppers are a :class:`Stepper`: prepared once for (system, tau),
+with ``step(u)``, one ``run`` loop, one admissibility record, per-phase
+``timers``, and ``close()``/``with`` support.
+
 A step tau is admissible when SAFETY_FACTOR * tau * sr(M) <= R1, i.e.
 the scaled spectrum stays inside the interval where the rational or
-polynomial approximant is certified.  Runs refuse inadmissible steps
-unless explicitly overridden.
+polynomial approximant is certified; the largest admissible step is
+therefore max_step_size(R1, sr) / SAFETY_FACTOR.  Runs refuse
+inadmissible steps unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,6 +52,8 @@ from .spatial import SystemMatrices, spectral_radius_estimate
 # Headroom multiplier applied to the spectral-radius estimate wherever a
 # step size is checked against the approximation interval.
 SAFETY_FACTOR = 1.05
+# Largest system the dense oracle will diagonalize.
+DENSE_ORACLE_MAX_DOF = 512
 
 Observer = Callable[[int, float, np.ndarray], None]
 
@@ -80,24 +87,70 @@ def _kahan_rows(rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _admissibility(tau: float, sr_value: float, radius: float):
-    ratio = SAFETY_FACTOR * tau * float(sr_value) / radius
-    return ratio, ratio <= 1.0
+@dataclass(kw_only=True)
+class Stepper:
+    """A propagator prepared for one (system, tau).
 
+    Subclasses supply ``step(u)``, ``interval_radius`` (the R of the
+    interval i[-R, R] on which their approximant is certified) and the
+    ``kind`` named in errors.  The spectral radius is estimated here when
+    ``sr_value`` is None.
+    """
 
-def _require_admissible(kind: str, stepper) -> None:
-    if stepper.admissible:
-        return
-    if stepper.override_admissibility:
-        stepper.override_used = True
-        return
-    largest = stepper.interval_radius / (SAFETY_FACTOR * stepper.sr_value)
-    raise AdmissibilityError(
-        f"{kind} step tau = {stepper.tau:g} is inadmissible: "
-        f"{SAFETY_FACTOR} * tau * sr(M) / R1 = {stepper.admissibility_ratio:.4g} "
-        f"> 1; the largest admissible step for this system is "
-        f"max_step_size = {largest:.6e}"
-    )
+    system: SystemMatrices
+    tau: float
+    sr_value: float | None = None
+    override_admissibility: bool = False
+    override_used: bool = False
+    timers: dict = field(default_factory=lambda: {
+        "rhs": 0.0, "local": 0.0, "reduce": 0.0,
+    })
+    admissibility_ratio: float = field(init=False)
+    admissible: bool = field(init=False)
+
+    def __post_init__(self):
+        if self.sr_value is None:
+            self.sr_value = spectral_radius_estimate(self.system)
+        self.sr_value = float(self.sr_value)
+        self.admissibility_ratio = (SAFETY_FACTOR * self.tau * self.sr_value
+                                    / self.interval_radius)
+        self.admissible = self.admissibility_ratio <= 1.0
+
+    def run(self, u0: np.ndarray, n_steps: int,
+            observer: Observer | None = None) -> np.ndarray:
+        """Apply ``step`` ``n_steps`` times; observer sees (step, time, state).
+
+        The admissibility gate applies only when at least one step runs.
+        """
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+        if n_steps > 0 and not self.admissible:
+            if not self.override_admissibility:
+                largest = (max_step_size(self.interval_radius, self.sr_value)
+                           / SAFETY_FACTOR)
+                raise AdmissibilityError(
+                    f"{self.kind} step tau = {self.tau:g} is inadmissible: "
+                    f"{SAFETY_FACTOR} * tau * sr(M) / R1 = "
+                    f"{self.admissibility_ratio:.4g} > 1; the largest "
+                    f"admissible step for this system is max_step_size / "
+                    f"{SAFETY_FACTOR} = {largest:.6e}"
+                )
+            self.override_used = True
+        u = np.array(u0, dtype=complex, copy=True)
+        for k in range(1, n_steps + 1):
+            u = self.step(u)
+            if observer is not None:
+                observer(k, k * self.tau, u)
+        return u
+
+    def close(self):
+        """Release held resources; a no-op unless a subclass holds any."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -105,25 +158,18 @@ def _require_admissible(kind: str, stepper) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RexiStepper:
+class RexiStepper(Stepper):
     """Prepared REXI propagator: factorizations j correspond index-wise to
     approx.shifts[j]; timers accumulate per-phase wall seconds."""
 
+    kind = "REXI"
+
     approx: PartialFractionApproximation
-    tau: float
-    system: SystemMatrices
     factorizations: list
     workers: int
-    sr_value: float
-    admissibility_ratio: float
-    admissible: bool
-    override_admissibility: bool = False
-    override_used: bool = False
-    timers: dict = field(default_factory=lambda: {
-        "rhs": 0.0, "local": 0.0, "reduce": 0.0,
-    })
 
     def __post_init__(self):
+        super().__post_init__()
         k = self.approx.K
         self._work = np.empty((k, self.system.n_dof), dtype=complex)
         # The coordinating thread solves too, so the pool holds the other
@@ -141,16 +187,13 @@ class RexiStepper:
         """Bandwidth of the factored shifted systems (None if dense)."""
         return self.factorizations[0].bandwidth
 
+    def step(self, u: np.ndarray) -> np.ndarray:
+        return rexi_step(self, u)
+
     def close(self):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 def rexi_prepare(
@@ -176,9 +219,6 @@ def rexi_prepare(
         workers = approx.K
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if sr_value is None:
-        sr_value = spectral_radius_estimate(sys)
-    ratio, admissible = _admissibility(tau, sr_value, approx.domain_radius)
 
     factorizations = []
     for j, sigma in enumerate(approx.shifts):
@@ -197,9 +237,7 @@ def rexi_prepare(
         system=sys,
         factorizations=factorizations,
         workers=workers,
-        sr_value=float(sr_value),
-        admissibility_ratio=ratio,
-        admissible=admissible,
+        sr_value=sr_value,
         override_admissibility=override_admissibility,
     )
 
@@ -260,17 +298,8 @@ def rexi_run(
     n_steps: int,
     observer: Observer | None = None,
 ) -> np.ndarray:
-    """Apply rexi_step ``n_steps`` times; observer sees (step, time, state)."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if n_steps > 0:
-        _require_admissible("REXI", stepper)
-    u = np.array(u0, dtype=complex, copy=True)
-    for k in range(1, n_steps + 1):
-        u = rexi_step(stepper, u)
-        if observer is not None:
-            observer(k, k * stepper.tau, u)
-    return u
+    """Apply rexi_step ``n_steps`` times; see :meth:`Stepper.run`."""
+    return stepper.run(u0, n_steps, observer)
 
 
 # ---------------------------------------------------------------------------
@@ -308,27 +337,23 @@ def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
 
 
 @dataclass
-class ChebyshevStepper:
+class ChebyshevStepper(Stepper):
     """Prepared Clenshaw propagator for p(tau*M)."""
+
+    kind = "Chebyshev"
 
     coeffs: np.ndarray
     degree: int
     R: float
-    tau: float
     B_factorization: object
     sup_error: float
-    sr_value: float
-    admissibility_ratio: float
-    admissible: bool
-    override_admissibility: bool = False
-    override_used: bool = False
-    timers: dict = field(default_factory=lambda: {
-        "rhs": 0.0, "local": 0.0, "reduce": 0.0,
-    })
 
     @property
     def interval_radius(self) -> float:
         return self.R
+
+    def step(self, u: np.ndarray) -> np.ndarray:
+        return chebyshev_step(self, self.system, u)
 
 
 def chebyshev_prepare(
@@ -343,22 +368,24 @@ def chebyshev_prepare(
     """Build coefficients for i[-radius, radius] and factor B once."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if sr_value is None:
-        sr_value = spectral_radius_estimate(sys)
     cc = chebyshev_coeffs(radius, degree)
-    ratio, admissible = _admissibility(tau, sr_value, radius)
     return ChebyshevStepper(
         coeffs=cc.coeffs,
         degree=degree,
         R=float(radius),
         tau=tau,
+        system=sys,
         B_factorization=factorize(sys.B),
         sup_error=cc.sup_error,
-        sr_value=float(sr_value),
-        admissibility_ratio=ratio,
-        admissible=admissible,
+        sr_value=sr_value,
         override_admissibility=override_admissibility,
     )
+
+
+def _require_prepared_system(stepper: ChebyshevStepper, sys: SystemMatrices):
+    if sys is not stepper.system:
+        raise ValueError("sys is not the system this Chebyshev stepper was "
+                         "prepared for")
 
 
 def chebyshev_step(
@@ -368,7 +395,9 @@ def chebyshev_step(
 
     The scaled argument -i*tau*M/R reduces to the real operator
     -(tau/R) * B^-1 A, so each stage is one A-multiply and one B-solve.
+    ``sys`` must be the system the stepper was prepared for.
     """
+    _require_prepared_system(stepper, sys)
     a = stepper.coeffs
     scale = -(stepper.tau / stepper.R)
     solve_b = stepper.B_factorization.solve
@@ -391,18 +420,9 @@ def chebyshev_run(
     n_steps: int,
     observer: Observer | None = None,
 ) -> np.ndarray:
-    """Apply chebyshev_step ``n_steps`` times with the same observer
-    contract as :func:`rexi_run`."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if n_steps > 0:
-        _require_admissible("Chebyshev", stepper)
-    u = np.array(u0, dtype=complex, copy=True)
-    for k in range(1, n_steps + 1):
-        u = chebyshev_step(stepper, sys, u)
-        if observer is not None:
-            observer(k, k * stepper.tau, u)
-    return u
+    """Apply chebyshev_step ``n_steps`` times; see :meth:`Stepper.run`."""
+    _require_prepared_system(stepper, sys)
+    return stepper.run(u0, n_steps, observer)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +440,9 @@ class OracleDecomposition:
     residual: float
 
 
-def dense_decomposition(sys: SystemMatrices, max_n: int = 512) -> OracleDecomposition:
+def dense_decomposition(
+    sys: SystemMatrices, max_n: int = DENSE_ORACLE_MAX_DOF
+) -> OracleDecomposition:
     """Diagonalize M = (iB)^-1 A through the symmetric pencil (A, B).
 
     The pencil eigenvectors V are B-orthonormal, so X = V, X^-1 = V^T B,
@@ -459,7 +481,7 @@ def dense_expm_apply(
     sys: SystemMatrices,
     tau: float,
     u: np.ndarray,
-    max_n: int = 512,
+    max_n: int = DENSE_ORACLE_MAX_DOF,
     *,
     decomposition: OracleDecomposition | None = None,
 ) -> np.ndarray:

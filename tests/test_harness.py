@@ -153,6 +153,18 @@ def test_cmd_approx_writes_certificate(tmp_path, capsys):
     assert approx.sup_error == pytest.approx(sup, rel=1e-5)
 
 
+def test_cmd_approx_reports_lost_poles(tmp_path, capsys):
+    # On i[-2, 2] one of the 16 denominator roots falls inside the unit
+    # circle, so the approximant has 15 poles; that must not pass silently.
+    out = tmp_path / "a.json"
+    rc = main(["approx", "--r1", "2", "--degree", "16", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("K=15 R1=2 ")
+    assert "warning: only 15 of the 16 denominator roots" in captured.err
+    assert approx_from_json(out.read_text()).K == 15
+
+
 def test_cmd_approx_stabilize_damps_weights(tmp_path, approx_file):
     out = tmp_path / "s.json"
     rc = main(["approx", "--r1", "10", "--degree", "16",

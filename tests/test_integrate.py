@@ -339,23 +339,31 @@ def test_dahlquist_iteration(flagship):
 
 
 def test_run_zero_steps_copies(flagship):
-    stp = rexi_prepare(scalar_system(1.0), flagship, 1.0, sr_value=1.0, workers=1)
+    sys1 = scalar_system(1.0)
+    stp = rexi_prepare(sys1, flagship, 1.0, sr_value=1.0, workers=1)
+    cheb = chebyshev_prepare(sys1, 1.0, sr_value=1.0)
     u0 = np.array([0.25 - 0.5j])
-    out = rexi_run(stp, u0, 0)
-    assert out is not u0
-    np.testing.assert_array_equal(out, u0)
-    with pytest.raises(ValueError):
-        rexi_run(stp, u0, -1)
+    for run in (lambda n: rexi_run(stp, u0, n),
+                lambda n: chebyshev_run(cheb, sys1, u0, n)):
+        out = run(0)
+        assert out is not u0
+        np.testing.assert_array_equal(out, u0)
+        with pytest.raises(ValueError):
+            run(-1)
 
 
 def test_run_observer_contract(flagship, fem):
     sysm, _, u0, sr = fem
     stp = rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=1)
-    seen = []
-    final = rexi_run(stp, u0, 4, observer=lambda k, t, u: seen.append((k, t, u)))
-    assert [k for k, _, _ in seen] == [1, 2, 3, 4]
-    assert [t for _, t, _ in seen] == pytest.approx([0.02, 0.04, 0.06, 0.08])
-    np.testing.assert_array_equal(seen[-1][2], final)
+    with chebyshev_prepare(sysm, 0.02, sr_value=sr) as cheb:
+        for run in (lambda obs: rexi_run(stp, u0, 4, observer=obs),
+                    lambda obs: chebyshev_run(cheb, sysm, u0, 4, obs)):
+            seen = []
+            final = run(lambda k, t, u: seen.append((k, t, u)))
+            assert [k for k, _, _ in seen] == [1, 2, 3, 4]
+            assert [t for _, t, _ in seen] == pytest.approx(
+                [0.02, 0.04, 0.06, 0.08])
+            np.testing.assert_array_equal(seen[-1][2], final)
 
 
 def test_b_norm_quasi_conserved(flagship, fem):
@@ -369,17 +377,38 @@ def test_b_norm_quasi_conserved(flagship, fem):
 
 
 def test_inadmissible_step_refused(flagship):
-    stp = rexi_prepare(scalar_system(5.0), flagship, 10.0, sr_value=5.0, workers=1)
-    assert not stp.admissible
-    with pytest.raises(AdmissibilityError, match="max_step_size"):
-        rexi_run(stp, np.array([1.0 + 0.0j]), 1)
+    sys5 = scalar_system(5.0)
+    stp = rexi_prepare(sys5, flagship, 10.0, sr_value=5.0, workers=1)
+    cheb = chebyshev_prepare(sys5, 10.0, radius=10.0, sr_value=5.0)
+    # The message names the largest admissible step, max_step_size / 1.05,
+    # and a step of exactly that size is admitted.
+    largest = max_step_size(10.0, 5.0) / SAFETY_FACTOR
+    for run, prepared in ((rexi_run, stp),
+                          (lambda c, u, n: chebyshev_run(c, sys5, u, n), cheb)):
+        assert not prepared.admissible
+        with pytest.raises(AdmissibilityError, match="max_step_size") as info:
+            run(prepared, np.array([1.0 + 0.0j]), 1)
+        assert (f"max_step_size / {SAFETY_FACTOR} = {largest:.6e}"
+                in str(info.value))
+    assert rexi_prepare(sys5, flagship, largest, sr_value=5.0,
+                        workers=1).admissible
+    assert chebyshev_prepare(sys5, largest, radius=10.0,
+                             sr_value=5.0).admissible
 
 
 def test_admissibility_override(flagship):
-    stp = rexi_prepare(scalar_system(5.0), flagship, 10.0, sr_value=5.0,
+    sys5 = scalar_system(5.0)
+    stp = rexi_prepare(sys5, flagship, 10.0, sr_value=5.0,
                        workers=1, override_admissibility=True)
-    rexi_run(stp, np.array([1.0 + 0.0j]), 1)
-    assert stp.override_used
+    cheb = chebyshev_prepare(sys5, 10.0, radius=10.0, sr_value=5.0,
+                             override_admissibility=True)
+    for run, prepared in ((rexi_run, stp),
+                          (lambda c, u, n: chebyshev_run(c, sys5, u, n), cheb)):
+        # A zero-step run passes no gate, so it uses no override.
+        run(prepared, np.array([1.0 + 0.0j]), 0)
+        assert not prepared.override_used
+        run(prepared, np.array([1.0 + 0.0j]), 1)
+        assert prepared.override_used
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +476,16 @@ def test_chebyshev_zero_state_and_gate(fem):
                                override_admissibility=True)
     chebyshev_run(forced, sysm, u0, 1)
     assert forced.override_used
+
+
+def test_chebyshev_rejects_unprepared_system(fem):
+    sysm, _, u0, sr = fem
+    stp = chebyshev_prepare(sysm, 0.02, sr_value=sr)
+    other = SystemMatrices(A=sysm.A.copy(), B=sysm.B, n_dof=sysm.n_dof)
+    with pytest.raises(ValueError, match="prepared"):
+        chebyshev_step(stp, other, u0)
+    with pytest.raises(ValueError, match="prepared"):
+        chebyshev_run(stp, other, u0, 1)
 
 
 def test_chebyshev_prepare_validates_tau(fem):
