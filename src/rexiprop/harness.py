@@ -33,6 +33,7 @@ from .approx import (
 from .errors import ConfigError, NumericalError
 from .integrate import (
     DENSE_ORACLE_MAX_DOF,
+    SAFETY_FACTOR,
     Stepper,
     chebyshev_prepare,
     dense_decomposition,
@@ -388,6 +389,8 @@ def cmd_tunnel(args) -> int:
         "sr_converged": bool(sr.converged),
         "override_admissibility": cfg.override_admissibility,
         "override_used": stepper.override_used,
+        "factor_s": stepper.timers["factor"],
+        "solver": stepper.solver,
     }
     with open(os.path.join(args.out_dir, "metadata.json"), "w") as fh:
         json.dump(metadata, fh, indent=2)
@@ -471,7 +474,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eig(args) -> int:
-    """Print the spectral-radius estimate and the largest admissible step."""
+    """Print the spectral-radius estimate and the step bound max_dt = R1/sr.
+
+    max_dt carries no safety factor, so the admission gate refuses it; the
+    largest admissible step is max_dt / SAFETY_FACTOR.
+    """
     cfg = parse_config(args.config)
     _mesh, _consts, system, _u0 = _build_experiment(cfg)
     est = spectral_radius_estimate(system)
@@ -539,7 +546,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("eig", help="report sr(M) and the largest admissible dt")
+    p = sub.add_parser("eig", help="report sr(M) and the step bound "
+                                   "max_dt = R1/sr (the largest admissible "
+                                   f"dt is max_dt / {SAFETY_FACTOR})")
     p.add_argument("--config", required=True, help="key=value config file")
     p.set_defaults(func=cmd_eig)
     return parser

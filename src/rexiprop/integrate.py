@@ -6,13 +6,21 @@ apply the propagator live here:
 
 * REXI stepping: exp(tau*M) u ~ sum_j beta_j (tau*A - sigma_j*iB)^-1 (iB) u.
   The K shifted systems are factored once per (system, approx, tau) and
-  each step is K independent back-substitutions, distributed over a
-  thread pool.  The band solves call LAPACK ``zgbtrs`` as a ctypes foreign
-  call, which drops the GIL (see solvers.py), so the pool runs them
-  concurrently; dense factorizations solve through scipy's ``lu_solve``,
-  which holds the GIL, so their shifts run one at a time.  The weighted sum
-  runs in fixed ascending-j order with Kahan compensation, so results do
-  not depend on worker count or completion order.
+  each step is K independent solves, distributed over a thread pool.
+  ``solvers.factorize`` picks the solve path from the matrix structure:
+  the P2 pencils of ``spatial.assemble_system`` take the condensed path
+  (midpoints eliminated without pivoting, which the definite imaginary
+  part -Re(sigma_j)*B of every shifted matrix makes safe, then a pivoted
+  tridiagonal solve on the vertices); other narrow-band matrices take
+  band LU, and the rest dense LU.  The condensed and band solves call
+  LAPACK as ctypes foreign calls that drop the GIL, and numpy drops it
+  inside its array loops, so the pool runs them concurrently; dense
+  solves go through scipy's ``lu_solve``, which holds the GIL.  The pool
+  never starts more solving threads than the CPUs the process may run
+  on: extra threads add only GIL handoffs.  The weighted sum runs in
+  fixed ascending-j order with Kahan compensation, on the calling
+  thread, overlapping the last solves, so results do not depend on
+  worker count or completion order.
 * Chebyshev/Clenshaw stepping: p(tau*M) u for a Chebyshev expansion of
   exp on i[-R, R]; each recurrence stage costs one A-multiply and one
   B-solve.  This is the comparison method and, run at a much smaller
@@ -23,7 +31,8 @@ apply the propagator live here:
 
 Both steppers are a :class:`Stepper`: prepared once for (system, tau),
 with ``step(u)``, one ``run`` loop, one admissibility record, per-phase
-``timers``, and ``close()``/``with`` support.
+``timers`` (``factor`` at prepare time; ``rhs``, ``local`` and ``reduce``
+per step), and ``close()``/``with`` support.
 
 A step tau is admissible when SAFETY_FACTOR * tau * sr(M) <= R1, i.e.
 the scaled spectrum stays inside the interval where the rational or
@@ -34,6 +43,8 @@ inadmissible steps unless explicitly overridden.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -67,24 +78,34 @@ def max_step_size(r1: float, sr_m: float) -> float:
     return r1 / sr_m
 
 
-def _kahan_rows(rows: np.ndarray) -> np.ndarray:
-    """Compensated sum of the rows of a 2-D array, in row order.
+def _usable_cpus() -> int:
+    """CPUs this process may run on (at least 1)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
-    The updates run in place on four buffers, so the loop allocates no
-    temporaries; the arithmetic is that of y = row - comp, t = acc + y,
-    comp = (t - acc) - y, acc = t.
+
+class _KahanSum:
+    """Compensated sum of rows, added one at a time in the order given.
+
+    The updates run in place on four buffers, so adding a row allocates
+    no temporaries; the arithmetic is that of y = row - comp, t = acc + y,
+    comp = (t - acc) - y, acc = t.  ``total`` holds the sum.
     """
-    acc = np.zeros(rows.shape[1], dtype=rows.dtype)
-    comp = np.zeros_like(acc)
-    y = np.empty_like(acc)
-    t = np.empty_like(acc)
-    for row in rows:
-        np.subtract(row, comp, out=y)
-        np.add(acc, y, out=t)
-        np.subtract(t, acc, out=comp)
-        comp -= y
-        acc, t = t, acc
-    return acc
+
+    def __init__(self, n: int):
+        self.total = np.zeros(n, dtype=complex)
+        self._comp = np.zeros_like(self.total)
+        self._y = np.empty_like(self.total)
+        self._t = np.empty_like(self.total)
+
+    def add(self, row: np.ndarray) -> None:
+        np.subtract(row, self._comp, out=self._y)
+        np.add(self.total, self._y, out=self._t)
+        np.subtract(self._t, self.total, out=self._comp)
+        self._comp -= self._y
+        self.total, self._t = self._t, self.total
 
 
 @dataclass(kw_only=True)
@@ -103,7 +124,7 @@ class Stepper:
     override_admissibility: bool = False
     override_used: bool = False
     timers: dict = field(default_factory=lambda: {
-        "rhs": 0.0, "local": 0.0, "reduce": 0.0,
+        "factor": 0.0, "rhs": 0.0, "local": 0.0, "reduce": 0.0,
     })
     admissibility_ratio: float = field(init=False)
     admissible: bool = field(init=False)
@@ -171,10 +192,15 @@ class RexiStepper(Stepper):
     def __post_init__(self):
         super().__post_init__()
         k = self.approx.K
+        # iB in complex storage, so the per-step product needs no upcast.
+        self._iB = (1j * self.system.B).tocsr()
         self._work = np.empty((k, self.system.n_dof), dtype=complex)
+        # Set when shift j's weighted solution is in self._work[j].
+        self._done = [threading.Event() for _ in range(k)]
         # The coordinating thread solves too, so the pool holds the other
-        # min(workers, K) - 1 solving threads.
-        self._helpers = min(self.workers, k) - 1
+        # solving threads.  Threads beyond the CPUs this process may run on
+        # add no parallelism, only GIL handoffs, so they are not started.
+        self._helpers = min(self.workers, k, _usable_cpus()) - 1
         self._pool = (ThreadPoolExecutor(max_workers=self._helpers)
                       if self._helpers else None)
 
@@ -186,6 +212,12 @@ class RexiStepper(Stepper):
     def bandwidth(self):
         """Bandwidth of the factored shifted systems (None if dense)."""
         return self.factorizations[0].bandwidth
+
+    @property
+    def solver(self) -> str:
+        """Solve path of the shifted systems: "condensed", "banded" or
+        "dense"."""
+        return self.factorizations[0].kind
 
     def step(self, u: np.ndarray) -> np.ndarray:
         return rexi_step(self, u)
@@ -210,6 +242,9 @@ def rexi_prepare(
     ``sr_value`` may be supplied to skip the power iteration (e.g. when
     the caller already estimated it).  ``workers`` is the number of
     threads that solve, the calling thread included; it defaults to K.
+    No more than K threads, and no more than the CPUs this process may
+    run on, are started.  ``timers["factor"]`` records the seconds spent
+    building and factoring the shifted systems.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -220,6 +255,7 @@ def rexi_prepare(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
+    t0 = time.perf_counter()
     factorizations = []
     for j, sigma in enumerate(approx.shifts):
         shifted = (tau * sys.A - (1j * sigma) * sys.B).tocsr()
@@ -227,11 +263,14 @@ def rexi_prepare(
             factorizations.append(factorize(shifted))
         except SolverError as exc:
             raise SolverError(
-                f"shifted system j = {j} (sigma = {sigma}) is singular: the "
-                f"shift coincides with an eigenvalue of tau*M ({exc})"
+                f"shifted system j = {j} (sigma = {sigma}) cannot be "
+                f"factored; if it is singular, the shift coincides with an "
+                f"eigenvalue of tau*M ({exc})"
             ) from exc
 
-    return RexiStepper(
+    factor_s = time.perf_counter() - t0
+
+    stepper = RexiStepper(
         approx=approx,
         tau=tau,
         system=sys,
@@ -240,56 +279,84 @@ def rexi_prepare(
         sr_value=sr_value,
         override_admissibility=override_admissibility,
     )
+    stepper.timers["factor"] = factor_s
+    return stepper
 
 
 def rexi_step(stepper: RexiStepper, u: np.ndarray) -> np.ndarray:
     """One REXI step: rhs = iBu, K shifted solves, weighted compensated sum.
 
-    The reduction always runs in ascending shift order on the coordinating
-    thread, so 1-worker and K-worker execution produce identical results.
+    Solving threads, the caller's included, take the next pending shift.
+    The caller also adds each weighted solution to the sum, in ascending
+    shift order, as soon as it and every row before it are finished, so
+    the sum overlaps the last solves.  Its arithmetic does not depend on
+    worker count or completion order, so 1-worker and K-worker execution
+    produce identical results.
     """
     timers = stepper.timers
     weights = stepper.approx.weights
     work = stepper._work
+    done = stepper._done
 
     t0 = time.perf_counter()
-    rhs = 1j * (stepper.system.B @ u)
+    rhs = stepper._iB @ u
     t1 = time.perf_counter()
     timers["rhs"] += t1 - t0
 
-    # Each solving thread takes the next pending shift until none is left,
-    # so uneven solve costs even out.  deque.popleft is thread-safe.
+    # deque.popleft is thread-safe, so uneven solve costs even out.
     pending = deque(range(len(weights)))
+    failures = {}
+    for event in done:
+        event.clear()
+
+    def take():
+        try:
+            return pending.popleft()
+        except IndexError:
+            return None
+
+    def solve(j):
+        try:
+            np.multiply(weights[j], stepper.factorizations[j].solve(rhs),
+                        out=work[j])
+        except SolverError as exc:
+            failures[j] = exc
+        finally:
+            done[j].set()
 
     def solve_pending():
-        while True:
-            try:
-                j = pending.popleft()
-            except IndexError:
-                return
-            try:
-                np.multiply(weights[j], stepper.factorizations[j].solve(rhs),
-                            out=work[j])
-            except SolverError as exc:
-                raise SolverError(f"solve failed for shift j = {j}: {exc}") from exc
+        while (j := take()) is not None:
+            solve(j)
 
-    if stepper._pool is None:
-        solve_pending()
-    else:
-        helpers = [stepper._pool.submit(solve_pending)
-                   for _ in range(stepper._helpers)]
-        try:
-            solve_pending()
-        finally:
-            # Wait for every helper, and re-raise its exception here.
-            for future in helpers:
-                future.result()
-    t2 = time.perf_counter()
-    timers["local"] += t2 - t1
-
-    out = _kahan_rows(work)
-    timers["reduce"] += time.perf_counter() - t2
-    return out
+    total = _KahanSum(stepper.system.n_dof)
+    reduce_s = 0.0
+    helpers = ([stepper._pool.submit(solve_pending)
+                for _ in range(stepper._helpers)]
+               if stepper._pool is not None else [])
+    try:
+        row = 0
+        while row < len(weights):
+            if done[row].is_set():
+                if row in failures:
+                    pending.clear()
+                    raise SolverError(f"solve failed for shift j = {row}: "
+                                      f"{failures[row]}") from failures[row]
+                r0 = time.perf_counter()
+                total.add(work[row])
+                reduce_s += time.perf_counter() - r0
+                row += 1
+            elif (j := take()) is not None:
+                solve(j)
+            else:
+                done[row].wait()
+    finally:
+        # Wait until no helper touches the buffers, and re-raise here any
+        # error other than a SolverError.
+        for future in helpers:
+            future.result()
+    timers["local"] += time.perf_counter() - t1 - reduce_s
+    timers["reduce"] += reduce_s
+    return total.total
 
 
 def rexi_run(
@@ -348,6 +415,11 @@ class ChebyshevStepper(Stepper):
     B_factorization: object
     sup_error: float
 
+    def __post_init__(self):
+        super().__post_init__()
+        # A in complex storage, so the per-stage product needs no upcast.
+        self._A = self.system.A.astype(complex)
+
     @property
     def interval_radius(self) -> float:
         return self.R
@@ -369,17 +441,22 @@ def chebyshev_prepare(
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     cc = chebyshev_coeffs(radius, degree)
-    return ChebyshevStepper(
+    t0 = time.perf_counter()
+    b_factorization = factorize(sys.B)
+    factor_s = time.perf_counter() - t0
+    stepper = ChebyshevStepper(
         coeffs=cc.coeffs,
         degree=degree,
         R=float(radius),
         tau=tau,
         system=sys,
-        B_factorization=factorize(sys.B),
+        B_factorization=b_factorization,
         sup_error=cc.sup_error,
         sr_value=sr_value,
         override_admissibility=override_admissibility,
     )
+    stepper.timers["factor"] = factor_s
+    return stepper
 
 
 def _require_prepared_system(stepper: ChebyshevStepper, sys: SystemMatrices):
@@ -401,14 +478,15 @@ def chebyshev_step(
     a = stepper.coeffs
     scale = -(stepper.tau / stepper.R)
     solve_b = stepper.B_factorization.solve
+    a_mat = stepper._A
 
     t0 = time.perf_counter()
     u = np.asarray(u, dtype=complex)
     b1 = np.zeros_like(u)
     b2 = np.zeros_like(u)
     for k in range(stepper.degree, 0, -1):
-        b1, b2 = a[k] * u + 2.0 * scale * solve_b(sys.A @ b1) - b2, b1
-    out = a[0] * u + scale * solve_b(sys.A @ b1) - b2
+        b1, b2 = a[k] * u + 2.0 * scale * solve_b(a_mat @ b1) - b2, b1
+    out = a[0] * u + scale * solve_b(a_mat @ b1) - b2
     stepper.timers["local"] += time.perf_counter() - t0
     return out
 

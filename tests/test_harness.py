@@ -484,3 +484,15 @@ def test_cmd_compare_dense_gate(tmp_path, capsys, approx_file):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "reference=fine" in capsys.readouterr().err
+
+
+def test_cmd_tunnel_metadata_records_the_factorization(tmp_path, capsys,
+                                                       approx_file):
+    cfg = write_config(tmp_path, approx_path=approx_file)
+    out_dir = tmp_path / "out"
+    assert main(["tunnel", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    md = json.loads((out_dir / "metadata.json").read_text())
+    assert md["solver"] == "condensed"
+    assert md["factor_s"] > 0
+    assert list(md).index("factor_s") >= 7

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 from scipy.sparse import csr_matrix, diags, identity
 
+from rexiprop import integrate
 from rexiprop.approx import PartialFractionApproximation, evaluate_pfd
 from rexiprop.errors import AdmissibilityError, SolverError
 from rexiprop.integrate import (
@@ -27,7 +28,12 @@ from rexiprop.integrate import (
     rexi_run,
     rexi_step,
 )
-from rexiprop.solvers import BandedFactorization, DenseFactorization, factorize
+from rexiprop.solvers import (
+    BandedFactorization,
+    CondensedFactorization,
+    DenseFactorization,
+    factorize,
+)
 from rexiprop.spatial import (
     PhysicalConstants,
     PotentialSpec,
@@ -578,3 +584,149 @@ def test_rexi_and_chebyshev_agree(flagship, fem):
     diff = np.max(np.abs(rexi_step(rstp, u0) - chebyshev_step(cstp, sysm, u0)))
     assert diff <= (flagship.sup_error + cstp.sup_error) * dec.cond_inf \
         * np.max(np.abs(u0))
+
+
+# ---------------------------------------------------------------------------
+# Condensed P2 factorization
+# ---------------------------------------------------------------------------
+
+def _barrier_pencil(x0, x1, n_elems):
+    """The benchmark's barrier pencil (height 15, width 0.005) and mesh."""
+    mesh = build_mesh(x0, x1, n_elems)
+    sysm = assemble_system(
+        mesh, PotentialSpec(kind="step", v_max=15.0, c_barr=0.005),
+        PhysicalConstants(),
+    )
+    return sysm, mesh
+
+
+def test_factorize_picks_solver_by_structure(flagship, fem):
+    sysm = fem[0]
+    shifted = (0.02 * sysm.A - (1j * flagship.shifts[0]) * sysm.B).tocsr()
+    for mat in (shifted, sysm.B):
+        fac = factorize(mat)
+        assert isinstance(fac, CondensedFactorization)
+        assert (fac.kind, fac.bandwidth, fac.kl, fac.ku) == ("condensed", 5, 2, 2)
+    # Odd order, but midpoints coupled two apart: not the P2 pattern.
+    band = factorize(_pentadiagonal(201, np.random.default_rng(6)))
+    assert isinstance(band, BandedFactorization)
+    assert band.kind == "banded"
+    for mat in (diags(np.arange(1.0, 8.0), format="csr"),
+                csr_matrix(np.array([[2.0]]))):
+        fac = factorize(mat)
+        assert isinstance(fac, BandedFactorization)
+        assert fac.bandwidth == 1
+    assert factorize(np.eye(3)).kind == "dense"
+
+
+@pytest.mark.parametrize("x0, x1, n_elems", [(-30.0, 30.0, 500),
+                                             (-120.0, 120.0, 4000)])
+def test_condensed_solve_every_flagship_shift(flagship, x0, x1, n_elems):
+    sysm, mesh = _barrier_pencil(x0, x1, n_elems)
+    u0 = project_initial(mesh, WavePacketParams(r_bar=-3.0, p_bar=5.0, sigma=4.0),
+                         PhysicalConstants(), sysm.B)
+    rng = np.random.default_rng(7)
+    rhs = [1j * (sysm.B @ u0),
+           rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(sysm.n_dof)]
+    for sigma in flagship.shifts:
+        mat = (2e-4 * sysm.A - (1j * sigma) * sysm.B).tocsr()
+        fac = factorize(mat)
+        assert isinstance(fac, CondensedFactorization)
+        band = BandedFactorization(mat, 2, 2)
+        for b in rhs:
+            x = fac.solve(b)
+            ref = band.solve(b)
+            assert np.linalg.norm(mat @ x - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_condensed_solve_shapes_keep_the_input(flagship, fem):
+    sysm = fem[0]
+    mat = (0.02 * sysm.A - (1j * flagship.shifts[3]) * sysm.B).tocsr()
+    fac = factorize(mat)
+    rng = np.random.default_rng(8)
+    block = rng.standard_normal((sysm.n_dof, 3)) + 1j * rng.standard_normal(
+        (sysm.n_dof, 3))
+    columns = [fac.solve(block[:, k].copy()) for k in range(3)]
+    for b in (np.ascontiguousarray(block), np.asfortranarray(block)):
+        kept = b.copy()
+        x = fac.solve(b)
+        assert x.shape == b.shape
+        assert np.array_equal(b, kept)
+        for k in range(3):
+            assert x[:, k].tobytes() == columns[k].tobytes()
+    real = block.real[:, 0].copy()
+    assert np.max(np.abs(mat @ fac.solve(real) - real)) < 1e-12 * np.max(np.abs(real))
+    assert fac.solve(np.zeros((sysm.n_dof, 0))).shape == (sysm.n_dof, 0)
+    with pytest.raises(ValueError, match="does not match"):
+        fac.solve(np.ones(sysm.n_dof + 1))
+
+
+def test_condensed_solve_shared_across_threads(flagship):
+    # As for the band solve: every call keeps its own buffers and info.
+    sysm, _ = _barrier_pencil(-30.0, 30.0, 150)
+    fac = factorize((2e-4 * sysm.A - (1j * flagship.shifts[1]) * sysm.B).tocsr())
+    assert isinstance(fac, CondensedFactorization)
+    rng = np.random.default_rng(9)
+    rhs = rng.standard_normal((16, sysm.n_dof)) + 1j * rng.standard_normal(
+        (16, sysm.n_dof))
+    expected = [fac.solve(b).tobytes() for b in rhs]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: [fac.solve(b).tobytes() for b in rhs])
+                       for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert all(r == expected for r in results)
+
+
+def test_zero_midpoint_pivot_names_index(flagship):
+    # Three elements give 5 DOFs; DOF 2 is the middle element's midpoint.
+    sysm, _ = _barrier_pencil(-3.0, 3.0, 3)
+    sigma0 = complex(flagship.shifts[0])
+    a_mat = sysm.A.astype(complex).tolil()
+    a_mat[2, 2] = 1j * sigma0 * sysm.B[2, 2]
+    shifted = (a_mat.tocsr() - (1j * sigma0) * sysm.B).tocsr()
+    assert shifted[2, 2] == 0
+    with pytest.raises(SolverError, match="midpoint pivot at index 2"):
+        factorize(shifted)
+    sys_zero = SystemMatrices(A=a_mat.tocsr(), B=sysm.B, n_dof=5)
+    with pytest.raises(SolverError, match=r"j = 0 .*midpoint pivot at index 2"):
+        rexi_prepare(sys_zero, flagship, 1.0, sr_value=1.0, workers=1)
+
+
+def test_prepares_time_the_factorization(flagship, fem):
+    sysm, _, _, sr = fem
+    with rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=1) as stp:
+        assert stp.solver == "condensed"
+        assert stp.timers["factor"] > 0
+    assert chebyshev_prepare(sysm, 0.02, sr_value=sr).timers["factor"] > 0
+
+
+def test_pooled_step_matches_serial_bitwise(flagship, fem, monkeypatch):
+    # More solving threads than cores, with a short switch interval: the
+    # sum taken while helpers still solve must equal the serial one.
+    sysm, _, u0, sr = fem
+    monkeypatch.setattr(integrate, "_usable_cpus", lambda: 16)
+    serial = rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=1)
+    expected = rexi_run(serial, u0, 5).tobytes()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with rexi_prepare(sysm, flagship, 0.02, sr_value=sr,
+                          workers=16) as pooled:
+            assert pooled._helpers == 15
+            assert rexi_run(pooled, u0, 5).tobytes() == expected
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_solving_threads_never_exceed_cpus(flagship, fem, monkeypatch):
+    sysm, _, _, sr = fem
+    monkeypatch.setattr(integrate, "_usable_cpus", lambda: 2)
+    with rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=16) as stp:
+        assert stp.workers == 16
+        assert stp._helpers == 1
