@@ -685,7 +685,8 @@ def _fmt17(x: float) -> str:
 def approx_to_json(approx: PartialFractionApproximation) -> str:
     """Serialize with a fixed key order and 17-significant-digit floats.
 
-    Complex shifts/weights are written as [re, im] pairs.
+    Complex shifts/weights are written as [re, im] pairs.  A ``warnings``
+    list follows the other keys only when the approximant has warnings.
     """
     def pairs(arr):
         return "[" + ", ".join(
@@ -703,11 +704,15 @@ def approx_to_json(approx: PartialFractionApproximation) -> str:
         f'"stabilized": {"true" if approx.stabilized else "false"}',
         f'"stabilize_factor": {factor}',
     ])
+    if approx.warnings:
+        body += f', "warnings": {json.dumps(list(approx.warnings))}'
     return "{" + body + "}"
 
 
 def approx_from_json(text: str) -> PartialFractionApproximation:
-    """Inverse of :func:`approx_to_json` (bit-exact for the float fields)."""
+    """Inverse of :func:`approx_to_json` (bit-exact for the float fields).
+
+    A document without a ``warnings`` key loads with no warnings."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -719,6 +724,10 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
     weights = np.array([complex(re, im) for re, im in raw["weights"]])
     if len(shifts) != raw["K"] or len(weights) != raw["K"]:
         raise ValueError("K does not match the length of shifts/weights")
+    warnings = raw.get("warnings", [])
+    if not (isinstance(warnings, list)
+            and all(isinstance(w, str) for w in warnings)):
+        raise ValueError("warnings must be a list of strings")
     return PartialFractionApproximation(
         shifts=shifts,
         weights=weights,
@@ -727,4 +736,5 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
         stabilized=bool(raw["stabilized"]),
         stabilize_factor=(None if raw["stabilize_factor"] is None
                           else float(raw["stabilize_factor"])),
+        warnings=tuple(warnings),
     )

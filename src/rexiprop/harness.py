@@ -196,6 +196,8 @@ def _load_approx(cfg: ExperimentConfig) -> PartialFractionApproximation:
             raise ConfigError(
                 f"approx file {cfg.approx_path!r} is invalid: {exc}"
             ) from exc
+        for warning in approx.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
     else:
         approx = faber_cf(JoukowskiMap(DEFAULT_R1), degree=DEFAULT_DEGREE)
     if cfg.stabilize_eps is not None:

@@ -11,11 +11,12 @@ apply the propagator live here:
   the P2 pencils of ``spatial.assemble_system`` take the condensed path
   (midpoints eliminated without pivoting, which the definite imaginary
   part -Re(sigma_j)*B of every shifted matrix makes safe, then a pivoted
-  tridiagonal solve on the vertices); other narrow-band matrices take
-  band LU, and the rest dense LU.  The condensed and band solves call
-  LAPACK as ctypes foreign calls that drop the GIL, and numpy drops it
-  inside its array loops, so the pool runs them concurrently; dense
-  solves go through scipy's ``lu_solve``, which holds the GIL.  The pool
+  tridiagonal solve on the vertices); everything else takes dense LU,
+  which ``factorize`` refuses for a sparse matrix larger than
+  DENSE_ORACLE_MAX_DOF.  The condensed solves call LAPACK as ctypes
+  foreign calls that drop the GIL, and numpy drops it inside its array
+  loops, so the pool runs them concurrently; dense solves go through
+  scipy's ``lu_solve``, which holds the GIL.  The pool
   never starts more solving threads than the CPUs the process may run
   on: extra threads add only GIL handoffs.  The weighted sum runs in
   fixed ascending-j order with Kahan compensation, on the calling
@@ -57,14 +58,12 @@ from numpy.polynomial.chebyshev import chebval
 
 from .approx import PartialFractionApproximation
 from .errors import AdmissibilityError, SolverError
-from .solvers import factorize
+from .solvers import DENSE_ORACLE_MAX_DOF, factorize
 from .spatial import SystemMatrices, spectral_radius_estimate
 
 # Headroom multiplier applied to the spectral-radius estimate wherever a
 # step size is checked against the approximation interval.
 SAFETY_FACTOR = 1.05
-# Largest system the dense oracle will diagonalize.
-DENSE_ORACLE_MAX_DOF = 512
 
 Observer = Callable[[int, float, np.ndarray], None]
 
@@ -215,8 +214,7 @@ class RexiStepper(Stepper):
 
     @property
     def solver(self) -> str:
-        """Solve path of the shifted systems: "condensed", "banded" or
-        "dense"."""
+        """Solve path of the shifted systems: "condensed" or "dense"."""
         return self.factorizations[0].kind
 
     def step(self, u: np.ndarray) -> np.ndarray:

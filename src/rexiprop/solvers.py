@@ -1,6 +1,6 @@
 """Direct factorizations for factor-once / solve-many use.
 
-Three backends behind one interface, picked by :func:`factorize` from the
+Two solve paths behind one interface, picked by :func:`factorize` from the
 matrix structure:
 
 * :class:`CondensedFactorization` -- the P2 pentadiagonal systems of
@@ -19,38 +19,40 @@ matrix structure:
   factoring complex symmetric matrices).  For B itself the pivots are
   positive and the Schur complement is SPD.  A zero midpoint pivot raises
   :class:`SolverError`; the pivot-ratio screen covers the rest.
-* :class:`BandedFactorization` -- LAPACK band-storage LU with partial
-  pivoting (``zgbtrf`` / ``zgbtrs``) for other matrices of small
-  bandwidth.
-* :class:`DenseFactorization` -- plain dense LU for matrices without
-  useful band structure (small oracle systems, random test matrices).
-  Its solve goes through scipy's ``lu_solve`` and holds the GIL.
+* :class:`DenseFactorization` -- plain dense LU for everything else (the
+  small oracle systems, scalar systems, random test matrices).  Its solve
+  goes through scipy's ``lu_solve`` and holds the GIL.
 
-The condensed and banded paths call LAPACK through the function pointers
-exported by :mod:`scipy.linalg.cython_lapack`, as ctypes foreign calls,
-which drop the GIL while the routine runs; that, and numpy dropping the
-GIL inside its array loops, is what lets a thread pool drive the
-per-shift solves concurrently.  (scipy's f2py wrappers, such as
-``scipy.linalg.lapack.zgbtrs``, hold the GIL; the one for ``zgttrf`` also
+A sparse matrix without the P2 pattern is refused with :class:`SolverError`
+when its order exceeds ``DENSE_ORACLE_MAX_DOF``, rather than factored by
+O(n^3) dense LU unnoticed.  Dense ndarray inputs are always factored.
+
+The condensed path calls LAPACK through the function pointers exported by
+:mod:`scipy.linalg.cython_lapack`, as ctypes foreign calls, which drop the
+GIL while the routine runs; that, and numpy dropping the GIL inside its
+array loops, is what lets a thread pool drive the per-shift solves
+concurrently.  (scipy's f2py wrapper for ``zgttrf`` holds the GIL and
 rejects order 1.)
 
-All expose ``solve(b)`` for vector or multi-column right-hand sides,
-``kind`` (``"condensed"``, ``"banded"`` or ``"dense"``) and a reference to
-the original matrix for residual checks.
+Both expose ``solve(b)`` for vector or multi-column right-hand sides,
+``kind`` (``"condensed"`` or ``"dense"``) and a reference to the original
+matrix for residual checks.
 """
 
 from __future__ import annotations
 
 import ctypes
+import warnings
 
 import numpy as np
-from scipy.linalg import cython_lapack, lapack, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, cython_lapack, lu_factor, lu_solve
 from scipy.sparse import issparse
 
 from .errors import SolverError
 
-# Matrices at least this densely banded are factored in band storage.
-BAND_LIMIT = 32
+# Largest order factored by dense LU when a sparse matrix lacks the P2
+# pattern; also the largest system the dense oracle will diagonalize.
+DENSE_ORACLE_MAX_DOF = 512
 # Reciprocal condition estimates below this are treated as singular.
 RCOND_FLOOR = 1e-14
 
@@ -72,27 +74,20 @@ def _lapack_function(name: str, n_args: int):
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
 
 
-# zgbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info)
-_ZGBTRS = _lapack_function("zgbtrs", 11)
 # zgttrf(n, dl, d, du, du2, ipiv, info)
 _ZGTTRF = _lapack_function("zgttrf", 7)
 # zgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info)
 _ZGTTRS = _lapack_function("zgttrs", 11)
 
 
-def _band_extents(mat) -> tuple[int, int]:
-    """(kl, ku): lowest sub- and highest super-diagonal holding nonzeros."""
+def _is_p2(mat) -> bool:
+    """True for the P2 pattern: odd order, pentadiagonal with both outer
+    diagonals in use, and no coupling between the midpoints (even indices)
+    two apart."""
     coo = mat.tocoo()
-    if coo.nnz == 0:
-        return 0, 0
-    d = coo.col - coo.row
-    return int(max(0, -d.min())), int(max(0, d.max()))
-
-
-def _is_p2(mat, kl: int, ku: int) -> bool:
-    """True for the P2 pattern: odd order, pentadiagonal, and no coupling
-    between the midpoints (even indices) two apart."""
-    return (mat.shape[0] % 2 == 1 and kl == ku == 2
+    offsets = coo.col - coo.row
+    return (mat.shape[0] % 2 == 1 and coo.nnz > 0
+            and offsets.min() == -2 and offsets.max() == 2
             and not mat.diagonal(2)[0::2].any()
             and not mat.diagonal(-2)[0::2].any())
 
@@ -115,7 +110,7 @@ class CondensedFactorization:
 
     With m = (n - 1) / 2, vertex k is DOF 2k + 1 and lies between the
     midpoints k and k + 1 (DOFs 2k and 2k + 2).  ``bandwidth``, ``kl`` and
-    ``ku`` describe the matrix, as for :class:`BandedFactorization`.
+    ``ku`` describe the pentadiagonal matrix; perfbench reads them.
     """
 
     kind = "condensed"
@@ -222,84 +217,6 @@ class CondensedFactorization:
         return x
 
 
-class BandedFactorization:
-    """LU factorization of a banded matrix in LAPACK band storage."""
-
-    kind = "banded"
-
-    def __init__(self, mat, kl: int, ku: int):
-        self.matrix = mat
-        self.kl = kl
-        self.ku = ku
-        n = mat.shape[0]
-        ab = np.zeros((2 * kl + ku + 1, n), dtype=complex, order="F")
-        for d in range(-kl, ku + 1):
-            diag = mat.diagonal(d)
-            ab[kl + ku - d, max(d, 0): n + min(d, 0)] = diag
-
-        lu, piv, info = lapack.zgbtrf(ab, kl, ku)
-        if info > 0:
-            raise SolverError(
-                f"matrix is singular: zero pivot at index {info - 1}"
-            )
-        if info < 0:
-            raise SolverError(f"banded factorization failed (argument {-info})")
-        self._lu = lu
-
-        # Singularity screen on the U diagonal (row kl+ku of the band LU).
-        _screen_pivots(lu[kl + ku, :])
-
-        # scipy's zgbtrf wrapper returns 0-based pivots; the zgbtrs routine
-        # itself reads the band LU in place and wants them 1-based.
-        if not (lu.flags.f_contiguous and lu.dtype == np.complex128):
-            raise SolverError("unexpected layout of the banded LU factors")
-        self._ipiv = np.ascontiguousarray(piv + 1, dtype=np.intc)
-        self._n = n
-        # Arguments passed by address.  The scalars live in self._scalars,
-        # the LU and pivots in self._lu and self._ipiv.
-        self._scalars = (
-            ctypes.c_char(b"N"), ctypes.c_int(n), ctypes.c_int(kl),
-            ctypes.c_int(ku), ctypes.c_int(lu.shape[0]),
-            ctypes.c_int(max(1, n)),
-        )
-        trans, n_c, kl_c, ku_c, ldab, ldb = map(ctypes.addressof,
-                                                self._scalars)
-        self._head = (trans, n_c, kl_c, ku_c)
-        self._band = (lu.ctypes.data, ldab, self._ipiv.ctypes.data)
-        self._ldb = ldb
-
-    @property
-    def bandwidth(self) -> int:
-        """Total bandwidth kl + ku + 1 (pentadiagonal = 5)."""
-        return self.kl + self.ku + 1
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b for a vector or an (n, nrhs) block; ``b`` is left
-        unmodified.  Runs ``zgbtrs`` without holding the GIL.  The scalar
-        arguments are built once in ``__init__``; ``info`` and the output
-        array are per call, so threads may share one factorization."""
-        x = np.array(b, dtype=complex, order="F")
-        if x.ndim not in (1, 2) or x.shape[0] != self._n:
-            raise ValueError(
-                f"right-hand side of shape {np.shape(b)} does not match a "
-                f"system of order {self._n}"
-            )
-        if x.size == 0:
-            return x
-        nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
-        # x.T is C-contiguous, so it exports a buffer; this is cheaper than
-        # x.ctypes.data, which matters for the ~50 us desk-scale solves.
-        data = ctypes.byref(ctypes.c_char.from_buffer(x.T))
-        info = ctypes.c_int(0)
-        _ZGBTRS(*self._head, ctypes.byref(nrhs), *self._band, data,
-                self._ldb, ctypes.byref(info))
-        if info.value != 0:
-            raise SolverError(
-                f"banded back-substitution failed (info={info.value})"
-            )
-        return x
-
-
 class DenseFactorization:
     """Dense LU with partial pivoting."""
 
@@ -310,30 +227,28 @@ class DenseFactorization:
         self.matrix = mat
         dense = mat.toarray() if issparse(mat) else np.asarray(mat)
         dense = dense.astype(complex, copy=True)
-        self._lu, self._piv = lu_factor(dense, check_finite=False)
-        diag = np.abs(np.diagonal(self._lu))
-        if not np.all(diag > 0):
-            raise SolverError("matrix is singular: zero pivot in dense LU")
-        # Cheap singularity screen: ratio of extreme U-diagonal magnitudes.
-        if diag.min() < RCOND_FLOOR * diag.max():
-            raise SolverError(
-                "matrix is numerically singular "
-                f"(pivot ratio = {diag.min() / diag.max():.3e})"
-            )
+        # lu_factor warns on an exactly zero pivot; the screen raises.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            self._lu, self._piv = lu_factor(dense, check_finite=False)
+        _screen_pivots(np.diagonal(self._lu))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return lu_solve((self._lu, self._piv), np.asarray(b, dtype=complex),
                         check_finite=False)
 
 
-def factorize(mat, band_limit: int = BAND_LIMIT):
-    """Factorize a sparse/dense matrix: condensed for the P2 pattern, band
-    storage when the bandwidth is at most ``band_limit``, dense LU
-    otherwise."""
+def factorize(mat):
+    """Factorize a sparse/dense matrix: condensed for the P2 pattern, dense
+    LU otherwise.  A sparse matrix without the P2 pattern is refused above
+    ``DENSE_ORACLE_MAX_DOF``."""
     if issparse(mat):
-        kl, ku = _band_extents(mat)
-        if _is_p2(mat, kl, ku):
+        if _is_p2(mat):
             return CondensedFactorization(mat)
-        if kl + ku + 1 <= band_limit:
-            return BandedFactorization(mat, kl, ku)
+        n = mat.shape[0]
+        if n > DENSE_ORACLE_MAX_DOF:
+            raise SolverError(
+                f"sparse matrix of order {n} lacks the P2 pattern, and dense "
+                f"LU is limited to DENSE_ORACLE_MAX_DOF = {DENSE_ORACLE_MAX_DOF}"
+            )
     return DenseFactorization(mat)

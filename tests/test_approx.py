@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -430,6 +431,17 @@ def test_json_key_order_and_shapes(flagship):
     assert doc["K"] == 16
     assert len(doc["shifts"]) == 16
     assert all(len(pair) == 2 for pair in doc["shifts"])
+
+
+def test_json_round_trip_keeps_warnings(flagship):
+    noted = replace(flagship, warnings=("first", 'a "quoted" \\ note'))
+    text = approx_to_json(noted)
+    assert list(json.loads(text))[-1] == "warnings"
+    back = approx_from_json(text)
+    assert back.warnings == noted.warnings
+    assert approx_to_json(back) == text
+    with pytest.raises(ValueError, match="warnings"):
+        approx_from_json(text.replace('"first"', "1"))
 
 
 def test_json_rejects_malformed_documents(flagship):

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from rexiprop.approx import (
+    JoukowskiMap,
     PartialFractionApproximation,
     approx_from_json,
     approx_to_json,
+    faber_cf,
 )
 from rexiprop.errors import ConfigError
 from rexiprop.harness import ExperimentConfig, main, parse_config
@@ -341,6 +343,20 @@ def test_cmd_tunnel_snapshots_and_metadata(tmp_path, capsys, approx_file):
     assert md["admissibility_ratio"] < 1.0
     assert md["bnorm_drift_rel"] <= 10 * (1e-9 + 1e-11)
     assert md["override_used"] is False
+
+
+def test_cmd_tunnel_prints_loaded_approx_warnings(tmp_path, capsys):
+    # The 15-pole approximant on i[-2, 2] keeps its warning through the
+    # approx file, and a run that loads the file prints it.
+    lossy = faber_cf(JoukowskiMap(2.0), degree=16)
+    assert lossy.K == 15 and len(lossy.warnings) == 1
+    assert approx_from_json(approx_to_json(lossy)).warnings == lossy.warnings
+    path = tmp_path / "lossy.json"
+    path.write_text(approx_to_json(lossy) + "\n")
+    cfg = write_config(tmp_path, approx_path=str(path))
+    rc = main(["tunnel", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert f"warning: {lossy.warnings[0]}" in capsys.readouterr().err
 
 
 def test_cmd_tunnel_default_snapshots_initial_and_final(tmp_path, capsys,

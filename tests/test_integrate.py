@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 from scipy.sparse import csr_matrix, diags, identity
+from scipy.sparse.linalg import splu
 
 from rexiprop import integrate
 from rexiprop.approx import PartialFractionApproximation, evaluate_pfd
@@ -29,7 +30,7 @@ from rexiprop.integrate import (
     rexi_step,
 )
 from rexiprop.solvers import (
-    BandedFactorization,
+    DENSE_ORACLE_MAX_DOF,
     CondensedFactorization,
     DenseFactorization,
     factorize,
@@ -125,65 +126,6 @@ def _pentadiagonal(n, rng):
     return diags(bands, offsets=[-2, -1, 0, 1, 2], format="csr")
 
 
-def test_banded_factorization_solves():
-    rng = np.random.default_rng(0)
-    mat = _pentadiagonal(200, rng)
-    fac = factorize(mat)
-    assert isinstance(fac, BandedFactorization)
-    assert fac.bandwidth == 5
-    b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    x = fac.solve(b)
-    assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) < 1e-10
-
-
-def test_banded_factorization_multi_rhs():
-    rng = np.random.default_rng(1)
-    mat = _pentadiagonal(50, rng)
-    fac = factorize(mat)
-    b = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
-    x = fac.solve(b)
-    assert x.shape == (50, 3)
-    assert np.max(np.abs(mat @ x - b)) < 1e-10 * np.max(np.abs(b))
-
-
-def test_banded_solve_matches_scipy_zgbtrs_bitwise():
-    # The GIL-free solve calls the same LAPACK routine on the same LU, so
-    # it must agree with scipy's f2py wrapper (which takes 0-based pivots)
-    # to the last bit.
-    rng = np.random.default_rng(3)
-    mat = _pentadiagonal(60, rng)
-    fac = factorize(mat)
-    block = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
-    for b in (block[:, 0].copy(), np.ascontiguousarray(block),
-              np.asfortranarray(block)):
-        kept = b.copy()
-        x = fac.solve(b)
-        ref, info = sla.lapack.zgbtrs(fac._lu, fac.kl, fac.ku, b, fac._ipiv - 1)
-        assert info == 0
-        assert x.shape == b.shape
-        assert x.tobytes() == ref.tobytes()
-        assert np.array_equal(b, kept)
-
-
-def test_banded_solve_shared_across_threads():
-    # More threads than cores share one factorization; each call keeps its
-    # own output and info, so every result equals the serial one bitwise.
-    rng = np.random.default_rng(4)
-    fac = factorize(_pentadiagonal(300, rng))
-    rhs = rng.standard_normal((16, 300)) + 1j * rng.standard_normal((16, 300))
-    expected = [fac.solve(b).tobytes() for b in rhs]
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda: [fac.solve(b).tobytes() for b in rhs])
-                       for _ in range(8)]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert all(r == expected for r in results)
-
-
 def test_dense_factorization_for_full_matrices():
     rng = np.random.default_rng(2)
     dense = rng.standard_normal((40, 40)) + 40 * np.eye(40)
@@ -195,7 +137,7 @@ def test_dense_factorization_for_full_matrices():
     assert np.linalg.norm(dense @ x - b) / np.linalg.norm(b) < 1e-10
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize(
     "mat",
     [
@@ -207,6 +149,21 @@ def test_dense_factorization_for_full_matrices():
 def test_factorize_singular_raises(mat):
     with pytest.raises(SolverError, match="singular"):
         factorize(mat)
+
+
+def test_factorize_refuses_large_non_p2_sparse():
+    def tridiagonal(n):
+        return diags([np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)],
+                     offsets=[-1, 0, 1], format="csr")
+
+    n = DENSE_ORACLE_MAX_DOF + 1
+    with pytest.raises(SolverError, match=rf"order {n}\b.*= {DENSE_ORACLE_MAX_DOF}"):
+        factorize(tridiagonal(n))
+    mat = tridiagonal(DENSE_ORACLE_MAX_DOF)
+    fac = factorize(mat)
+    assert fac.kind == "dense"
+    b = np.random.default_rng(10).standard_normal(DENSE_ORACLE_MAX_DOF)
+    assert np.linalg.norm(mat @ fac.solve(b) - b) / np.linalg.norm(b) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -607,16 +564,14 @@ def test_factorize_picks_solver_by_structure(flagship, fem):
         fac = factorize(mat)
         assert isinstance(fac, CondensedFactorization)
         assert (fac.kind, fac.bandwidth, fac.kl, fac.ku) == ("condensed", 5, 2, 2)
-    # Odd order, but midpoints coupled two apart: not the P2 pattern.
-    band = factorize(_pentadiagonal(201, np.random.default_rng(6)))
-    assert isinstance(band, BandedFactorization)
-    assert band.kind == "banded"
-    for mat in (diags(np.arange(1.0, 8.0), format="csr"),
-                csr_matrix(np.array([[2.0]]))):
+    # Not the P2 pattern: odd order but midpoints coupled two apart, a
+    # diagonal, a 1x1 and a dense array all take dense LU.
+    for mat in (_pentadiagonal(201, np.random.default_rng(6)),
+                diags(np.arange(1.0, 8.0), format="csr"),
+                csr_matrix(np.array([[2.0]])), np.eye(3)):
         fac = factorize(mat)
-        assert isinstance(fac, BandedFactorization)
-        assert fac.bandwidth == 1
-    assert factorize(np.eye(3)).kind == "dense"
+        assert isinstance(fac, DenseFactorization)
+        assert (fac.kind, fac.bandwidth) == ("dense", None)
 
 
 @pytest.mark.parametrize("x0, x1, n_elems", [(-30.0, 30.0, 500),
@@ -632,10 +587,10 @@ def test_condensed_solve_every_flagship_shift(flagship, x0, x1, n_elems):
         mat = (2e-4 * sysm.A - (1j * sigma) * sysm.B).tocsr()
         fac = factorize(mat)
         assert isinstance(fac, CondensedFactorization)
-        band = BandedFactorization(mat, 2, 2)
+        lu = splu(mat.tocsc())
         for b in rhs:
             x = fac.solve(b)
-            ref = band.solve(b)
+            ref = lu.solve(b)
             assert np.linalg.norm(mat @ x - b) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -663,7 +618,8 @@ def test_condensed_solve_shapes_keep_the_input(flagship, fem):
 
 
 def test_condensed_solve_shared_across_threads(flagship):
-    # As for the band solve: every call keeps its own buffers and info.
+    # More threads than cores share one factorization; every call keeps
+    # its own buffers and info, so each result equals the serial one bitwise.
     sysm, _ = _barrier_pencil(-30.0, 30.0, 150)
     fac = factorize((2e-4 * sysm.A - (1j * flagship.shifts[1]) * sysm.B).tocsr())
     assert isinstance(fac, CondensedFactorization)
