@@ -186,18 +186,22 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 # Shared experiment plumbing
 # ---------------------------------------------------------------------------
 
+def _read_approx(path: str) -> PartialFractionApproximation:
+    """Parse an approx JSON file and print its warnings to stderr."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        approx = approx_from_json(text)
+    except ValueError as exc:
+        raise ConfigError(f"approx file {path!r} is invalid: {exc}") from exc
+    for warning in approx.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return approx
+
+
 def _load_approx(cfg: ExperimentConfig) -> PartialFractionApproximation:
     if cfg.approx_path is not None:
-        with open(cfg.approx_path) as fh:
-            text = fh.read()
-        try:
-            approx = approx_from_json(text)
-        except ValueError as exc:
-            raise ConfigError(
-                f"approx file {cfg.approx_path!r} is invalid: {exc}"
-            ) from exc
-        for warning in approx.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+        approx = _read_approx(cfg.approx_path)
     else:
         approx = faber_cf(JoukowskiMap(DEFAULT_R1), degree=DEFAULT_DEGREE)
     if cfg.stabilize_eps is not None:
@@ -308,12 +312,7 @@ def _parse_grid(spec: str):
 
 def cmd_stability(args) -> int:
     """Sample |r(z)|-1 on a rectangle and along the imaginary axis."""
-    with open(args.approx) as fh:
-        try:
-            approx = approx_from_json(fh.read())
-        except ValueError as exc:
-            raise ConfigError(f"approx file {args.approx!r} is invalid: {exc}") from exc
-
+    approx = _read_approx(args.approx)
     re_lo, re_hi, im_lo, im_hi, n_re, n_im = _parse_grid(args.grid)
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
@@ -352,9 +351,6 @@ def cmd_tunnel(args) -> int:
     approx = _load_approx(cfg)
     mesh, consts, system, u0 = _build_experiment(cfg)
     sr = spectral_radius_estimate(system)
-    if not sr.converged:
-        print(f"note: spectral-radius iteration hit its cap at "
-              f"{sr.iterations} iterations", file=sys.stderr)
 
     n_steps = cfg.n_steps
     xs = np.linspace(cfg.x0, cfg.x1, cfg.snapshot_points)
@@ -388,7 +384,7 @@ def cmd_tunnel(args) -> int:
         "t_end": n_steps * cfg.dt,
         "K": approx.K,
         "workers": stepper.workers,
-        "sr_converged": bool(sr.converged),
+        "sr_method": sr.method,
         "override_admissibility": cfg.override_admissibility,
         "override_used": stepper.override_used,
         "factor_s": stepper.timers["factor"],
@@ -476,7 +472,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eig(args) -> int:
-    """Print the spectral-radius estimate and the step bound max_dt = R1/sr.
+    """Print the upper bound on sr(M) and the step bound max_dt = R1/sr.
 
     max_dt carries no safety factor, so the admission gate refuses it; the
     largest admissible step is max_dt / SAFETY_FACTOR.
@@ -489,9 +485,6 @@ def cmd_eig(args) -> int:
         r1 = approx.domain_radius
     else:
         r1 = DEFAULT_R1
-    if not est.converged:
-        print(f"note: power iteration did not meet its tolerance within "
-              f"{est.iterations} iterations", file=sys.stderr)
     print(f"sr_estimate={float(est):.12g}")
     print(f"max_dt={max_step_size(r1, float(est)):.12g}")
     return 0
@@ -548,9 +541,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("eig", help="report sr(M) and the step bound "
-                                   "max_dt = R1/sr (the largest admissible "
-                                   f"dt is max_dt / {SAFETY_FACTOR})")
+    p = sub.add_parser("eig", help="report an upper bound on sr(M) and the "
+                                   "step bound max_dt = R1/sr (the largest "
+                                   "admissible dt is max_dt / "
+                                   f"{SAFETY_FACTOR})")
     p.add_argument("--config", required=True, help="key=value config file")
     p.set_defaults(func=cmd_eig)
     return parser

@@ -61,7 +61,7 @@ from .errors import AdmissibilityError, SolverError
 from .solvers import DENSE_ORACLE_MAX_DOF, factorize
 from .spatial import SystemMatrices, spectral_radius_estimate
 
-# Headroom multiplier applied to the spectral-radius estimate wherever a
+# Headroom multiplier applied to the spectral-radius bound wherever a
 # step size is checked against the approximation interval.
 SAFETY_FACTOR = 1.05
 
@@ -113,8 +113,9 @@ class Stepper:
 
     Subclasses supply ``step(u)``, ``interval_radius`` (the R of the
     interval i[-R, R] on which their approximant is certified) and the
-    ``kind`` named in errors.  The spectral radius is estimated here when
-    ``sr_value`` is None.
+    ``kind`` named in errors.  When ``sr_value`` is None it is taken from
+    ``spectral_radius_estimate``: the system's P2 bound, or dense ``eigh``
+    for a hand-built pencil.
     """
 
     system: SystemMatrices
@@ -237,12 +238,12 @@ def rexi_prepare(
 ) -> RexiStepper:
     """Factor the K shifted systems (tau*A - sigma_j*iB) once.
 
-    ``sr_value`` may be supplied to skip the power iteration (e.g. when
-    the caller already estimated it).  ``workers`` is the number of
-    threads that solve, the calling thread included; it defaults to K.
-    No more than K threads, and no more than the CPUs this process may
-    run on, are started.  ``timers["factor"]`` records the seconds spent
-    building and factoring the shifted systems.
+    ``sr_value`` may be supplied when the caller already has sr(M) or a
+    bound on it.  ``workers`` is the number of threads that solve, the
+    calling thread included; it defaults to K.  No more than K threads,
+    and no more than the CPUs this process may run on, are started.
+    ``timers["factor"]`` records the seconds spent building and factoring
+    the shifted systems.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")

@@ -21,11 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import SpatialError
-from .solvers import factorize
+from .solvers import DENSE_ORACLE_MAX_DOF
 
 # Quadrature on the reference element [0, 1].
 _GX, _GW = leggauss(3)
@@ -129,11 +130,13 @@ class WavePacketParams:
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled pencil on interior nodes (Dirichlet rows eliminated)."""
+    """Assembled pencil on interior nodes (Dirichlet rows eliminated);
+    ``sr_bound`` bounds sr(M) from above, None for hand-built pencils."""
 
     A: csr_matrix
     B: csr_matrix
     n_dof: int
+    sr_bound: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +197,14 @@ def assemble_system(
     mesh: Mesh1D, potential: PotentialSpec, consts: PhysicalConstants
 ) -> SystemMatrices:
     """Assemble A (stiffness + potential) and B (scaled mass) on interior
-    nodes.  Both come out real symmetric; B is positive definite."""
+    nodes.  Both come out real symmetric; B is positive definite.
+
+    ``sr_bound`` rests on the element eigenvalue theorem (Irons & Treharne
+    1971; Fried 1972): lambda_max(A, B) is at most the largest element
+    lambda_max.  The P2 reference pencil has lambda_max 60 (eigenvector
+    (-2, 1, -2)), 0 <= V <= v_max adds at most v_max, and dropping the
+    Dirichlet rows only lowers it (interlacing).
+    """
     ne = mesh.n_elems
     n_nodes = 2 * ne + 1
     mass_e, stiff_e = _reference_blocks(mesh.h)
@@ -220,7 +230,11 @@ def assemble_system(
     b_mat = b_full[interior, interior].tocsr()
     a_mat.sum_duplicates()
     b_mat.sum_duplicates()
-    return SystemMatrices(A=a_mat, B=b_mat, n_dof=n_nodes - 2)
+    v_max = potential.v_max if potential.kind == "step" else 0.0
+    bound = (consts.hbar / (2.0 * consts.mass) * 60.0 / mesh.h**2
+             + v_max / consts.hbar)
+    return SystemMatrices(A=a_mat, B=b_mat, n_dof=n_nodes - 2,
+                          sr_bound=float(np.nextafter(bound, np.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,53 +309,40 @@ def b_norm(u: np.ndarray, b_mat) -> float:
 # ---------------------------------------------------------------------------
 
 class SpectralRadiusEstimate(float):
-    """A float (the estimate) carrying power-iteration diagnostics."""
+    """sr(M) as a float, carrying how it was obtained: ``"p2-bound"`` or
+    ``"dense-eigh"``.  Neither method iterates; ``iterations`` and
+    ``converged`` stay as constants for callers that still read them."""
 
-    iterations: int
-    converged: bool
+    iterations = 0
+    converged = True
 
-    def __new__(cls, value: float, iterations: int, converged: bool):
+    def __new__(cls, value: float, method: str):
         obj = super().__new__(cls, value)
-        obj.iterations = iterations
-        obj.converged = converged
+        obj.method = method
         return obj
 
     def __repr__(self):
-        return (f"SpectralRadiusEstimate({float(self)!r}, "
-                f"iterations={self.iterations}, converged={self.converged})")
+        return f"SpectralRadiusEstimate({float(self)!r}, method={self.method!r})"
 
 
-def spectral_radius_estimate(
-    sys: SystemMatrices,
-    tol: float = 1e-6,
-    max_iters: int = 500,
-    seed: int = 0,
-) -> SpectralRadiusEstimate:
-    """Power iteration on B^-1 A with B-pencil Rayleigh quotients.
+def spectral_radius_estimate(sys: SystemMatrices) -> SpectralRadiusEstimate:
+    """sr(M) for M = (iB)^-1 A: the system's ``sr_bound`` when it has one,
+    else max |lambda| of the dense pencil (A, B) by ``eigh``.
 
-    |lambda_max(B^-1 A)| equals sr(M) for M = (iB)^-1 A, since the two
-    operators differ by the unimodular factor -i.  Converged means two
-    successive Rayleigh quotients agreed to ``tol`` relative; otherwise
-    the last value is returned with ``converged=False``.
+    |lambda_max(B^-1 A)| equals sr(M), since the two operators differ by
+    the unimodular factor -i.  A pencil without a bound and with more than
+    DENSE_ORACLE_MAX_DOF rows is refused with :class:`SpatialError`.
     """
-    solve_b = factorize(sys.B).solve
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(sys.n_dof).astype(complex)
-    v /= np.linalg.norm(v)
-    rq_prev = None
-    rq = 0.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iters + 1):
-        av = sys.A @ v
-        rq = abs(np.vdot(v, av) / np.vdot(v, sys.B @ v))
-        if rq_prev is not None and abs(rq - rq_prev) <= tol * max(rq, 1e-300):
-            converged = True
-            break
-        rq_prev = rq
-        w = solve_b(av)
-        v = w / np.linalg.norm(w)
-    return SpectralRadiusEstimate(float(rq), iterations, converged)
+    if sys.sr_bound is not None:
+        return SpectralRadiusEstimate(sys.sr_bound, "p2-bound")
+    if sys.n_dof > DENSE_ORACLE_MAX_DOF:
+        raise SpatialError(
+            f"pencil of order {sys.n_dof} carries no spectral bound, and "
+            f"dense eigh is limited to DENSE_ORACLE_MAX_DOF = "
+            f"{DENSE_ORACLE_MAX_DOF}"
+        )
+    lam = sla.eigh(sys.A.toarray(), sys.B.toarray(), eigvals_only=True)
+    return SpectralRadiusEstimate(float(np.max(np.abs(lam))), "dense-eigh")
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,16 @@ def test_cmd_stability_rejects_bad_grid(tmp_path, capsys, approx_file, grid):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cmd_stability_prints_loaded_approx_warnings(tmp_path, capsys):
+    lossy = faber_cf(JoukowskiMap(2.0), degree=16)
+    path = tmp_path / "lossy.json"
+    path.write_text(approx_to_json(lossy) + "\n")
+    rc = main(["stability", "--approx", str(path), "--grid=-1,1,-3,3,2,3",
+               "--axis-samples", "11", "--out-prefix", str(tmp_path / "s")])
+    assert rc == 0
+    assert f"warning: {lossy.warnings[0]}" in capsys.readouterr().err
+
+
 def test_cmd_stability_missing_approx_is_io_error(tmp_path, capsys):
     rc = main(["stability", "--approx", str(tmp_path / "nope.json"),
                "--grid", "0,1,0,1,2,2", "--out-prefix", str(tmp_path / "s")])
@@ -510,5 +520,6 @@ def test_cmd_tunnel_metadata_records_the_factorization(tmp_path, capsys,
     capsys.readouterr()
     md = json.loads((out_dir / "metadata.json").read_text())
     assert md["solver"] == "condensed"
+    assert md["sr_method"] == "p2-bound"
     assert md["factor_s"] > 0
     assert list(md).index("factor_s") >= 7

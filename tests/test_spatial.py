@@ -364,7 +364,7 @@ def test_spectral_radius_diagonal():
     est = spectral_radius_estimate(_diag_system([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
     assert float(est) == pytest.approx(3.0, rel=1e-6)
     assert est.converged
-    assert est.iterations >= 1
+    assert est.method == "dense-eigh"
 
 
 def test_spectral_radius_diagonal_mass():
@@ -397,6 +397,46 @@ def test_spectral_radius_h_squared_scaling():
         assemble_system(build_mesh(-10.0, 10.0, 400), pot, consts)
     ))
     assert 3.5 <= e2 / e1 <= 4.5
+
+
+def test_p2_reference_pencil_lambda_max_is_60():
+    mass, stiff = _reference_blocks(1.0)
+    lam = sla.eigh(stiff, mass, eigvals_only=True)
+    assert lam[-1] == pytest.approx(60.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mesh, potential, consts, slack", [
+    # barrier (-0.1, 0.1) inside the element [-0.125, 0.125]
+    (build_mesh(-1.125, 0.875, 8), PotentialSpec.step_barrier(15.0, 0.2),
+     PhysicalConstants(), 1.2),
+    # barrier (-0.45, 0.45) spanning four elements, edges inside elements
+    (build_mesh(-1.0, 1.0, 8), PotentialSpec.step_barrier(15.0, 0.9),
+     PhysicalConstants(), 1.2),
+    (build_mesh(-30.0, 30.0, 100), PotentialSpec.step_barrier(15.0, 0.005),
+     PhysicalConstants(), 1.2),
+    (build_mesh(-10.0, 10.0, 200), PotentialSpec.zero(),
+     PhysicalConstants(hbar=0.7, mass=1.3), 1.2),
+    (build_mesh(-30.0, 30.0, 250), PotentialSpec.step_barrier(400.0, 2.0),
+     PhysicalConstants(), 1.2),
+    # desk scale: the bound is within 1% of the spectrum
+    (build_mesh(-30.0, 30.0, 500), PotentialSpec.step_barrier(15.0, 0.005),
+     PhysicalConstants(), 1.01),
+])
+def test_p2_bound_is_an_upper_bound(mesh, potential, consts, slack):
+    sys_m = assemble_system(mesh, potential, consts)
+    lam = sla.eigh(sys_m.A.toarray(), sys_m.B.toarray(), eigvals_only=True)
+    oracle = float(np.max(np.abs(lam)))
+    est = spectral_radius_estimate(sys_m)
+    assert est.method == "p2-bound"
+    assert oracle <= est <= slack * oracle
+
+
+def test_spectral_radius_dense_limit():
+    big = _diag_system(np.arange(1.0, 514.0), np.ones(513))
+    with pytest.raises(SpatialError, match=r"order 513.* 512"):
+        spectral_radius_estimate(big)
+    at_limit = _diag_system(np.arange(1.0, 513.0), np.ones(512))
+    assert float(spectral_radius_estimate(at_limit)) == 512.0
 
 
 # ---------------------------------------------------------------------------
