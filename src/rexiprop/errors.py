@@ -21,7 +21,12 @@ class ApproximationError(NumericalError):
 
 
 class SolverError(NumericalError):
-    """A direct factorization or solve failed (singular or near-singular)."""
+    """A direct factorization or solve failed (singular or near-singular);
+    ``index`` is the failing matrix's position in a stacked factorization."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class SpatialError(NumericalError):

@@ -5,8 +5,9 @@ spectrum is purely imaginary for symmetric A and SPD B.  Three ways to
 apply the propagator live here:
 
 * REXI stepping: exp(tau*M) u ~ sum_j beta_j (tau*A - sigma_j*iB)^-1 (iB) u.
-  The K shifted systems are factored once per (system, approx, tau) and
-  each step is K independent solves, distributed over a thread pool.
+  The K shifted systems are factored once per (system, approx, tau), as
+  one stack of consecutive shifts per solving thread, and each step is
+  one product iB u and one stacked solve per stack, on a thread pool.
   ``solvers.factorize`` picks the solve path from the matrix structure:
   the P2 pencils of ``spatial.assemble_system`` take the condensed path
   (midpoints eliminated without pivoting, which the definite imaginary
@@ -15,13 +16,13 @@ apply the propagator live here:
   which ``factorize`` refuses for a sparse matrix larger than
   DENSE_ORACLE_MAX_DOF.  The condensed solves call LAPACK as ctypes
   foreign calls that drop the GIL, and numpy drops it inside its array
-  loops, so the pool runs them concurrently; dense solves go through
-  scipy's ``lu_solve``, which holds the GIL.  The pool
-  never starts more solving threads than the CPUs the process may run
-  on: extra threads add only GIL handoffs.  The weighted sum runs in
-  fixed ascending-j order with Kahan compensation, on the calling
-  thread, overlapping the last solves, so results do not depend on
-  worker count or completion order.
+  loops, so the stacks are solved concurrently; dense solves go through
+  scipy's ``lu_solve``, which holds the GIL.  The pool never starts more
+  solving threads than the CPUs the process may run on: extra threads add
+  only GIL handoffs.  The weighted sum runs in fixed ascending-j order with
+  Kahan compensation once every stack is solved, and every row is
+  computed the same way whatever stack holds it, so results do not depend
+  on the worker count.
 * Chebyshev/Clenshaw stepping: p(tau*M) u for a Chebyshev expansion of
   exp on i[-R, R]; each recurrence stage costs one A-multiply and one
   B-solve.  This is the comparison method and, run at a much smaller
@@ -33,7 +34,10 @@ apply the propagator live here:
 Both steppers are a :class:`Stepper`: prepared once for (system, tau),
 with ``step(u)``, one ``run`` loop, one admissibility record, per-phase
 ``timers`` (``factor`` at prepare time; ``rhs``, ``local`` and ``reduce``
-per step), and ``close()``/``with`` support.
+per step), and ``close()``/``with`` support.  ``run`` flushes subnormal
+parts of the state to zero, on its copy of u0 and after every step: the
+Gaussian tails of a wave packet otherwise decay into subnormal numbers,
+whose arithmetic made each step several times slower.
 
 A step tau is admissible when SAFETY_FACTOR * tau * sr(M) <= R1, i.e.
 the scaled spectrum stays inside the interval where the rational or
@@ -45,9 +49,7 @@ inadmissible steps unless explicitly overridden.
 from __future__ import annotations
 
 import os
-import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -83,6 +85,13 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+def _flush_subnormals(u: np.ndarray) -> None:
+    """Zero, in place, every subnormal real or imaginary part of the
+    complex array ``u``."""
+    parts = u.view(float)
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
 
 
 class _KahanSum:
@@ -141,6 +150,8 @@ class Stepper:
             observer: Observer | None = None) -> np.ndarray:
         """Apply ``step`` ``n_steps`` times; observer sees (step, time, state).
 
+        Subnormal real and imaginary parts are set to zero in the copy of
+        ``u0`` and in every step's result, before the observer sees it.
         The admissibility gate applies only when at least one step runs.
         """
         if n_steps < 0:
@@ -158,8 +169,10 @@ class Stepper:
                 )
             self.override_used = True
         u = np.array(u0, dtype=complex, copy=True)
+        _flush_subnormals(u)
         for k in range(1, n_steps + 1):
             u = self.step(u)
+            _flush_subnormals(u)
             if observer is not None:
                 observer(k, k * self.tau, u)
         return u
@@ -180,8 +193,9 @@ class Stepper:
 
 @dataclass
 class RexiStepper(Stepper):
-    """Prepared REXI propagator: factorizations j correspond index-wise to
-    approx.shifts[j]; timers accumulate per-phase wall seconds."""
+    """Prepared REXI propagator: ``factorizations`` stack consecutive
+    shifted systems, in shift order, one stack per solving thread; timers
+    accumulate per-phase wall seconds."""
 
     kind = "REXI"
 
@@ -191,16 +205,13 @@ class RexiStepper(Stepper):
 
     def __post_init__(self):
         super().__post_init__()
-        k = self.approx.K
         # iB in complex storage, so the per-step product needs no upcast.
         self._iB = (1j * self.system.B).tocsr()
-        self._work = np.empty((k, self.system.n_dof), dtype=complex)
-        # Set when shift j's weighted solution is in self._work[j].
-        self._done = [threading.Event() for _ in range(k)]
-        # The coordinating thread solves too, so the pool holds the other
-        # solving threads.  Threads beyond the CPUs this process may run on
-        # add no parallelism, only GIL handoffs, so they are not started.
-        self._helpers = min(self.workers, k, _usable_cpus()) - 1
+        # Shift index of each stack's first row, and one past the last.
+        self._starts = np.cumsum(
+            [0] + [len(fac.matrices) for fac in self.factorizations])
+        # The calling thread solves the first stack, the pool the others.
+        self._helpers = len(self.factorizations) - 1
         self._pool = (ThreadPoolExecutor(max_workers=self._helpers)
                       if self._helpers else None)
 
@@ -222,9 +233,9 @@ class RexiStepper(Stepper):
         return rexi_step(self, u)
 
     def close(self):
+        # A closed pool refuses new work, so a later pooled step raises.
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 def rexi_prepare(
@@ -241,7 +252,8 @@ def rexi_prepare(
     ``sr_value`` may be supplied when the caller already has sr(M) or a
     bound on it.  ``workers`` is the number of threads that solve, the
     calling thread included; it defaults to K.  No more than K threads,
-    and no more than the CPUs this process may run on, are started.
+    and no more than the CPUs this process may run on, are started, and
+    the shifts are split into that many stacks of consecutive shifts.
     ``timers["factor"]`` records the seconds spent building and factoring
     the shifted systems.
     """
@@ -255,18 +267,20 @@ def rexi_prepare(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     t0 = time.perf_counter()
+    shifted = [(tau * sys.A - (1j * sigma) * sys.B).tocsr()
+               for sigma in approx.shifts]
+    threads = min(workers, approx.K, _usable_cpus())
     factorizations = []
-    for j, sigma in enumerate(approx.shifts):
-        shifted = (tau * sys.A - (1j * sigma) * sys.B).tocsr()
+    for stack in np.array_split(np.arange(approx.K), threads):
         try:
-            factorizations.append(factorize(shifted))
+            factorizations.append(factorize(*(shifted[j] for j in stack)))
         except SolverError as exc:
+            j = stack[exc.index]
             raise SolverError(
-                f"shifted system j = {j} (sigma = {sigma}) cannot be "
-                f"factored; if it is singular, the shift coincides with an "
+                f"shifted system j = {j} (sigma = {approx.shifts[j]}) cannot "
+                f"be factored; if it is singular, the shift coincides with an "
                 f"eigenvalue of tau*M ({exc})"
             ) from exc
-
     factor_s = time.perf_counter() - t0
 
     stepper = RexiStepper(
@@ -283,78 +297,46 @@ def rexi_prepare(
 
 
 def rexi_step(stepper: RexiStepper, u: np.ndarray) -> np.ndarray:
-    """One REXI step: rhs = iBu, K shifted solves, weighted compensated sum.
-
-    Solving threads, the caller's included, take the next pending shift.
-    The caller also adds each weighted solution to the sum, in ascending
-    shift order, as soon as it and every row before it are finished, so
-    the sum overlaps the last solves.  Its arithmetic does not depend on
-    worker count or completion order, so 1-worker and K-worker execution
-    produce identical results.
+    """One REXI step: rhs = iBu, one stacked solve per stack (the first on
+    the calling thread, the others on the pool), then the weighted
+    solutions summed with compensation in ascending shift order, so
+    1-worker and K-worker execution produce identical results.
     """
     timers = stepper.timers
     weights = stepper.approx.weights
-    work = stepper._work
-    done = stepper._done
+    starts = stepper._starts
 
     t0 = time.perf_counter()
     rhs = stepper._iB @ u
     t1 = time.perf_counter()
-    timers["rhs"] += t1 - t0
 
-    # deque.popleft is thread-safe, so uneven solve costs even out.
-    pending = deque(range(len(weights)))
-    failures = {}
-    for event in done:
-        event.clear()
-
-    def take():
+    def solve(c):
         try:
-            return pending.popleft()
-        except IndexError:
-            return None
-
-    def solve(j):
-        try:
-            np.multiply(weights[j], stepper.factorizations[j].solve(rhs),
-                        out=work[j])
+            solutions = stepper.factorizations[c].solve(rhs)
         except SolverError as exc:
-            failures[j] = exc
-        finally:
-            done[j].set()
+            raise SolverError(f"solve failed for shift j = "
+                              f"{starts[c] + exc.index}: {exc}") from exc
+        # Weights times solutions, in this operand order: numpy's complex
+        # product can round differently with the operands swapped.
+        return weights[starts[c]:starts[c + 1], None] * solutions
 
-    def solve_pending():
-        while (j := take()) is not None:
-            solve(j)
-
-    total = _KahanSum(stepper.system.n_dof)
-    reduce_s = 0.0
-    helpers = ([stepper._pool.submit(solve_pending)
-                for _ in range(stepper._helpers)]
-               if stepper._pool is not None else [])
+    helpers = [stepper._pool.submit(solve, c)
+               for c in range(1, len(stepper.factorizations))]
     try:
-        row = 0
-        while row < len(weights):
-            if done[row].is_set():
-                if row in failures:
-                    pending.clear()
-                    raise SolverError(f"solve failed for shift j = {row}: "
-                                      f"{failures[row]}") from failures[row]
-                r0 = time.perf_counter()
-                total.add(work[row])
-                reduce_s += time.perf_counter() - r0
-                row += 1
-            elif (j := take()) is not None:
-                solve(j)
-            else:
-                done[row].wait()
+        stacks = [solve(0)]
     finally:
-        # Wait until no helper touches the buffers, and re-raise here any
-        # error other than a SolverError.
+        # Retrieve every helper's outcome; the lowest failing j is raised.
         for future in helpers:
-            future.result()
-    timers["local"] += time.perf_counter() - t1 - reduce_s
-    timers["reduce"] += reduce_s
+            future.exception()
+    stacks += [future.result() for future in helpers]
+    t2 = time.perf_counter()
+    total = _KahanSum(stepper.system.n_dof)
+    for stack in stacks:
+        for row in stack:
+            total.add(row)
+    timers["rhs"] += t1 - t0
+    timers["local"] += t2 - t1
+    timers["reduce"] += time.perf_counter() - t2
     return total.total
 
 
@@ -484,8 +466,8 @@ def chebyshev_step(
     b1 = np.zeros_like(u)
     b2 = np.zeros_like(u)
     for k in range(stepper.degree, 0, -1):
-        b1, b2 = a[k] * u + 2.0 * scale * solve_b(a_mat @ b1) - b2, b1
-    out = a[0] * u + scale * solve_b(a_mat @ b1) - b2
+        b1, b2 = a[k] * u + 2.0 * scale * solve_b(a_mat @ b1)[0] - b2, b1
+    out = a[0] * u + scale * solve_b(a_mat @ b1)[0] - b2
     stepper.timers["local"] += time.perf_counter() - t0
     return out
 

@@ -12,7 +12,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.linalg import splu
 
-from rexiprop import integrate
+from rexiprop import integrate, solvers
 from rexiprop.approx import PartialFractionApproximation, evaluate_pfd
 from rexiprop.errors import AdmissibilityError, SolverError
 from rexiprop.integrate import (
@@ -133,7 +133,7 @@ def test_dense_factorization_for_full_matrices():
     assert isinstance(fac, DenseFactorization)
     assert fac.bandwidth is None
     b = rng.standard_normal(40)
-    x = fac.solve(b)
+    x = fac.solve(b)[0]
     assert np.linalg.norm(dense @ x - b) / np.linalg.norm(b) < 1e-10
 
 
@@ -163,7 +163,7 @@ def test_factorize_refuses_large_non_p2_sparse():
     fac = factorize(mat)
     assert fac.kind == "dense"
     b = np.random.default_rng(10).standard_normal(DENSE_ORACLE_MAX_DOF)
-    assert np.linalg.norm(mat @ fac.solve(b) - b) / np.linalg.norm(b) < 1e-10
+    assert np.linalg.norm(mat @ fac.solve(b)[0] - b) / np.linalg.norm(b) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +174,10 @@ def test_prepare_scalar_shifted_matrices(flagship):
     omega, tau = 3.0, 0.5
     stp = rexi_prepare(scalar_system(omega), flagship, tau,
                        sr_value=omega, workers=1)
-    assert len(stp.factorizations) == flagship.K
-    for sigma, fac in zip(flagship.shifts, stp.factorizations):
-        assert fac.matrix.toarray()[0, 0] == pytest.approx(tau * omega - 1j * sigma)
+    matrices = [mat for fac in stp.factorizations for mat in fac.matrices]
+    assert len(matrices) == flagship.K
+    for sigma, mat in zip(flagship.shifts, matrices):
+        assert mat.toarray()[0, 0] == pytest.approx(tau * omega - 1j * sigma)
 
 
 def test_prepare_factorization_residuals(flagship, fem):
@@ -185,9 +186,11 @@ def test_prepare_factorization_residuals(flagship, fem):
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(sysm.n_dof)
     for fac in stp.factorizations:
-        x = fac.solve(rhs)
-        assert (np.linalg.norm(fac.matrix @ x - rhs)
-                / np.linalg.norm(rhs)) < 1e-10
+        solutions = fac.solve(rhs)
+        assert solutions.shape == (len(fac.matrices), sysm.n_dof)
+        for mat, x in zip(fac.matrices, solutions):
+            assert (np.linalg.norm(mat @ x - rhs)
+                    / np.linalg.norm(rhs)) < 1e-10
     assert stp.bandwidth == 5  # P2 pencil stays pentadiagonal after the shift
 
 
@@ -278,15 +281,27 @@ def test_workers_do_not_change_the_answer(flagship, fem):
     assert np.max(np.abs(u_serial - u_pooled)) <= 1e-13
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_failed_shift_solve_is_reported(flagship, fem, workers):
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_failed_shift_solve_is_reported(flagship, fem, workers, monkeypatch):
     sysm, _, u0, sr = fem
+    # Shift 5 is row 5 of the calling thread's stack at one or two workers
+    # (a pool thread solves the other stack at two); at four it is row 1
+    # of the second stack of four, solved by a pool thread.
+    monkeypatch.setattr(integrate, "_usable_cpus", lambda: 4)
+    zgttrs = solvers._ZGTTRS
     with rexi_prepare(sysm, flagship, 0.02, sr_value=sr,
                       workers=workers) as stp:
-        def broken(b):
-            raise SolverError("injected")
-        stp.factorizations[5].solve = broken
-        with pytest.raises(SolverError, match="shift j = 5.*injected"):
+        # Shift 5's pivot array, found by its address: the stacks hold
+        # the shifts in order, and each solves them one zgttrs call apiece.
+        ipiv_5 = [args for fac in stp.factorizations for args in fac._args][5][4]
+
+        def shift_5_fails(*args):
+            zgttrs(*args)
+            if args[7] == ipiv_5:
+                args[-1]._obj.value = -3  # info, passed by reference
+
+        monkeypatch.setattr(solvers, "_ZGTTRS", shift_5_fails)
+        with pytest.raises(SolverError, match=r"shift j = 5\b.*info=-3"):
             rexi_step(stp, u0)
 
 
@@ -327,6 +342,29 @@ def test_run_observer_contract(flagship, fem):
             assert [t for _, t, _ in seen] == pytest.approx(
                 [0.02, 0.04, 0.06, 0.08])
             np.testing.assert_array_equal(seen[-1][2], final)
+
+
+def test_run_flushes_subnormals(flagship, fem):
+    # Scaled by 1e-300, the packet's tails are subnormal in u0, and every
+    # step of either propagator makes new ones from normal parts.
+    sysm, _, u0, sr = fem
+    u0 = 1e-300 * u0
+    tiny = np.finfo(float).tiny
+
+    def subnormals(u):
+        parts = np.abs(np.asarray(u, dtype=complex).view(float))
+        return int(np.count_nonzero((parts > 0) & (parts < tiny)))
+
+    assert subnormals(u0.real) > 0 and subnormals(1j * u0.imag) > 0
+    stp = rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=1)
+    cheb = chebyshev_prepare(sysm, 0.02, sr_value=sr)
+    for run in (lambda obs: rexi_run(stp, u0, 3, observer=obs),
+                lambda obs: chebyshev_run(cheb, sysm, u0, 3, obs)):
+        seen = []
+        final = run(lambda k, t, u: seen.append(subnormals(u)))
+        assert seen == [0, 0, 0]
+        assert subnormals(final) == 0
+        assert np.count_nonzero(final) > 0
 
 
 def test_b_norm_quasi_conserved(flagship, fem):
@@ -583,16 +621,22 @@ def test_condensed_solve_every_flagship_shift(flagship, x0, x1, n_elems):
     rng = np.random.default_rng(7)
     rhs = [1j * (sysm.B @ u0),
            rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(sysm.n_dof)]
-    for sigma in flagship.shifts:
-        mat = (2e-4 * sysm.A - (1j * sigma) * sysm.B).tocsr()
+    shifted = [(2e-4 * sysm.A - (1j * sigma) * sysm.B).tocsr()
+               for sigma in flagship.shifts]
+    stacked = factorize(*shifted)
+    assert isinstance(stacked, CondensedFactorization)
+    stacked_x = [stacked.solve(b) for b in rhs]
+    for j, mat in enumerate(shifted):
         fac = factorize(mat)
         assert isinstance(fac, CondensedFactorization)
         lu = splu(mat.tocsc())
-        for b in rhs:
-            x = fac.solve(b)
+        for b, xs in zip(rhs, stacked_x):
+            x = fac.solve(b)[0]
             ref = lu.solve(b)
             assert np.linalg.norm(mat @ x - b) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+            # Row j of the stacked solve is the single-matrix solve.
+            assert xs[j].tobytes() == x.tobytes()
 
 
 def test_condensed_solve_shapes_keep_the_input(flagship, fem):
@@ -600,21 +644,15 @@ def test_condensed_solve_shapes_keep_the_input(flagship, fem):
     mat = (0.02 * sysm.A - (1j * flagship.shifts[3]) * sysm.B).tocsr()
     fac = factorize(mat)
     rng = np.random.default_rng(8)
-    block = rng.standard_normal((sysm.n_dof, 3)) + 1j * rng.standard_normal(
-        (sysm.n_dof, 3))
-    columns = [fac.solve(block[:, k].copy()) for k in range(3)]
-    for b in (np.ascontiguousarray(block), np.asfortranarray(block)):
-        kept = b.copy()
-        x = fac.solve(b)
-        assert x.shape == b.shape
-        assert np.array_equal(b, kept)
-        for k in range(3):
-            assert x[:, k].tobytes() == columns[k].tobytes()
-    real = block.real[:, 0].copy()
-    assert np.max(np.abs(mat @ fac.solve(real) - real)) < 1e-12 * np.max(np.abs(real))
-    assert fac.solve(np.zeros((sysm.n_dof, 0))).shape == (sysm.n_dof, 0)
-    with pytest.raises(ValueError, match="does not match"):
-        fac.solve(np.ones(sysm.n_dof + 1))
+    b = rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(sysm.n_dof)
+    kept = b.copy()
+    assert fac.solve(b).shape == (1, sysm.n_dof)
+    assert np.array_equal(b, kept)
+    real = b.real.copy()
+    assert np.max(np.abs(mat @ fac.solve(real)[0] - real)) < 1e-12 * np.max(np.abs(real))
+    for wrong in (np.ones(sysm.n_dof + 1), np.ones((sysm.n_dof, 2))):
+        with pytest.raises(ValueError, match="does not match"):
+            fac.solve(wrong)
 
 
 def test_condensed_solve_shared_across_threads(flagship):
