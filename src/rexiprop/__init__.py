@@ -16,7 +16,7 @@ from .approx import (
     faber_coefficients,
     hankel_matrix,
     joukowski_eval,
-    series_from_circle_samples,
+    rounding_floor,
     stability_indicator,
     stabilize,
     sup_error_on_interval,

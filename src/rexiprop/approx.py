@@ -3,8 +3,10 @@
 The pipeline works on the unit disc and is transplanted to the target
 interval i*[-R1, R1] by a Joukowski-type conformal map:
 
-1. sample the transplanted target on a circle slightly outside the unit
-   circle and read off its expansion coefficients by FFT;
+1. sample the transplanted target on a geometric ladder of circles
+   outside the unit circle, read off its expansion coefficients by FFT,
+   and keep each order from the circle that resolves it best (adaptive
+   sampling, see _series_from_radius_ladder);
 2. form the Hankel matrix of those coefficients and take its (n+1)-st
    singular triple -- Caratheodory-Fejer / AAK theory says the triple
    encodes a rational function whose deviation from the target on the
@@ -39,18 +41,20 @@ from .errors import ApproximationError
 # long window keeps the Hankel spectrum independent of the cutoff.  The
 # singular triple that drives the construction sits many orders of magnitude
 # below the leading singular value (6e-20 here), so the coefficients must be
-# accurate *relative to their own size* deep into that decay -- a single
-# sampling circle cannot deliver this in double precision (absolute FFT error
-# is roughly eps * max|g| on the circle, uniform across orders), which is why
-# coefficient sampling defaults to an adaptive ladder of radii with the best
+# accurate *relative to their own size* deep into that decay.  A single
+# sampling circle cannot deliver this in double precision (its absolute FFT
+# error is roughly eps * max|g| on the circle, uniform across orders), so
+# every coefficient comes from an adaptive ladder of radii with the best
 # circle chosen per order (see _series_from_radius_ladder).
 DEFAULT_TRUNCATION = 300
-DEFAULT_CONTOUR_RADIUS = None
 DEFAULT_SAMPLES = 4096
 CIRCLE_TOL = 1e-8
 CONDITION_LIMIT = 1e12
 MIN_SHIFT_DISTANCE_REL = 1e-3
 _OVERFLOW_GUARD = 1e280
+# Points per evaluate_pfd call in the interval certificate: bounds the
+# (points, K) temporaries without changing any point's pole sum.
+_SUP_CHECK_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -76,56 +80,6 @@ class ComplexSeries:
         if 0 <= i < len(self.coeffs):
             return complex(self.coeffs[i])
         return 0.0 + 0.0j
-
-    def head(self, count: int) -> np.ndarray:
-        """Coefficients a_0 .. a_{count-1} as a dense vector."""
-        return np.array([self.coefficient(j) for j in range(count)], dtype=complex)
-
-
-def series_from_circle_samples(
-    f: Callable[[np.ndarray], np.ndarray],
-    radius: float = 1.0,
-    n_samples: int = DEFAULT_SAMPLES,
-) -> ComplexSeries:
-    """Laurent coefficients of ``f`` from equispaced samples on |z| = radius.
-
-    ``n_samples`` must be a power of two (>= 4).  Orders j in
-    [-n_samples/2, n_samples/2) are returned.
-    """
-    if n_samples < 4 or (n_samples & (n_samples - 1)) != 0:
-        raise ValueError(f"n_samples must be a power of two >= 4, got {n_samples}")
-    if radius <= 0.0:
-        raise ValueError(f"sampling radius must be positive, got {radius}")
-
-    vals = _sample_circle(f, radius, n_samples)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argmax(~np.isfinite(vals))
-        raise ApproximationError(
-            f"sample {bad} on the contour of radius {radius} is not finite; "
-            "the contour passes too close to a singularity -- sample on a "
-            "different radius"
-        )
-
-    c = np.fft.fft(vals) / n_samples
-    half = n_samples // 2
-    j = np.concatenate([np.arange(-half, 0), np.arange(0, half)])
-    # c[m] aliases order j = m (mod n_samples); undo the radius**j scaling.
-    coeffs = c[np.mod(j, n_samples)] / radius**j.astype(float)
-    return ComplexSeries(offset=-half, coeffs=coeffs)
-
-
-def _sample_circle(f, radius: float, n_samples: int) -> np.ndarray:
-    """f at n_samples equispaced points of |z| = radius; scalar-only
-    callables are evaluated point by point."""
-    z = radius * np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    with np.errstate(all="ignore"):
-        try:
-            vals = np.asarray(f(z), dtype=complex)
-            if vals.shape != z.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([f(zi) for zi in z], dtype=complex)
-    return vals
 
 
 def _ladder_radii(max_radius: float) -> np.ndarray:
@@ -172,8 +126,10 @@ def _series_from_radius_ladder(
     best_log = np.full(length + 1, np.inf)
     sampled = False
     prev_peak = 0.0
+    unit = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     for rho in _ladder_radii(max_radius):
-        vals = _sample_circle(f, rho, n_samples)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f(rho * unit), dtype=complex)
         if not np.all(np.isfinite(vals)):
             if sampled:
                 break
@@ -305,13 +261,7 @@ def _denominator_vector(a: np.ndarray, n: int):
     return sigma, u, v
 
 
-def cf_approximate(
-    series: ComplexSeries,
-    n: int,
-    *,
-    n_samples: int = DEFAULT_SAMPLES,
-    circle_tol: float = CIRCLE_TOL,
-) -> CFApproximation:
+def cf_approximate(series: ComplexSeries, n: int) -> CFApproximation:
     """Degree-(n-1, n) rational approximant of a power series on the disc.
 
     The (n+1)-st singular triple (sigma, u, v) of the coefficient Hankel
@@ -324,7 +274,7 @@ def cf_approximate(
     this product form, never as an explicit subtraction of nearly equal
     quantities.
 
-    Roots within ``circle_tol`` of the unit circle are not counted as
+    Roots within ``CIRCLE_TOL`` of the unit circle are not counted as
     poles; each one is recorded as a warning on the result.  A pole count
     below n, whatever its cause, is recorded as a warning too.
     """
@@ -335,12 +285,12 @@ def cf_approximate(
     # q's coefficients in descending powers of z are exactly v.
     roots = np.roots(v)
     mods = np.abs(roots)
-    outside = roots[mods > 1.0 + circle_tol]
+    outside = roots[mods > 1.0 + CIRCLE_TOL]
     warnings = tuple(
-        f"denominator root at z = {z} lies within {circle_tol} of the unit "
+        f"denominator root at z = {z} lies within {CIRCLE_TOL} of the unit "
         "circle; it was not counted as a pole and the pole count may be "
         "unreliable"
-        for z in roots[np.abs(mods - 1.0) <= circle_tol]
+        for z in roots[np.abs(mods - 1.0) <= CIRCLE_TOL]
     )
     if len(outside) < n:
         warnings += (
@@ -360,7 +310,7 @@ def cf_approximate(
             "(try a longer coefficient window)"
         )
 
-    zc = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
+    zc = np.exp(2j * np.pi * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES)
     h_vals = npoly.polyval(zc, a)
     p_vals = npoly.polyval(zc, u)
     q_vals = npoly.polyval(zc, v[::-1])
@@ -375,7 +325,7 @@ def cf_approximate(
     for zk in outside:
         q_out_vals *= zc - zk
     numer_samples = q_out_vals * (h_vals - err_vals)
-    d = np.fft.fft(numer_samples) / n_samples
+    d = np.fft.fft(numer_samples) / DEFAULT_SAMPLES
     return CFApproximation(
         numerator_coeffs=d[:n].copy(),
         poles_outside=outside.copy(),
@@ -437,18 +387,16 @@ def faber_coefficients(
     g: Callable[[np.ndarray], np.ndarray],
     length: int,
     *,
-    radius: float | None = DEFAULT_CONTOUR_RADIUS,
     n_samples: int = DEFAULT_SAMPLES,
 ) -> ComplexSeries:
     """First ``length + 1`` expansion coefficients of g pulled back through
     the map.
 
-    With ``radius=None`` (the default) the coefficients come from an
-    adaptive ladder of sampling circles, which keeps them accurate relative
-    to their own magnitude deep into the decay; this assumes g composed
-    with the map is analytic out to |z| = 1e4 (any entire g qualifies).
-    Passing an explicit ``radius`` > 1 samples that single circle instead,
-    with absolute accuracy around eps * max|g| on it.
+    The coefficients come from an adaptive ladder of sampling circles
+    (see :func:`_series_from_radius_ladder`), which keeps them accurate
+    relative to their own magnitude deep into the decay.  This assumes g
+    composed with the map is analytic out to |z| = 1e4 (any entire g
+    qualifies) and that g accepts an array of points.
 
     For g = exp these are the Faber coefficients of exp on the segment, and
     they match the classical Bessel-function values.
@@ -457,16 +405,9 @@ def faber_coefficients(
         raise ValueError(
             f"length must be in [0, {n_samples // 2}), got {length}"
         )
-    if radius is None:
-        return _series_from_radius_ladder(
-            lambda z: g(joukowski_eval(mp, z)), length, n_samples=n_samples
-        )
-    if radius <= 1.0:
-        raise ValueError(f"contour radius must exceed 1, got {radius}")
-    full = series_from_circle_samples(
-        lambda z: g(joukowski_eval(mp, z)), radius=radius, n_samples=n_samples
+    return _series_from_radius_ladder(
+        lambda z: g(joukowski_eval(mp, z)), length, n_samples=n_samples
     )
-    return ComplexSeries(offset=0, coeffs=full.head(length + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +467,10 @@ def sup_error_on_interval(
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     x = np.linspace(-approx.domain_radius, approx.domain_radius, n_samples)
-    z = 1j * x
-    return float(np.max(np.abs(reference(z) - evaluate_pfd(approx, z))))
+    blocks = np.split(1j * x, range(_SUP_CHECK_BLOCK, n_samples,
+                                    _SUP_CHECK_BLOCK))
+    return max(float(np.max(np.abs(reference(z) - evaluate_pfd(approx, z))))
+               for z in blocks)
 
 
 def stability_indicator(approx: PartialFractionApproximation, z) -> np.ndarray | float:
@@ -568,14 +511,20 @@ def _distance_to_interval(s: complex, r1: float) -> float:
     return abs(s - 1j * math.copysign(r1, s.imag))
 
 
+def rounding_floor(approx: PartialFractionApproximation) -> float:
+    """eps * sum_j |beta_j| / dist(sigma_j, i*[-R1, R1]).
+
+    The sum bounds sum_j |beta_j / (ix - sigma_j)| on the whole interval,
+    so this is the scale of the rounding error of the pole sum there."""
+    dist = np.array([_distance_to_interval(complex(s), approx.domain_radius)
+                     for s in approx.shifts])
+    return float(np.finfo(float).eps * np.sum(np.abs(approx.weights) / dist))
+
+
 def faber_cf(
     mp: JoukowskiMap,
     truncation: int = DEFAULT_TRUNCATION,
     degree: int = 16,
-    *,
-    contour_radius: float | None = DEFAULT_CONTOUR_RADIUS,
-    n_samples: int = DEFAULT_SAMPLES,
-    cond_limit: float = CONDITION_LIMIT,
 ) -> PartialFractionApproximation:
     """Partial-fraction approximation of exp on i*[-r1, r1].
 
@@ -583,9 +532,9 @@ def faber_cf(
     (window length ``truncation``), the disc-side rational construction at
     ``degree``, forward mapping of the poles to shifts, and a linear fit of
     the weights so the first K expansion coefficients of the weighted pole
-    sum match those of the disc rational.  ``contour_radius=None`` selects
-    adaptive per-order sampling circles for every expansion involved (see
-    :func:`faber_coefficients`); an explicit radius pins one circle.
+    sum match those of the disc rational.  Every expansion involved is
+    sampled on an adaptive ladder of circles (see
+    :func:`faber_coefficients`).
 
     The K x K weight system is max-abs row/column equilibrated before the
     dense solve (the raw columns differ in scale by many orders because the
@@ -593,20 +542,10 @@ def faber_cf(
     threshold applies to the equilibrated matrix.  The returned sup error
     is measured on a dense grid of the interval.
     """
-    series = faber_coefficients(
-        mp, np.exp, truncation, radius=contour_radius, n_samples=n_samples
-    )
-    cf = cf_approximate(series, degree, n_samples=n_samples)
+    series = faber_coefficients(mp, np.exp, truncation)
+    cf = cf_approximate(series, degree)
     n_poles = cf.n_poles
     warnings = cf.warnings
-
-    min_pole = float(np.min(np.abs(cf.poles_outside)))
-    if contour_radius is not None and min_pole <= contour_radius * (1.0 + 1e-6):
-        raise ApproximationError(
-            "a disc-side pole lies on or inside the sampling contour "
-            f"(radius {contour_radius}); the per-pole expansions would not "
-            "converge -- sample on a smaller contour radius"
-        )
 
     shifts = np.asarray(joukowski_eval(mp, cf.poles_outside))
     min_dist = min(_distance_to_interval(complex(s), mp.r1) for s in shifts)
@@ -618,32 +557,24 @@ def faber_cf(
 
     # Disc expansion of the rational approximant (unit circle suffices: the
     # poles are well outside).
-    zc = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
+    zc = np.exp(2j * np.pi * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES)
     q_out_vals = np.ones_like(zc)
     for zk in cf.poles_outside:
         q_out_vals *= zc - zk
     r_vals = npoly.polyval(zc, cf.numerator_coeffs) / q_out_vals
-    c_vec = (np.fft.fft(r_vals) / n_samples)[:n_poles]
+    c_vec = (np.fft.fft(r_vals) / DEFAULT_SAMPLES)[:n_poles]
 
     # Per-pole expansion sequences through the map.  The expansions only
     # converge inside the smallest disc-side pole modulus, so the adaptive
     # ladder is capped at two thirds of the way there (log scale).
     b_mat = np.empty((n_poles, n_poles), dtype=complex)
-    if contour_radius is None:
-        b_cap = min_pole ** (2.0 / 3.0)
-        for k, s_k in enumerate(shifts):
-            seq = _series_from_radius_ladder(
-                lambda z, s=s_k: 1.0 / (joukowski_eval(mp, z) - s),
-                n_poles - 1, n_samples=n_samples, max_radius=b_cap,
-            )
-            b_mat[:, k] = seq.coeffs
-    else:
-        z_rho = contour_radius * zc
-        eta_vals = np.asarray(joukowski_eval(mp, z_rho))
-        scale = contour_radius ** np.arange(n_poles)
-        for k, s_k in enumerate(shifts):
-            g_vals = 1.0 / (eta_vals - s_k)
-            b_mat[:, k] = (np.fft.fft(g_vals) / n_samples)[:n_poles] / scale
+    b_cap = float(np.min(np.abs(cf.poles_outside))) ** (2.0 / 3.0)
+    for k, s_k in enumerate(shifts):
+        seq = _series_from_radius_ladder(
+            lambda z, s=s_k: 1.0 / (joukowski_eval(mp, z) - s),
+            n_poles - 1, max_radius=b_cap,
+        )
+        b_mat[:, k] = seq.coeffs
 
     # Max-abs equilibration: D_r B D_c has unit-scale rows and columns.
     d_row = 1.0 / np.max(np.abs(b_mat), axis=1)
@@ -651,10 +582,10 @@ def faber_cf(
     d_col = 1.0 / np.max(np.abs(b_eq), axis=0)
     b_eq = b_eq * d_col[None, :]
     cond = float(np.linalg.cond(b_eq))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise ApproximationError(
             f"weight system condition {cond:.3e} exceeds the limit "
-            f"{cond_limit:.1e}; the pole configuration cannot support a "
+            f"{CONDITION_LIMIT:.1e}; the pole configuration cannot support a "
             "reliable weight fit"
         )
     weights = np.linalg.solve(b_eq, c_vec * d_row) * d_col
@@ -712,7 +643,10 @@ def approx_to_json(approx: PartialFractionApproximation) -> str:
 def approx_from_json(text: str) -> PartialFractionApproximation:
     """Inverse of :func:`approx_to_json` (bit-exact for the float fields).
 
-    A document without a ``warnings`` key loads with no warnings."""
+    A document without a ``warnings`` key loads with no warnings.  A
+    document that no construction can produce (no poles, a non-finite or
+    non-positive R1, non-finite numbers, repeated shifts) is refused with
+    a message that names the key."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -724,6 +658,17 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
     weights = np.array([complex(re, im) for re, im in raw["weights"]])
     if len(shifts) != raw["K"] or len(weights) != raw["K"]:
         raise ValueError("K does not match the length of shifts/weights")
+    if not len(shifts):
+        raise ValueError("K must be >= 1, got 0")
+    r1 = float(raw["R1"])
+    if not (math.isfinite(r1) and r1 > 0):
+        raise ValueError(f"R1 must be finite and positive, got {r1}")
+    for key, vals in (("shifts", shifts), ("weights", weights),
+                      ("sup_error", float(raw["sup_error"]))):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{key} must be finite")
+    if len(np.unique(shifts)) != len(shifts):
+        raise ValueError("shifts must be distinct")
     warnings = raw.get("warnings", [])
     if not (isinstance(warnings, list)
             and all(isinstance(w, str) for w in warnings)):
@@ -731,7 +676,7 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
     return PartialFractionApproximation(
         shifts=shifts,
         weights=weights,
-        domain_radius=float(raw["R1"]),
+        domain_radius=r1,
         sup_error=float(raw["sup_error"]),
         stabilized=bool(raw["stabilized"]),
         stabilize_factor=(None if raw["stabilize_factor"] is None

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import (
-    DEFAULT_CONTOUR_RADIUS,
     DEFAULT_TRUNCATION,
     JoukowskiMap,
     PartialFractionApproximation,
@@ -27,6 +26,7 @@ from .approx import (
     approx_to_json,
     evaluate_pfd,
     faber_cf,
+    rounding_floor,
     stabilize,
     stability_indicator,
 )
@@ -268,12 +268,7 @@ def _write_snapshot(path: str, xs: np.ndarray, psi: np.ndarray) -> None:
 
 def cmd_approx(args) -> int:
     """Build, optionally stabilize, and serialize an approximation."""
-    approx = faber_cf(
-        JoukowskiMap(args.r1),
-        args.truncation,
-        args.degree,
-        contour_radius=args.contour_rho,
-    )
+    approx = faber_cf(JoukowskiMap(args.r1), args.truncation, args.degree)
     if args.stabilize is not None:
         approx = stabilize(approx, args.stabilize)
     with open(args.out, "w") as fh:
@@ -389,6 +384,8 @@ def cmd_tunnel(args) -> int:
         "override_used": stepper.override_used,
         "factor_s": stepper.timers["factor"],
         "solver": stepper.solver,
+        "sup_error": approx.sup_error,
+        "rounding_floor": rounding_floor(approx),
     }
     with open(os.path.join(args.out_dir, "metadata.json"), "w") as fh:
         json.dump(metadata, fh, indent=2)
@@ -511,8 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--stabilize", type=float, default=None, metavar="EPS",
                    help="damp the weights by (1-EPS)")
-    p.add_argument("--contour-rho", type=float, default=DEFAULT_CONTOUR_RADIUS,
-                   help="sampling contour radius > 1 (default: adaptive)")
     p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
                    help="series truncation length")
     p.set_defaults(func=cmd_approx)

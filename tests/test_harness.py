@@ -186,6 +186,13 @@ def test_cmd_approx_missing_out_is_usage_error(capsys):
     assert rc == 2
 
 
+def test_cmd_approx_contour_rho_is_gone(tmp_path, capsys):
+    rc = main(["approx", "--r1", "10", "--degree", "16",
+               "--contour-rho", "1.5", "--out", str(tmp_path / "a.json")])
+    assert rc == 2
+    assert "--contour-rho" in capsys.readouterr().err
+
+
 def test_main_requires_subcommand(capsys):
     rc = main([])
     capsys.readouterr()
@@ -369,6 +376,20 @@ def test_cmd_tunnel_prints_loaded_approx_warnings(tmp_path, capsys):
     assert f"warning: {lossy.warnings[0]}" in capsys.readouterr().err
 
 
+def test_cmd_tunnel_impossible_approx_is_config_error(tmp_path, capsys,
+                                                      approx_file):
+    doc = json.loads(open(approx_file).read())
+    for name, bad in (("k0", {**doc, "K": 0, "shifts": [], "weights": []}),
+                      ("nan_r1", {**doc, "R1": float("nan")})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        cfg = write_config(tmp_path, approx_path=str(path))
+        rc = main(["tunnel", "--config", cfg,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "is invalid" in capsys.readouterr().err
+
+
 def test_cmd_tunnel_default_snapshots_initial_and_final(tmp_path, capsys,
                                                         approx_file):
     cfg = write_config(tmp_path, approx_path=approx_file)
@@ -523,3 +544,10 @@ def test_cmd_tunnel_metadata_records_the_factorization(tmp_path, capsys,
     assert md["sr_method"] == "p2-bound"
     assert md["factor_s"] > 0
     assert list(md).index("factor_s") >= 7
+    approx = approx_from_json(open(approx_file).read())
+    assert list(md)[-2:] == ["sup_error", "rounding_floor"]
+    assert md["sup_error"] == approx.sup_error
+    s, r1 = approx.shifts, approx.domain_radius
+    dist = np.hypot(s.real, np.maximum(np.abs(s.imag) - r1, 0))
+    floor = np.finfo(float).eps * np.sum(np.abs(approx.weights) / dist)
+    assert md["rounding_floor"] == pytest.approx(floor, rel=1e-12)
