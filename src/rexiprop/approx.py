@@ -640,35 +640,65 @@ def approx_to_json(approx: PartialFractionApproximation) -> str:
     return "{" + body + "}"
 
 
+def _json_number(value, key: str) -> float:
+    """``value`` as a float; a ValueError naming ``key`` unless it is a
+    JSON number (NaN and Infinity included) in the float range."""
+    try:
+        if type(value) in (int, float):  # not bool
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _json_complex(pairs, key: str) -> np.ndarray:
+    """A JSON list of [re, im] number pairs as a complex array."""
+    if type(pairs) is not list or any(type(p) is not list or len(p) != 2
+                                      for p in pairs):
+        raise ValueError(f"{key} must be a list of [re, im] pairs")
+    return np.array([complex(*(_json_number(x, key) for x in p))
+                     for p in pairs], dtype=complex)
+
+
 def approx_from_json(text: str) -> PartialFractionApproximation:
     """Inverse of :func:`approx_to_json` (bit-exact for the float fields).
 
     A document without a ``warnings`` key loads with no warnings.  A
-    document that no construction can produce (no poles, a non-finite or
-    non-positive R1, non-finite numbers, repeated shifts) is refused with
-    a message that names the key."""
+    value of the wrong JSON type, and a document that no construction can
+    produce (no poles, a non-finite or non-positive R1, non-finite numbers,
+    repeated shifts), are refused with a message that names the key."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError("approximation JSON must be an object")
     missing = [k for k in _JSON_KEYS if k not in raw]
     if missing:
         raise ValueError(f"approximation JSON is missing keys: {missing}")
-    shifts = np.array([complex(re, im) for re, im in raw["shifts"]])
-    weights = np.array([complex(re, im) for re, im in raw["weights"]])
-    if len(shifts) != raw["K"] or len(weights) != raw["K"]:
+    k = raw["K"]
+    if type(k) is not int:  # not bool
+        raise ValueError(f"K must be an integer, got {k!r}")
+    shifts = _json_complex(raw["shifts"], "shifts")
+    weights = _json_complex(raw["weights"], "weights")
+    if len(shifts) != k or len(weights) != k:
         raise ValueError("K does not match the length of shifts/weights")
-    if not len(shifts):
+    if not k:
         raise ValueError("K must be >= 1, got 0")
-    r1 = float(raw["R1"])
+    r1 = _json_number(raw["R1"], "R1")
     if not (math.isfinite(r1) and r1 > 0):
         raise ValueError(f"R1 must be finite and positive, got {r1}")
+    sup_error = _json_number(raw["sup_error"], "sup_error")
     for key, vals in (("shifts", shifts), ("weights", weights),
-                      ("sup_error", float(raw["sup_error"]))):
+                      ("sup_error", sup_error)):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{key} must be finite")
     if len(np.unique(shifts)) != len(shifts):
         raise ValueError("shifts must be distinct")
+    if not isinstance(raw["stabilized"], bool):
+        raise ValueError(
+            f"stabilized must be true or false, got {raw['stabilized']!r}")
+    factor = raw["stabilize_factor"]
     warnings = raw.get("warnings", [])
     if not (isinstance(warnings, list)
             and all(isinstance(w, str) for w in warnings)):
@@ -677,9 +707,9 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
         shifts=shifts,
         weights=weights,
         domain_radius=r1,
-        sup_error=float(raw["sup_error"]),
-        stabilized=bool(raw["stabilized"]),
-        stabilize_factor=(None if raw["stabilize_factor"] is None
-                          else float(raw["stabilize_factor"])),
+        sup_error=sup_error,
+        stabilized=raw["stabilized"],
+        stabilize_factor=(None if factor is None
+                          else _json_number(factor, "stabilize_factor")),
         warnings=tuple(warnings),
     )

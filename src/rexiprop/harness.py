@@ -450,7 +450,7 @@ def cmd_compare(args) -> int:
     with open(args.out, "w") as fh:
         fh.write("# errors are relative to the reference "
                  f"({args.reference}); time_reduce_s is an in-process "
-                 "compensated sum, not a cross-node reduction\n")
+                 "plain weighted sum, not a cross-node reduction\n")
         fh.write("method,dt,error_inf,error_b,time_total_s,time_rhs_s,"
                  "time_local_s,time_reduce_s\n")
         for row in rows:

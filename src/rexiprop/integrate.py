@@ -17,12 +17,13 @@ apply the propagator live here:
   DENSE_ORACLE_MAX_DOF.  The condensed solves call LAPACK as ctypes
   foreign calls that drop the GIL, and numpy drops it inside its array
   loops, so the stacks are solved concurrently; dense solves go through
-  scipy's ``lu_solve``, which holds the GIL.  The pool never starts more
-  solving threads than the CPUs the process may run on: extra threads add
-  only GIL handoffs.  The weighted sum runs in fixed ascending-j order with
-  Kahan compensation once every stack is solved, and every row is
-  computed the same way whatever stack holds it, so results do not depend
-  on the worker count.
+  scipy's ``lu_solve``, which holds the GIL.  A condensed stack is one
+  ``zgttrs`` call.  The pool never starts more solving threads than the
+  CPUs the process may run on: extra threads add only GIL handoffs.  The
+  weighted sum is a plain sum in fixed ascending-j order, taken on the
+  calling thread once every stack is solved, and every row is computed
+  the same way whatever stack holds it, so results do not depend on the
+  worker count.
 * Chebyshev/Clenshaw stepping: p(tau*M) u for a Chebyshev expansion of
   exp on i[-R, R]; each recurrence stage costs one A-multiply and one
   B-solve.  This is the comparison method and, run at a much smaller
@@ -92,28 +93,6 @@ def _flush_subnormals(u: np.ndarray) -> None:
     complex array ``u``."""
     parts = u.view(float)
     parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
-
-
-class _KahanSum:
-    """Compensated sum of rows, added one at a time in the order given.
-
-    The updates run in place on four buffers, so adding a row allocates
-    no temporaries; the arithmetic is that of y = row - comp, t = acc + y,
-    comp = (t - acc) - y, acc = t.  ``total`` holds the sum.
-    """
-
-    def __init__(self, n: int):
-        self.total = np.zeros(n, dtype=complex)
-        self._comp = np.zeros_like(self.total)
-        self._y = np.empty_like(self.total)
-        self._t = np.empty_like(self.total)
-
-    def add(self, row: np.ndarray) -> None:
-        np.subtract(row, self._comp, out=self._y)
-        np.add(self.total, self._y, out=self._t)
-        np.subtract(self._t, self.total, out=self._comp)
-        self._comp -= self._y
-        self.total, self._t = self._t, self.total
 
 
 @dataclass(kw_only=True)
@@ -275,6 +254,8 @@ def rexi_prepare(
         try:
             factorizations.append(factorize(*(shifted[j] for j in stack)))
         except SolverError as exc:
+            if exc.index is None:  # not attributable to one shift
+                raise
             j = stack[exc.index]
             raise SolverError(
                 f"shifted system j = {j} (sigma = {approx.shifts[j]}) cannot "
@@ -298,12 +279,12 @@ def rexi_prepare(
 
 def rexi_step(stepper: RexiStepper, u: np.ndarray) -> np.ndarray:
     """One REXI step: rhs = iBu, one stacked solve per stack (the first on
-    the calling thread, the others on the pool), then the weighted
-    solutions summed with compensation in ascending shift order, so
-    1-worker and K-worker execution produce identical results.
+    the calling thread, the others on the pool), then, on the calling
+    thread once every stack is solved, the plain sum w_0*X_0 + w_1*X_1 +
+    ... in ascending shift order, so 1-worker and K-worker execution
+    produce identical results.
     """
     timers = stepper.timers
-    weights = stepper.approx.weights
     starts = stepper._starts
 
     t0 = time.perf_counter()
@@ -312,32 +293,35 @@ def rexi_step(stepper: RexiStepper, u: np.ndarray) -> np.ndarray:
 
     def solve(c):
         try:
-            solutions = stepper.factorizations[c].solve(rhs)
+            return stepper.factorizations[c].solve(rhs)
         except SolverError as exc:
-            raise SolverError(f"solve failed for shift j = "
-                              f"{starts[c] + exc.index}: {exc}") from exc
-        # Weights times solutions, in this operand order: numpy's complex
-        # product can round differently with the operands swapped.
-        return weights[starts[c]:starts[c + 1], None] * solutions
+            raise SolverError(f"solve failed for shifts j = {starts[c]}.."
+                              f"{starts[c + 1] - 1}: {exc}") from exc
 
     helpers = [stepper._pool.submit(solve, c)
                for c in range(1, len(stepper.factorizations))]
     try:
         stacks = [solve(0)]
     finally:
-        # Retrieve every helper's outcome; the lowest failing j is raised.
+        # Retrieve every helper's outcome; the lowest failing stack is raised.
         for future in helpers:
             future.exception()
     stacks += [future.result() for future in helpers]
     t2 = time.perf_counter()
-    total = _KahanSum(stepper.system.n_dof)
-    for stack in stacks:
-        for row in stack:
-            total.add(row)
+    # Weight times solution, in this operand order: numpy's complex product
+    # can round differently with the operands swapped.  No BLAS call (such
+    # as weights @ X): OpenBLAS's own threads would compete with the pool.
+    weights = stepper.approx.weights
+    rows = [row for stack in stacks for row in stack]
+    total = weights[0] * rows[0]
+    term = np.empty_like(total)
+    for weight, row in zip(weights[1:], rows[1:]):
+        np.multiply(weight, row, out=term)
+        total += term
     timers["rhs"] += t1 - t0
     timers["local"] += t2 - t1
     timers["reduce"] += time.perf_counter() - t2
-    return total.total
+    return total
 
 
 def rexi_run(

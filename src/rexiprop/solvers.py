@@ -9,11 +9,12 @@ a (K, n) array; a single matrix is the K = 1 case.
   ``spatial.assemble_system``.  Every midpoint DOF (the even indices)
   couples only to its own element's two vertices, so eliminating the
   midpoints element by element leaves a tridiagonal Schur complement of
-  order n_elems - 1 on the vertices, factored with ``zgttrf`` (partial
+  order n_elems - 1 on the vertices; the stack's K complements are
+  factored as one tridiagonal system by one ``zgttrf`` call (partial
   pivoting).  A solve reduces the right-hand side onto the vertices, runs
-  ``zgttrs`` once per matrix and recovers the midpoints, each numpy step
-  over the whole stack at once.  The midpoint elimination does not pivot,
-  which is safe for the matrices it is used on: a REXI shifted matrix
+  one ``zgttrs`` call and recovers the midpoints, each numpy step over the
+  whole stack at once.  The midpoint elimination does not pivot, which is
+  safe for the matrices it is used on: a REXI shifted matrix
   ``tau*A - sigma_j*iB`` with real symmetric A, SPD B and Re(sigma_j) != 0
   has the definite imaginary part ``-Re(sigma_j)*B``.  Its diagonal (the
   midpoint pivots) then has nonzero imaginary parts, and its Schur
@@ -29,7 +30,8 @@ a (K, n) array; a single matrix is the K = 1 case.
 A sparse matrix without the P2 pattern is refused with :class:`SolverError`
 when its order exceeds ``DENSE_ORACLE_MAX_DOF``, rather than factored by
 O(n^3) dense LU unnoticed.  Dense ndarray inputs are always factored.  A
-:class:`SolverError` names the failing matrix of the stack in ``index``.
+factor-time :class:`SolverError` names the failing matrix of the stack in
+``index``; a failed solve names none (``index`` None).
 
 The condensed path calls LAPACK through the function pointers exported by
 :mod:`scipy.linalg.cython_lapack`, as ctypes foreign calls, which drop the
@@ -94,16 +96,19 @@ def _is_p2(mat) -> bool:
             and not mat.diagonal(-2)[0::2].any())
 
 
-def _screen_pivots(pivots: np.ndarray, index: int) -> None:
-    """Raise, naming matrix ``index`` of the stack, unless every pivot
-    magnitude is within RCOND_FLOOR of the largest one."""
+def _screen_pivots(pivots: np.ndarray) -> None:
+    """Raise, naming the first row of the (K, p) array ``pivots`` as the
+    failing matrix of the stack, unless every pivot magnitude of each row
+    is within RCOND_FLOOR of that row's largest one."""
     mags = np.abs(pivots)
-    if mags.size and (not np.all(mags > 0)
-                      or mags.min() < RCOND_FLOOR * mags.max()):
-        ratio = 0.0 if mags.max() == 0 else mags.min() / mags.max()
+    low, top = mags.min(axis=1, initial=np.inf), mags.max(axis=1, initial=0)
+    bad = np.flatnonzero(~(low > 0) | (low < RCOND_FLOOR * top))
+    if bad.size:
+        j = int(bad[0])
+        ratio = 0.0 if top[j] == 0 else low[j] / top[j]
         raise SolverError(
             f"matrix is numerically singular (pivot ratio = {ratio:.3e})",
-            index=index,
+            index=j,
         )
 
 
@@ -113,8 +118,11 @@ class CondensedFactorization:
 
     With m = (n - 1) / 2, vertex k is DOF 2k + 1 and lies between the
     midpoints k and k + 1 (DOFs 2k and 2k + 2).  Every coefficient array
-    has a leading axis over the stack.  ``bandwidth``, ``kl`` and ``ku``
-    describe each pentadiagonal matrix; perfbench reads them.
+    has a leading axis over the stack.  Matrix j's Schur complement is
+    block j of one tridiagonal system of order K*m.  Zero couplings between
+    blocks keep LAPACK from pivoting or mixing values across a boundary, so
+    every row is bitwise that of a stack of one.  ``bandwidth``, ``kl`` and
+    ``ku`` describe each pentadiagonal matrix; perfbench reads them.
     """
 
     kind = "condensed"
@@ -125,6 +133,7 @@ class CondensedFactorization:
         self.matrices = mats
         n = mats[0].shape[0]
         m = (n - 1) // 2
+        size = len(mats) * m
 
         diag, upper, lower, upper2, lower2 = (
             np.array([mat.diagonal(k) for mat in mats], dtype=complex)
@@ -148,34 +157,33 @@ class CondensedFactorization:
         self._from_left = from_left * inv_mid[:, :-1]
         self._from_right = from_right * inv_mid[:, 1:]
 
-        # Schur complements as LAPACK's dl, d, du (+ du2, ipiv), one row
-        # per matrix, factored in place by zgttrf, which takes 1-based
-        # pivots as it writes them.  Every row has at least one element, so
-        # each address is valid.
-        d = (diag[:, 1::2] - to_left * self._from_left
-             - to_right * self._from_right)
-        du = upper2[:, 1::2] - to_right[:, :-1] * self._from_left[:, 1:]
-        dl = lower2[:, 1::2] - to_left[:, 1:] * self._from_right[:, :-1]
-        pad = np.zeros((len(mats), 1), dtype=complex)
-        self._tri = [np.concatenate([x, pad], axis=1) for x in (dl, d, du)]
-        self._tri.append(np.zeros((len(mats), max(m - 2, 1)), dtype=complex))
-        self._ipiv = np.zeros((len(mats), m), dtype=np.intc)
-        self._m = ctypes.c_int(m)
-        self._args = [tuple(x[j].ctypes.data for x in self._tri)
-                      + (self._ipiv[j].ctypes.data,)
-                      for j in range(len(mats))]
-        for j, args in enumerate(self._args):
-            info = ctypes.c_int(0)
-            _ZGTTRF(ctypes.byref(self._m), *args, ctypes.byref(info))
-            if info.value > 0:
-                raise SolverError(
-                    "matrix is singular: zero pivot in the vertex Schur "
-                    f"complement at index {2 * info.value - 1}", index=j)
-            if info.value < 0:
-                raise SolverError(
-                    f"tridiagonal factorization failed (argument {-info.value})",
-                    index=j)
-            _screen_pivots(np.concatenate([mid[j], self._tri[1][j, :m]]), j)
+        # The stacked Schur complement as LAPACK's dl, d, du (+ du2, ipiv),
+        # factored in place by zgttrf.  dl and du end each block with the
+        # zero coupling to the next one; LAPACK reads K*m - 1 of them.
+        dl, d, du = np.zeros((3, len(mats), m), dtype=complex)
+        d[...] = (diag[:, 1::2] - to_left * self._from_left
+                  - to_right * self._from_right)
+        du[:, :-1] = upper2[:, 1::2] - to_right[:, :-1] * self._from_left[:, 1:]
+        dl[:, :-1] = lower2[:, 1::2] - to_left[:, 1:] * self._from_right[:, :-1]
+        du2 = np.zeros(max(size - 2, 1), dtype=complex)
+        self._tri = (dl, d, du, du2)  # owns the memory behind _factors
+        self._ipiv = np.zeros(size, dtype=np.intc)
+        self._order = ctypes.c_int(size)
+        self._factors = tuple(x.ctypes.data for x in self._tri + (self._ipiv,))
+        info = ctypes.c_int(0)
+        _ZGTTRF(ctypes.byref(self._order), *self._factors, ctypes.byref(info))
+        if info.value < 0:
+            raise SolverError(
+                f"tridiagonal factorization failed (argument {-info.value})")
+        # zgttrf reports the first zero pivot of U, 1-based over the stack;
+        # matrices before its block are screened first, so the lowest
+        # failing j is named.
+        j, row = divmod(info.value - 1, m) if info.value else (len(mats), 0)
+        _screen_pivots(np.concatenate([mid, d], axis=1)[:j])
+        if info.value:
+            raise SolverError(
+                "matrix is singular: zero pivot in the vertex Schur "
+                f"complement at index {2 * row + 1}", index=j)
 
         self._n = n
         self._trans = ctypes.c_char(b"N")
@@ -184,35 +192,33 @@ class CondensedFactorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve every matrix of the stack for the vector ``b``, which is
         left unmodified; row j of the (K, n) result solves matrix j.  Runs
-        each ``zgttrs`` without holding the GIL and allocates its buffers
-        per call, so threads may share one factorization."""
+        the one ``zgttrs`` call without holding the GIL and allocates its
+        buffers per call, so threads may share one factorization."""
         b = np.asarray(b)
         if b.shape != (self._n,):
             raise ValueError(
                 f"right-hand side of shape {b.shape} does not match a "
                 f"system of order {self._n}"
             )
-        x = np.empty((len(self._args), self._n), dtype=complex)
+        x = np.empty((len(self.matrices), self._n), dtype=complex)
         # Midpoints first hold inv(D) b_mid, then the solution.
         x_mid, x_vert = x[:, 0::2], x[:, 1::2]
         np.multiply(self._inv_mid, b[0::2], out=x_mid)
-        # Vertex rhs b_v - C inv(D) b_mid, one contiguous row per matrix,
+        # Vertex rhs b_v - C inv(D) b_mid, the blocks one after the other,
         # which zgttrs solves in place.
-        rhs = np.empty((len(self._args), self._m.value), dtype=complex)
+        rhs = np.empty(self._to_left.shape, dtype=complex)
         tmp = np.empty_like(rhs)
         np.multiply(self._to_left, x_mid[:, :-1], out=rhs)
         np.subtract(b[1::2], rhs, out=rhs)
         np.multiply(self._to_right, x_mid[:, 1:], out=tmp)
         rhs -= tmp
         info = ctypes.c_int(0)
-        for j, args in enumerate(self._args):
-            _ZGTTRS(ctypes.byref(self._trans), ctypes.byref(self._m),
-                    ctypes.byref(self._nrhs), *args, rhs[j].ctypes.data,
-                    ctypes.byref(self._m), ctypes.byref(info))
-            if info.value != 0:
-                raise SolverError(
-                    f"tridiagonal back-substitution failed (info={info.value})",
-                    index=j)
+        _ZGTTRS(ctypes.byref(self._trans), ctypes.byref(self._order),
+                ctypes.byref(self._nrhs), *self._factors, rhs.ctypes.data,
+                ctypes.byref(self._order), ctypes.byref(info))
+        if info.value != 0:
+            raise SolverError(
+                f"tridiagonal back-substitution failed (info={info.value})")
         x_vert[...] = rhs
         np.multiply(self._from_left, rhs, out=tmp)
         x_mid[:, :-1] -= tmp
@@ -230,15 +236,14 @@ class DenseFactorization:
     def __init__(self, *mats):
         self.matrices = mats
         self._lus = []
-        for j, mat in enumerate(mats):
+        for mat in mats:
             dense = mat.toarray() if issparse(mat) else np.asarray(mat)
             dense = dense.astype(complex, copy=True)
             # lu_factor warns on an exactly zero pivot; the screen raises.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinAlgWarning)
-                lu, piv = lu_factor(dense, check_finite=False)
-            _screen_pivots(np.diagonal(lu), j)
-            self._lus.append((lu, piv))
+                self._lus.append(lu_factor(dense, check_finite=False))
+        _screen_pivots(np.array([np.diagonal(lu) for lu, _ in self._lus]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Row j of the (K, n) result solves matrix j for the vector ``b``."""

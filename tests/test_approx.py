@@ -425,6 +425,21 @@ def test_json_rejects_malformed_documents(flagship):
         ({**doc, "sup_error": float("nan")}, "sup_error"),
         (repeated, "shifts must be distinct"),
     ]
+    # Wrongly typed values, each named by its key.
+    pair = json.loads(json.dumps(doc))
+    pair["shifts"][2] = ["a", 1]
+    impossible += [
+        ({**doc, "R1": None}, "R1 must be a number"),
+        ({**doc, "sup_error": None}, "sup_error must be a number"),
+        (pair, "shifts must be a number"),
+        ({**doc, "weights": [[1.0, 2.0, 3.0]] * 16}, "weights must be a list of"),
+        ({**doc, "K": 16.0}, "K must be an integer"),
+        ({**doc, "K": True}, "K must be an integer"),
+        ({**doc, "stabilized": "no"}, "stabilized must be true or false"),
+        ({**doc, "stabilize_factor": "1e-3"}, "stabilize_factor must be a number"),
+        (3, "must be an object"),
+        (None, "must be an object"),
+    ]
     for bad, match in impossible:
         with pytest.raises(ValueError, match=match):
             approx_from_json(json.dumps(bad))

@@ -380,7 +380,8 @@ def test_cmd_tunnel_impossible_approx_is_config_error(tmp_path, capsys,
                                                       approx_file):
     doc = json.loads(open(approx_file).read())
     for name, bad in (("k0", {**doc, "K": 0, "shifts": [], "weights": []}),
-                      ("nan_r1", {**doc, "R1": float("nan")})):
+                      ("nan_r1", {**doc, "R1": float("nan")}),
+                      ("null_r1", {**doc, "R1": None})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         cfg = write_config(tmp_path, approx_path=str(path))

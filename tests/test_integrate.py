@@ -1,5 +1,6 @@
 """Tests for time stepping: REXI, Chebyshev/Clenshaw, and the dense oracle."""
 
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -281,28 +282,57 @@ def test_workers_do_not_change_the_answer(flagship, fem):
     assert np.max(np.abs(u_serial - u_pooled)) <= 1e-13
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_step_is_the_plain_ascending_sum(flagship, workers, monkeypatch):
+    # Desk scale: the step is w_0*X_0 + w_1*X_1 + ... over the rows of the
+    # stacked solve, added in ascending j, byte for byte, whatever stack
+    # holds each row.
+    sysm, mesh = _barrier_pencil(-30.0, 30.0, 500)
+    u0 = project_initial(mesh, WavePacketParams(r_bar=-3.0, p_bar=5.0, sigma=4.0),
+                         PhysicalConstants(), sysm.B)
+    shifted = [(2e-4 * sysm.A - (1j * sigma) * sysm.B).tocsr()
+               for sigma in flagship.shifts]
+    rows = factorize(*shifted).solve((1j * sysm.B).tocsr() @ u0)
+    expected = flagship.weights[0] * rows[0]
+    for weight, row in zip(flagship.weights[1:], rows[1:]):
+        expected = expected + weight * row
+    monkeypatch.setattr(integrate, "_usable_cpus", lambda: 2)
+    with rexi_prepare(sysm, flagship, 2e-4, workers=workers) as stp:
+        assert len(stp.factorizations) == workers
+        assert rexi_step(stp, u0).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_failed_shift_solve_is_reported(flagship, fem, workers, monkeypatch):
     sysm, _, u0, sr = fem
-    # Shift 5 is row 5 of the calling thread's stack at one or two workers
-    # (a pool thread solves the other stack at two); at four it is row 1
-    # of the second stack of four, solved by a pool thread.
+    # Shift 5 is in the calling thread's stack at one or two workers (a
+    # pool thread solves the other stack at two); at four it is in the
+    # second stack of four, solved by a pool thread.
     monkeypatch.setattr(integrate, "_usable_cpus", lambda: 4)
     zgttrs = solvers._ZGTTRS
     with rexi_prepare(sysm, flagship, 0.02, sr_value=sr,
                       workers=workers) as stp:
-        # Shift 5's pivot array, found by its address: the stacks hold
-        # the shifts in order, and each solves them one zgttrs call apiece.
-        ipiv_5 = [args for fac in stp.factorizations for args in fac._args][5][4]
+        # The stack holding shift 5, found by its pivot array's address:
+        # the stacks hold the shifts in order, one zgttrs call apiece.
+        sizes = [len(fac.matrices) for fac in stp.factorizations]
+        c = int(np.searchsorted(np.cumsum(sizes), 5, side="right"))
+        ipiv = stp.factorizations[c]._ipiv.ctypes.data
+        first = sum(sizes[:c])
 
-        def shift_5_fails(*args):
+        def stack_fails(*args):
             zgttrs(*args)
-            if args[7] == ipiv_5:
+            if args[7] == ipiv:
                 args[-1]._obj.value = -3  # info, passed by reference
 
-        monkeypatch.setattr(solvers, "_ZGTTRS", shift_5_fails)
-        with pytest.raises(SolverError, match=r"shift j = 5\b.*info=-3"):
+        monkeypatch.setattr(solvers, "_ZGTTRS", stack_fails)
+        with pytest.raises(SolverError, match=r"info=-3") as raised:
             rexi_step(stp, u0)
+    # An argument error belongs to the whole call, so the message names
+    # the stack's shift range, which holds shift 5.
+    lo, hi = map(int, re.search(r"shifts j = (\d+)\.\.(\d+)\b",
+                                str(raised.value)).groups())
+    assert (lo, hi) == (first, first + sizes[c] - 1)
+    assert lo <= 5 <= hi
 
 
 def test_dahlquist_iteration(flagship):
@@ -689,6 +719,27 @@ def test_zero_midpoint_pivot_names_index(flagship):
         factorize(shifted)
     sys_zero = SystemMatrices(A=a_mat.tocsr(), B=sysm.B, n_dof=5)
     with pytest.raises(SolverError, match=r"j = 0 .*midpoint pivot at index 2"):
+        rexi_prepare(sys_zero, flagship, 1.0, sr_value=1.0, workers=1)
+
+
+def test_zero_vertex_row_names_its_matrix(flagship):
+    # Eight elements give 15 DOFs and 7 vertices.  In shift 1's matrix the
+    # vertex DOF 7 has an all-zero row and column, so its stacked Schur
+    # complement has a zero pivot at global row m + 3 of the one zgttrf.
+    sysm, _ = _barrier_pencil(-3.0, 3.0, 8)
+    sigma1 = 1j * complex(flagship.shifts[1])
+    a_mat = sysm.A.astype(complex).tolil()
+    a_mat[7, :] = sigma1 * sysm.B[7, :].toarray()
+    a_mat[:, 7] = sigma1 * sysm.B[:, 7].toarray()
+    sys_zero = SystemMatrices(A=a_mat.tocsr(), B=sysm.B, n_dof=15)
+    shifted = [(sys_zero.A - (1j * sigma) * sysm.B).tocsr()
+               for sigma in flagship.shifts[:3]]
+    assert not shifted[1][7].count_nonzero()
+    assert not shifted[1][:, 7].count_nonzero()
+    with pytest.raises(SolverError, match="Schur complement at index 7") as raised:
+        factorize(*shifted)
+    assert raised.value.index == 1
+    with pytest.raises(SolverError, match=r"j = 1 \(sigma = "):
         rexi_prepare(sys_zero, flagship, 1.0, sr_value=1.0, workers=1)
 
 
