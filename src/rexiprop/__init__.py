@@ -36,6 +36,7 @@ from .integrate import (
     RexiStepper,
     chebyshev_coeffs,
     chebyshev_prepare,
+    chebyshev_reference,
     chebyshev_run,
     chebyshev_step,
     dense_decomposition,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -32,12 +33,10 @@ from .approx import (
 )
 from .errors import ConfigError, NumericalError
 from .integrate import (
-    DENSE_ORACLE_MAX_DOF,
     SAFETY_FACTOR,
     Stepper,
     chebyshev_prepare,
-    dense_decomposition,
-    dense_expm_apply,
+    chebyshev_reference,
     max_step_size,
     rexi_prepare,
 )
@@ -56,10 +55,8 @@ from .spatial import (
 # Defaults of the reference approximation when no approx_path is configured.
 DEFAULT_R1 = 10.0
 DEFAULT_DEGREE = 16
-# Comparison propagator degree; the fine reference doubles it and divides
-# the step by 16.
+# Degree of the Chebyshev method that compare runs at the configured dt.
 COMPARISON_CHEB_DEGREE = 26
-FINE_REFERENCE_REFINEMENT = 16
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +101,16 @@ def _coerce(key: str, text: str, target_type):
                 f"config key {key!r}: expected true/false, got {text!r}"
             ) from None
     try:
-        return target_type(text)
+        value = target_type(text)
     except ValueError:
         raise ConfigError(
             f"config key {key!r}: cannot parse {text!r} as "
             f"{target_type.__name__}"
         ) from None
+    if target_type is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: expected a finite number, "
+                          f"got {text!r}")
+    return value
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -395,7 +396,8 @@ def cmd_tunnel(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    """Run the selected methods against a reference and tabulate errors."""
+    """Run the selected methods and tabulate their errors against
+    exp(T*M) u0, applied as one certified Chebyshev step."""
     cfg = parse_config(args.config)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -411,24 +413,10 @@ def cmd_compare(args) -> int:
     sr = spectral_radius_estimate(system)
     n_steps = cfg.n_steps
 
-    if args.reference == "dense":
-        if system.n_dof > DENSE_ORACLE_MAX_DOF:
-            raise ConfigError(
-                f"reference=dense requires n_dof <= {DENSE_ORACLE_MAX_DOF}, "
-                f"got {system.n_dof}; use reference=fine"
-            )
-        dec = dense_decomposition(system)
-        u_ref = dense_expm_apply(system, n_steps * cfg.dt, u0,
-                                 decomposition=dec)
-    else:
-        fine = chebyshev_prepare(
-            system, cfg.dt / FINE_REFERENCE_REFINEMENT,
-            degree=2 * COMPARISON_CHEB_DEGREE,
-            radius=approx.domain_radius,
-            sr_value=sr,
-            override_admissibility=cfg.override_admissibility,
-        )
-        u_ref, _ = _timed_run(fine, u0, FINE_REFERENCE_REFINEMENT * n_steps)
+    t0 = time.perf_counter()
+    ref = chebyshev_reference(system, n_steps * cfg.dt, sr_value=sr)
+    u_ref = ref.run(u0, 1)
+    ref_s = time.perf_counter() - t0
 
     ref_inf = float(np.max(np.abs(u_ref)))
     ref_b = b_norm(u_ref, system.B)
@@ -448,9 +436,12 @@ def cmd_compare(args) -> int:
         })
 
     with open(args.out, "w") as fh:
-        fh.write("# errors are relative to the reference "
-                 f"({args.reference}); time_reduce_s is an in-process "
-                 "plain weighted sum, not a cross-node reduction\n")
+        fh.write("# errors are relative to exp(T*M) u0 as one Chebyshev "
+                 f"step: degree={ref.degree} R={_g12(ref.R)} "
+                 f"sup_error={ref.sup_error:.6e} seconds={_g12(ref_s)} "
+                 f"sr_estimate={_g12(sr)} sr_method={sr.method}; "
+                 "time_reduce_s is an in-process plain weighted sum, not a "
+                 "cross-node reduction\n")
         fh.write("method,dt,error_inf,error_b,time_total_s,time_rhs_s,"
                  "time_local_s,time_reduce_s\n")
         for row in rows:
@@ -527,12 +518,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, help="snapshot output directory")
     p.set_defaults(func=cmd_tunnel)
 
-    p = sub.add_parser("compare", help="compare propagators against a reference")
+    p = sub.add_parser("compare", help="compare propagators against one "
+                                       "long Chebyshev step")
     p.add_argument("--config", required=True, help="key=value config file")
     p.add_argument("--methods", default="rexi,chebyshev",
                    help="comma-separated method names")
-    p.add_argument("--reference", choices=("dense", "fine"), default="fine",
-                   help="dense oracle (small systems) or fine Chebyshev run")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_compare)
 

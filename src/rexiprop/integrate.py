@@ -26,8 +26,8 @@ apply the propagator live here:
   worker count.
 * Chebyshev/Clenshaw stepping: p(tau*M) u for a Chebyshev expansion of
   exp on i[-R, R]; each recurrence stage costs one A-multiply and one
-  B-solve.  This is the comparison method and, run at a much smaller
-  step, the large-system reference.
+  B-solve.  This is the comparison method and, as one step over a whole
+  run (``chebyshev_reference``), the reference at every system size.
 * Dense oracle: full eigendecomposition of M through the symmetric
   pencil (A, B), for small systems only; supplies the conditioning
   number used in the a-priori error bound.
@@ -49,6 +49,7 @@ inadmissible steps unless explicitly overridden.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -420,6 +421,39 @@ def chebyshev_prepare(
     )
     stepper.timers["factor"] = factor_s
     return stepper
+
+
+def chebyshev_reference(
+    sys: SystemMatrices,
+    t: float,
+    *,
+    sr_value: float | None = None,
+) -> ChebyshevStepper:
+    """A Chebyshev stepper whose single step is exp(t*M) to rounding level.
+
+    The whole interval t is one step (Tal-Ezer & Kosloff, J. Chem. Phys.
+    81, 3967, 1984): R = SAFETY_FACTOR * t * sr(M), computed in the order
+    the admissibility gate computes it, so the ratio is exactly 1.  The
+    degree is the smallest d >= ceil(R) whose first dropped coefficient
+    2|J_{d+1}(R)| is below machine epsilon; the stepper's measured
+    ``sup_error`` is the certificate.
+    """
+    # Imported here: scipy.special adds about 3 MB to every process that
+    # imports rexiprop, and only this function needs it.
+    from scipy.special import jv
+
+    if sr_value is None:
+        sr_value = spectral_radius_estimate(sys)
+    radius = SAFETY_FACTOR * t * float(sr_value)
+    if not 0 < radius < math.inf:
+        raise ValueError(f"t * sr(M) must be positive and finite, got "
+                         f"t = {t}, sr = {float(sr_value)}")
+    eps = np.finfo(float).eps
+    degree = math.ceil(radius)
+    while not 2.0 * abs(jv(degree + 1, radius)) < eps:
+        degree += 1
+    return chebyshev_prepare(sys, t, degree=degree, radius=radius,
+                             sr_value=sr_value)
 
 
 def _require_prepared_system(stepper: ChebyshevStepper, sys: SystemMatrices):

@@ -28,6 +28,7 @@ from rexiprop import (
     build_mesh,
     cf_circle_error,
     chebyshev_prepare,
+    chebyshev_reference,
     chebyshev_run,
     chebyshev_step,
     dense_decomposition,
@@ -37,6 +38,7 @@ from rexiprop import (
     rexi_prepare,
     rexi_run,
     rexi_step,
+    rounding_floor,
     spectral_radius_estimate,
     stability_indicator,
     stabilize,
@@ -94,9 +96,9 @@ def desk_scale(flagship):
 
 @pytest.fixture(scope="module")
 def full_scale(flagship):
-    """Full-scale run, serial and pooled.  No reference solution here: the
-    sixteenth-step reference costs ~400 s at this size, and criteria 6b-10
-    only need timings, the B-norm drift, and the two final states."""
+    """Full-scale run, serial and pooled.  Criteria 6b-10 need only
+    timings, the B-norm drift and the two final states; the accuracy test
+    builds its own long-step reference."""
     t0 = time.perf_counter()
     sysm, u0 = _tunnel_system(-120.0, 120.0, 4000)
     sr = spectral_radius_estimate(sysm)
@@ -238,6 +240,27 @@ def test_criterion_08_worker_determinism(full_scale):
     diff = np.max(np.abs(full_scale["u_serial"] - full_scale["u_pooled"]))
     rel = float(diff / np.max(np.abs(full_scale["u_serial"])))
     assert rel <= 1e-13, f"workers 1 vs 16 differ by {rel:.3e} relative"
+
+
+def test_full_scale_error_within_certificate(flagship, full_scale):
+    """The serial full-scale state against exp(t*M) u0 at t = 0.2, applied
+    as one certified Chebyshev step.  M is skew-adjoint in the B inner
+    product, so each REXI step errs in the B-norm by at most the
+    approximant's sup error plus its rounding floor, and the reference by
+    its own sup error."""
+    sysm, u0 = _tunnel_system(-120.0, 120.0, 4000)
+    np.testing.assert_array_equal(u0, full_scale["u0"])
+    ref = chebyshev_reference(sysm, FULL_STEPS * DT)
+    u_ref = ref.run(u0, 1)
+    diff = full_scale["u_serial"] - u_ref
+    err_b = b_norm(diff, sysm.B) / b_norm(u_ref, sysm.B)
+    err_inf = float(np.max(np.abs(diff)) / np.max(np.abs(u_ref)))
+    bound = (FULL_STEPS * (flagship.sup_error + rounding_floor(flagship))
+             + ref.sup_error)
+    assert err_b <= bound, (
+        f"full-scale B-norm error {err_b:.3e} (max norm {err_inf:.3e}) "
+        f"exceeds the certificate {bound:.3e}"
+    )
 
 
 def test_criterion_09_element_block_oracles():

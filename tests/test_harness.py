@@ -107,6 +107,18 @@ def test_parse_config_bad_value(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("key, text", [
+    ("t_end", "nan"), ("t_end", "inf"), ("c_barr", "inf"), ("r_bar", "nan"),
+    ("p_bar", "nan"), ("sigma", "nan"), ("x0", "-inf"), ("dt", "NaN"),
+])
+def test_non_finite_config_float_is_config_error(tmp_path, capsys, key, text):
+    cfg = write_config(tmp_path, **{key: text})
+    rc = main(["tunnel", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err and "finite" in err
+
+
 def test_parse_config_not_key_value(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("just some words\n")
@@ -481,6 +493,15 @@ def test_cmd_compare_fine_reference(tmp_path, capsys, approx_file):
     capsys.readouterr()
     rows = read_csv_rows(out)
     assert rows[0].startswith("#")
+    # The comment records the reference: one Chebyshev step over t = 0.02.
+    fields = dict(tok.rstrip(";").split("=", 1)
+                  for tok in rows[0].split() if "=" in tok)
+    sr = float(fields["sr_estimate"])
+    assert fields["sr_method"] == "p2-bound"
+    assert float(fields["R"]) == pytest.approx(1.05 * 0.02 * sr, rel=1e-10)
+    assert int(fields["degree"]) >= math.ceil(float(fields["R"]))
+    assert 0 <= float(fields["sup_error"]) < 1e-13
+    assert float(fields["seconds"]) > 0
     assert rows[1] == ("method,dt,error_inf,error_b,time_total_s,"
                        "time_rhs_s,time_local_s,time_reduce_s")
     assert len(rows) == 4
@@ -517,8 +538,7 @@ def test_cmd_compare_unknown_method(tmp_path, capsys, approx_file):
 def test_cmd_compare_dense_reference(tmp_path, capsys, approx_file):
     cfg = write_config(tmp_path, n_elems=32, approx_path=approx_file)
     out = tmp_path / "table.csv"
-    rc = main(["compare", "--config", cfg, "--reference", "dense",
-               "--out", str(out)])
+    rc = main(["compare", "--config", cfg, "--out", str(out)])
     assert rc == 0
     capsys.readouterr()
     rexi_row = read_csv_rows(out)[2].split(",")
@@ -526,12 +546,12 @@ def test_cmd_compare_dense_reference(tmp_path, capsys, approx_file):
     assert float(rexi_row[2]) < 1e-6
 
 
-def test_cmd_compare_dense_gate(tmp_path, capsys, approx_file):
-    cfg = write_config(tmp_path, n_elems=512, approx_path=approx_file)
+def test_cmd_compare_reference_option_is_gone(tmp_path, capsys, approx_file):
+    cfg = write_config(tmp_path, approx_path=approx_file)
     rc = main(["compare", "--config", cfg, "--reference", "dense",
                "--out", str(tmp_path / "t.csv")])
     assert rc == 2
-    assert "reference=fine" in capsys.readouterr().err
+    assert "--reference" in capsys.readouterr().err
 
 
 def test_cmd_tunnel_metadata_records_the_factorization(tmp_path, capsys,

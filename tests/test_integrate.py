@@ -1,6 +1,8 @@
 """Tests for time stepping: REXI, Chebyshev/Clenshaw, and the dense oracle."""
 
+import os
 import re
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +22,7 @@ from rexiprop.integrate import (
     SAFETY_FACTOR,
     chebyshev_coeffs,
     chebyshev_prepare,
+    chebyshev_reference,
     chebyshev_run,
     chebyshev_step,
     dense_decomposition,
@@ -523,6 +526,49 @@ def test_chebyshev_prepare_validates_tau(fem):
     sysm, _, _, sr = fem
     with pytest.raises(ValueError):
         chebyshev_prepare(sysm, -0.1, sr_value=sr)
+
+
+@pytest.mark.parametrize("n_elems", [64, 500])
+def test_chebyshev_reference_matches_dense_oracle(fem, n_elems):
+    from scipy.special import jv
+
+    if n_elems == 64:  # the CLI tests' configuration, 127 DOF
+        sysm, _, u0, _ = fem
+    else:  # the desk-scale tunneling system, 999 DOF
+        sysm, mesh = _barrier_pencil(-30.0, 30.0, n_elems)
+        u0 = project_initial(mesh, WavePacketParams(r_bar=-3.0, p_bar=5.0,
+                                                    sigma=4.0),
+                             PhysicalConstants(), sysm.B)
+    t = 0.02
+    ref = chebyshev_reference(sysm, t)
+    assert ref.tau == t and ref.admissibility_ratio == 1.0
+    # The degree is the first past ceil(R) whose dropped coefficient
+    # 2|J_{d+1}(R)| is below machine epsilon.
+    assert ref.degree >= np.ceil(ref.R)
+    assert 2 * abs(jv(ref.degree + 1, ref.R)) < EPS
+    assert ref.degree == np.ceil(ref.R) or 2 * abs(jv(ref.degree, ref.R)) >= EPS
+    assert ref.sup_error < 1e-13
+
+    got = ref.run(u0, 1)
+    want = dense_expm_apply(sysm, t, u0, max_n=sysm.n_dof)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert b_norm(got - want, sysm.B) <= 1e-12 * b_norm(want, sysm.B)
+
+
+def test_import_does_not_load_scipy_special():
+    # chebyshev_reference imports scipy.special when called: loading it at
+    # import time would add about 3 MB to every process using the package.
+    src = os.path.dirname(os.path.dirname(integrate.__file__))
+    code = "import sys, rexiprop; sys.exit('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_chebyshev_reference_validates_t(fem):
+    sysm, _, _, sr = fem
+    for t in (0.0, -0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            chebyshev_reference(sysm, t, sr_value=sr)
 
 
 # ---------------------------------------------------------------------------
