@@ -52,8 +52,10 @@ CIRCLE_TOL = 1e-8
 CONDITION_LIMIT = 1e12
 MIN_SHIFT_DISTANCE_REL = 1e-3
 _OVERFLOW_GUARD = 1e280
-# Points per evaluate_pfd call in the interval certificate: bounds the
-# (points, K) temporaries without changing any point's pole sum.
+# Grid points of the interval certificate, and points per evaluate_pfd call
+# there: the blocks bound the (points, K) temporaries without changing any
+# point's pole sum.
+_SUP_CHECK_SAMPLES = 100_000
 _SUP_CHECK_BLOCK = 4096
 
 
@@ -70,16 +72,6 @@ class ComplexSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def coefficient(self, j: int) -> complex:
-        """a_j, or 0 for indices outside the stored window."""
-        i = j - self.offset
-        if 0 <= i < len(self.coeffs):
-            return complex(self.coeffs[i])
-        return 0.0 + 0.0j
 
 
 def _ladder_radii(max_radius: float) -> np.ndarray:
@@ -102,7 +94,6 @@ def _ladder_radii(max_radius: float) -> np.ndarray:
 def _series_from_radius_ladder(
     f: Callable[[np.ndarray], np.ndarray],
     length: int,
-    n_samples: int = DEFAULT_SAMPLES,
     max_radius: float = 1e4,
 ) -> ComplexSeries:
     """Taylor coefficients a_0 .. a_length of ``f`` with per-order contours.
@@ -126,7 +117,7 @@ def _series_from_radius_ladder(
     best_log = np.full(length + 1, np.inf)
     sampled = False
     prev_peak = 0.0
-    unit = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
+    unit = np.exp(2j * np.pi * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES)
     for rho in _ladder_radii(max_radius):
         with np.errstate(all="ignore"):
             vals = np.asarray(f(rho * unit), dtype=complex)
@@ -147,7 +138,7 @@ def _series_from_radius_ladder(
             # read coefficients of the wrong Laurent annulus.
             break
         prev_peak = peak
-        c = np.fft.fft(vals)[: length + 1] / n_samples
+        c = np.fft.fft(vals)[: length + 1] / DEFAULT_SAMPLES
         log_rho = math.log(rho)
         cand_log = (math.log(peak) if peak > 0.0 else -math.inf) - orders * log_rho
         better = cand_log < best_log
@@ -161,15 +152,12 @@ def _series_from_radius_ladder(
     return ComplexSeries(offset=0, coeffs=best)
 
 
-def hankel_matrix(a: Sequence[complex], m: int, n: int) -> np.ndarray:
+def hankel_matrix(a: Sequence[complex]) -> np.ndarray:
     """Hankel matrix H[i, j] = a_{i+j} of the coefficient window a_0 .. a_L.
 
-    The matrix is (L+1) x (L+1) with zeros where i + j > L.  Only the
-    square family with n = m + 1 is supported (that is the configuration
-    whose singular triples drive the rational construction).
+    The matrix is (L+1) x (L+1) with zeros where i + j > L: the square
+    matrix whose singular triples drive the degree-(n-1, n) construction.
     """
-    if n != m + 1:
-        raise ValueError(f"only the n = m + 1 family is supported, got m={m}, n={n}")
     a = np.asarray(a)
     if a.ndim != 1 or len(a) == 0:
         raise ValueError("coefficient window must be a non-empty 1-D sequence")
@@ -180,26 +168,32 @@ def hankel_matrix(a: Sequence[complex], m: int, n: int) -> np.ndarray:
 
 
 def _singular_triple(h_mat: np.ndarray, index: int):
-    """The (index+1)-st singular triple (sigma, u, v) of a Hankel matrix.
+    """The (index+1)-st singular triple (sigma, u, v) of a real Hankel matrix.
 
-    For real input the symmetric eigendecomposition is used: sigma = |lambda|,
-    v = the eigenvector, u = sign(lambda) * v.  This resolves the strongly
-    graded spectra of smooth-symbol Hankel matrices to *relative* accuracy
+    The symmetric eigendecomposition is used: sigma = |lambda|, v = the
+    eigenvector, u = sign(lambda) * v.  This resolves the strongly graded
+    spectra of smooth-symbol Hankel matrices to *relative* accuracy
     (singular values far below 1e-16 * sigma_1 come out correct), whereas a
     generic SVD bottoms out at the noise floor and returns garbage vectors
     there.  It also makes u = +/- v hold exactly, which the downstream
-    root/Blaschke structure relies on.  Complex input falls back to the SVD.
+    root/Blaschke structure relies on.  The coefficients of exp through the
+    map are the real Bessel values J_k(r1), so a window whose imaginary part
+    exceeds 1e-12 of its largest entry is refused.
     """
     scale = np.max(np.abs(h_mat))
-    if scale > 0 and np.max(np.abs(h_mat.imag)) <= 1e-12 * scale:
-        w, q_mat = np.linalg.eigh(h_mat.real)
-        order = np.argsort(-np.abs(w))
-        lam = w[order[index]]
-        v = q_mat[:, order[index]].astype(complex)
-        u = math.copysign(1.0, lam) * v
-        return abs(lam), u, v
-    u_mat, s, vh = np.linalg.svd(h_mat)
-    return float(s[index]), u_mat[:, index], np.conj(vh[index])
+    imag = np.max(np.abs(h_mat.imag))
+    if imag > 1e-12 * scale:
+        raise ApproximationError(
+            f"the coefficient window is complex: max|Im a_j| / max|a_j| = "
+            f"{imag / scale:.3e} exceeds 1e-12; only real Hankel matrices "
+            "are supported"
+        )
+    w, q_mat = np.linalg.eigh(h_mat.real)
+    order = np.argsort(-np.abs(w))
+    lam = w[order[index]]
+    v = q_mat[:, order[index]].astype(complex)
+    u = math.copysign(1.0, lam) * v
+    return abs(lam), u, v
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +208,12 @@ class CFApproximation:
 
     ``sigma`` is the singular value driving the construction; it equals the
     deviation of the underlying extended approximant from the target on the
-    unit circle.  ``degrees`` records the requested (m, n).
+    unit circle.
     """
 
     numerator_coeffs: np.ndarray
     poles_outside: np.ndarray
     sigma: float
-    degrees: tuple[int, int]
     warnings: tuple[str, ...] = ()
 
     @property
@@ -246,7 +239,7 @@ def _check_cf_input(series: ComplexSeries, n: int) -> np.ndarray:
 
 def _denominator_vector(a: np.ndarray, n: int):
     """Singular triple of the coefficient Hankel matrix, with degeneracy guard."""
-    h_mat = hankel_matrix(a, n - 1, n)
+    h_mat = hankel_matrix(a)
     sigma, u, v = _singular_triple(h_mat, n)
     # Exactly-rational targets of lower degree make the (n+1)-st singular
     # value vanish.  Only a true zero (or subnormal) counts as degenerate:
@@ -259,6 +252,15 @@ def _denominator_vector(a: np.ndarray, n: int):
             f"< {n} and the construction is degenerate"
         )
     return sigma, u, v
+
+
+def _circle_error(sigma: float, u: np.ndarray, v: np.ndarray, length: int,
+                  zc: np.ndarray) -> np.ndarray:
+    """The error term sigma * z^L * p(z)/q(z) of the extended approximant
+    at the points zc, with p = u ascending and q(z) = z^L v(1/z)."""
+    p_vals = npoly.polyval(zc, u)
+    q_vals = npoly.polyval(zc, v[::-1])
+    return sigma * zc**length * p_vals / q_vals
 
 
 def cf_approximate(series: ComplexSeries, n: int) -> CFApproximation:
@@ -312,9 +314,7 @@ def cf_approximate(series: ComplexSeries, n: int) -> CFApproximation:
 
     zc = np.exp(2j * np.pi * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES)
     h_vals = npoly.polyval(zc, a)
-    p_vals = npoly.polyval(zc, u)
-    q_vals = npoly.polyval(zc, v[::-1])
-    err_vals = sigma * zc**length * p_vals / q_vals
+    err_vals = _circle_error(sigma, u, v, length, zc)
     if not np.all(np.isfinite(err_vals)):
         raise ApproximationError(
             "denominator vanished on a unit-circle sample point; the "
@@ -330,7 +330,6 @@ def cf_approximate(series: ComplexSeries, n: int) -> CFApproximation:
         numerator_coeffs=d[:n].copy(),
         poles_outside=outside.copy(),
         sigma=sigma,
-        degrees=(n - 1, n),
         warnings=warnings,
     )
 
@@ -352,9 +351,7 @@ def cf_circle_error(
     length = len(a) - 1
     sigma, u, v = _denominator_vector(a, n)
     zc = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    p_vals = npoly.polyval(zc, u)
-    q_vals = npoly.polyval(zc, v[::-1])
-    return sigma, np.abs(sigma * zc**length * p_vals / q_vals)
+    return sigma, np.abs(_circle_error(sigma, u, v, length, zc))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +383,6 @@ def faber_coefficients(
     mp: JoukowskiMap,
     g: Callable[[np.ndarray], np.ndarray],
     length: int,
-    *,
-    n_samples: int = DEFAULT_SAMPLES,
 ) -> ComplexSeries:
     """First ``length + 1`` expansion coefficients of g pulled back through
     the map.
@@ -401,12 +396,12 @@ def faber_coefficients(
     For g = exp these are the Faber coefficients of exp on the segment, and
     they match the classical Bessel-function values.
     """
-    if not 0 <= length < n_samples // 2:
+    if not 0 <= length < DEFAULT_SAMPLES // 2:
         raise ValueError(
-            f"length must be in [0, {n_samples // 2}), got {length}"
+            f"length must be in [0, {DEFAULT_SAMPLES // 2}), got {length}"
         )
     return _series_from_radius_ladder(
-        lambda z: g(joukowski_eval(mp, z)), length, n_samples=n_samples
+        lambda z: g(joukowski_eval(mp, z)), length
     )
 
 
@@ -420,15 +415,14 @@ class PartialFractionApproximation:
     i*[-domain_radius, domain_radius].
 
     ``sup_error`` is measured by dense sampling on the interval, not
-    estimated.  ``stabilized`` / ``stabilize_factor`` record a uniform
-    damping of the weights (see :func:`stabilize`).
+    estimated.  ``stabilize_factor`` records the total uniform damping of
+    the weights (see :func:`stabilize`), None for undamped weights.
     """
 
     shifts: np.ndarray
     weights: np.ndarray
     domain_radius: float
     sup_error: float
-    stabilized: bool = False
     stabilize_factor: float | None = None
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
@@ -441,6 +435,10 @@ class PartialFractionApproximation:
     @property
     def K(self) -> int:
         return len(self.shifts)
+
+    @property
+    def stabilized(self) -> bool:
+        return self.stabilize_factor is not None
 
 
 def evaluate_pfd(approx: PartialFractionApproximation, z) -> np.ndarray | complex:
@@ -458,18 +456,13 @@ def evaluate_pfd(approx: PartialFractionApproximation, z) -> np.ndarray | comple
     return out if z_arr.ndim else complex(out)
 
 
-def sup_error_on_interval(
-    approx: PartialFractionApproximation,
-    reference: Callable[[np.ndarray], np.ndarray] = np.exp,
-    n_samples: int = 100_000,
-) -> float:
-    """max |reference(ix) - r(ix)| over a dense grid on [-R1, R1]."""
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
-    x = np.linspace(-approx.domain_radius, approx.domain_radius, n_samples)
-    blocks = np.split(1j * x, range(_SUP_CHECK_BLOCK, n_samples,
+def sup_error_on_interval(approx: PartialFractionApproximation) -> float:
+    """max |exp(ix) - r(ix)| over a dense grid on [-R1, R1]."""
+    x = np.linspace(-approx.domain_radius, approx.domain_radius,
+                    _SUP_CHECK_SAMPLES)
+    blocks = np.split(1j * x, range(_SUP_CHECK_BLOCK, _SUP_CHECK_SAMPLES,
                                     _SUP_CHECK_BLOCK))
-    return max(float(np.max(np.abs(reference(z) - evaluate_pfd(approx, z))))
+    return max(float(np.max(np.abs(np.exp(z) - evaluate_pfd(approx, z))))
                for z in blocks)
 
 
@@ -486,16 +479,17 @@ def stabilize(
 
     This pushes |r| on the imaginary axis strictly below 1 (at the cost of
     adding eps * |r| to the approximation error) and re-measures the sup
-    error of the damped rational.
+    error of the damped rational.  Damping an already damped approximant
+    multiplies (1 - eps) onto its recorded ``stabilize_factor``.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"stabilization eps must lie in (0, 1), got {eps}")
     factor = 1.0 - eps
+    prior = approx.stabilize_factor
     damped = replace(
         approx,
         weights=approx.weights * factor,
-        stabilized=True,
-        stabilize_factor=factor,
+        stabilize_factor=factor if prior is None else prior * factor,
     )
     return replace(damped, sup_error=sup_error_on_interval(damped))
 
@@ -608,36 +602,30 @@ _JSON_KEYS = ("K", "R1", "shifts", "weights", "sup_error", "stabilized",
               "stabilize_factor")
 
 
-def _fmt17(x: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return format(float(x), ".17g")
-
-
 def approx_to_json(approx: PartialFractionApproximation) -> str:
-    """Serialize with a fixed key order and 17-significant-digit floats.
+    """Serialize with a fixed key order.
 
-    Complex shifts/weights are written as [re, im] pairs.  A ``warnings``
-    list follows the other keys only when the approximant has warnings.
+    Floats are written as the shortest decimal that reads back to the same
+    double.  Complex shifts/weights are written as [re, im] pairs.  A
+    ``warnings`` list follows the other keys only when the approximant has
+    warnings.
     """
     def pairs(arr):
-        return "[" + ", ".join(
-            f"[{_fmt17(v.real)}, {_fmt17(v.imag)}]" for v in arr
-        ) + "]"
+        return np.column_stack([arr.real, arr.imag]).tolist()
 
-    factor = ("null" if approx.stabilize_factor is None
-              else _fmt17(approx.stabilize_factor))
-    body = ", ".join([
-        f'"K": {approx.K}',
-        f'"R1": {_fmt17(approx.domain_radius)}',
-        f'"shifts": {pairs(approx.shifts)}',
-        f'"weights": {pairs(approx.weights)}',
-        f'"sup_error": {_fmt17(approx.sup_error)}',
-        f'"stabilized": {"true" if approx.stabilized else "false"}',
-        f'"stabilize_factor": {factor}',
-    ])
+    factor = approx.stabilize_factor
+    doc = {
+        "K": approx.K,
+        "R1": float(approx.domain_radius),
+        "shifts": pairs(approx.shifts),
+        "weights": pairs(approx.weights),
+        "sup_error": float(approx.sup_error),
+        "stabilized": approx.stabilized,
+        "stabilize_factor": None if factor is None else float(factor),
+    }
     if approx.warnings:
-        body += f', "warnings": {json.dumps(list(approx.warnings))}'
-    return "{" + body + "}"
+        doc["warnings"] = list(approx.warnings)
+    return json.dumps(doc)
 
 
 def _json_number(value, key: str) -> float:
@@ -666,7 +654,8 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
     A document without a ``warnings`` key loads with no warnings.  A
     value of the wrong JSON type, and a document that no construction can
     produce (no poles, a non-finite or non-positive R1, non-finite numbers,
-    repeated shifts), are refused with a message that names the key."""
+    repeated shifts, a damping factor outside (0, 1) or one that disagrees
+    with ``stabilized``), are refused with a message that names the key."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -695,10 +684,19 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
             raise ValueError(f"{key} must be finite")
     if len(np.unique(shifts)) != len(shifts):
         raise ValueError("shifts must be distinct")
-    if not isinstance(raw["stabilized"], bool):
+    stabilized = raw["stabilized"]
+    if not isinstance(stabilized, bool):
         raise ValueError(
-            f"stabilized must be true or false, got {raw['stabilized']!r}")
+            f"stabilized must be true or false, got {stabilized!r}")
     factor = raw["stabilize_factor"]
+    if factor is not None:
+        factor = _json_number(factor, "stabilize_factor")
+        if not 0.0 < factor < 1.0:
+            raise ValueError(
+                f"stabilize_factor must lie in (0, 1), got {factor}")
+    if stabilized != (factor is not None):
+        raise ValueError(f"stabilized is {json.dumps(stabilized)} but "
+                         f"stabilize_factor is {json.dumps(factor)}")
     warnings = raw.get("warnings", [])
     if not (isinstance(warnings, list)
             and all(isinstance(w, str) for w in warnings)):
@@ -708,8 +706,6 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
         weights=weights,
         domain_radius=r1,
         sup_error=sup_error,
-        stabilized=raw["stabilized"],
-        stabilize_factor=(None if factor is None
-                          else _json_number(factor, "stabilize_factor")),
+        stabilize_factor=factor,
         warnings=tuple(warnings),
     )

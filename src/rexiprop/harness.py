@@ -25,7 +25,6 @@ from .approx import (
     PartialFractionApproximation,
     approx_from_json,
     approx_to_json,
-    evaluate_pfd,
     faber_cf,
     rounding_floor,
     stabilize,
@@ -210,12 +209,16 @@ def _load_approx(cfg: ExperimentConfig) -> PartialFractionApproximation:
     return approx
 
 
-def _build_experiment(cfg: ExperimentConfig):
+def _build_system(cfg: ExperimentConfig):
     mesh = build_mesh(cfg.x0, cfg.x1, cfg.n_elems)
     potential = (PotentialSpec.zero() if cfg.potential == "zero"
                  else PotentialSpec.step_barrier(cfg.v_max, cfg.c_barr))
     consts = PhysicalConstants()
-    system = assemble_system(mesh, potential, consts)
+    return mesh, consts, assemble_system(mesh, potential, consts)
+
+
+def _build_experiment(cfg: ExperimentConfig):
+    mesh, consts, system = _build_system(cfg)
     packet = WavePacketParams(r_bar=cfg.r_bar, p_bar=cfg.p_bar, sigma=cfg.sigma)
     u0 = project_initial(mesh, packet, consts, system.B)
     return mesh, consts, system, u0
@@ -330,7 +333,7 @@ def cmd_stability(args) -> int:
 
     xs = np.linspace(-1.5 * approx.domain_radius, 1.5 * approx.domain_radius,
                      args.axis_samples)
-    deviation = np.abs(evaluate_pfd(approx, 1j * xs)) - 1.0
+    deviation = stability_indicator(approx, 1j * xs)
     axis_path = args.out_prefix + "_axis.csv"
     with open(axis_path, "w") as fh:
         fh.write("im,deviation\n")
@@ -385,6 +388,7 @@ def cmd_tunnel(args) -> int:
         "override_used": stepper.override_used,
         "factor_s": stepper.timers["factor"],
         "solver": stepper.solver,
+        "stabilize_factor": approx.stabilize_factor,
         "sup_error": approx.sup_error,
         "rounding_floor": rounding_floor(approx),
     }
@@ -466,7 +470,7 @@ def cmd_eig(args) -> int:
     largest admissible step is max_dt / SAFETY_FACTOR.
     """
     cfg = parse_config(args.config)
-    _mesh, _consts, system, _u0 = _build_experiment(cfg)
+    _mesh, _consts, system = _build_system(cfg)
     est = spectral_radius_estimate(system)
     if cfg.approx_path is not None:
         approx = _load_approx(cfg)

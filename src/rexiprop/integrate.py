@@ -200,11 +200,6 @@ class RexiStepper(Stepper):
         return self.approx.domain_radius
 
     @property
-    def bandwidth(self):
-        """Bandwidth of the factored shifted systems (None if dense)."""
-        return self.factorizations[0].bandwidth
-
-    @property
     def solver(self) -> str:
         """Solve path of the shifted systems: "condensed" or "dense"."""
         return self.factorizations[0].kind

@@ -235,6 +235,17 @@ def test_cmd_eig_reports_sr_and_max_dt(tmp_path, capsys, approx_file):
     assert max_dt == pytest.approx(10.0 / sr, rel=1e-12)
 
 
+def test_cmd_eig_needs_no_wave_packet(tmp_path, capsys, approx_file):
+    # The packet at r_bar = -4 is clipped by the wall at x0 = -5: eig reports
+    # sr(M) of the system regardless, while tunnel still refuses the run.
+    cfg = write_config(tmp_path, x0=-5.0, approx_path=approx_file)
+    assert main(["eig", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("sr_estimate=")
+    rc = main(["tunnel", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "wave packet is not supported" in capsys.readouterr().err
+
+
 def test_cmd_eig_sr_scales_like_h_squared(tmp_path, capsys, approx_file):
     def sr_for(n_elems):
         sub = tmp_path / f"n{n_elems}"
@@ -393,7 +404,11 @@ def test_cmd_tunnel_impossible_approx_is_config_error(tmp_path, capsys,
     doc = json.loads(open(approx_file).read())
     for name, bad in (("k0", {**doc, "K": 0, "shifts": [], "weights": []}),
                       ("nan_r1", {**doc, "R1": float("nan")}),
-                      ("null_r1", {**doc, "R1": None})):
+                      ("null_r1", {**doc, "R1": None}),
+                      ("false_half", {**doc, "stabilize_factor": 0.5}),
+                      ("true_null", {**doc, "stabilized": True}),
+                      ("seven", {**doc, "stabilized": True,
+                                 "stabilize_factor": 7.0})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         cfg = write_config(tmp_path, approx_path=str(path))
@@ -401,6 +416,21 @@ def test_cmd_tunnel_impossible_approx_is_config_error(tmp_path, capsys,
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "is invalid" in capsys.readouterr().err
+
+
+def test_cmd_tunnel_composes_stabilization(tmp_path, capsys):
+    # A damped file plus stabilize_eps records the product of both factors,
+    # the factor the weights were actually scaled by.
+    path = tmp_path / "damped.json"
+    assert main(["approx", "--r1", "10", "--degree", "16",
+                 "--stabilize", "1e-3", "--out", str(path)]) == 0
+    cfg = write_config(tmp_path, approx_path=str(path), stabilize_eps=1e-3)
+    out_dir = tmp_path / "out"
+    assert main(["tunnel", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    md = json.loads((out_dir / "metadata.json").read_text())
+    assert list(md)[-3:] == ["stabilize_factor", "sup_error", "rounding_floor"]
+    assert md["stabilize_factor"] == 0.999 * 0.999
 
 
 def test_cmd_tunnel_default_snapshots_initial_and_final(tmp_path, capsys,

@@ -195,7 +195,7 @@ def test_prepare_factorization_residuals(flagship, fem):
         for mat, x in zip(fac.matrices, solutions):
             assert (np.linalg.norm(mat @ x - rhs)
                     / np.linalg.norm(rhs)) < 1e-10
-    assert stp.bandwidth == 5  # P2 pencil stays pentadiagonal after the shift
+    assert stp.solver == "condensed"
 
 
 def test_prepare_records_admissibility(flagship):
