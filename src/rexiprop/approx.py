@@ -65,9 +65,8 @@ _SUP_CHECK_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ComplexSeries:
-    """A finite window of Laurent coefficients a_j, j = offset .. offset+len-1."""
+    """A finite window of power-series coefficients a_j, j = 0 .. len-1."""
 
-    offset: int
     coeffs: np.ndarray
 
     def __post_init__(self):
@@ -149,7 +148,7 @@ def _series_from_radius_ladder(
         best[better] = cand[better]
         best_log[better] = cand_log[better]
         sampled = True
-    return ComplexSeries(offset=0, coeffs=best)
+    return ComplexSeries(coeffs=best)
 
 
 def hankel_matrix(a: Sequence[complex]) -> np.ndarray:
@@ -224,10 +223,6 @@ class CFApproximation:
 def _check_cf_input(series: ComplexSeries, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"degree n must be >= 1, got {n}")
-    if series.offset != 0:
-        raise ValueError(
-            f"expected a series starting at order 0, got offset {series.offset}"
-        )
     a = np.asarray(series.coeffs, dtype=complex)
     if len(a) - 1 < 2 * n:
         raise ValueError(

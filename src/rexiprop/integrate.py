@@ -8,15 +8,18 @@ apply the propagator live here:
   The K shifted systems are factored once per (system, approx, tau), as
   one stack of consecutive shifts per solving thread, and each step is
   one product iB u and one stacked solve per stack, on a thread pool.
-  ``solvers.factorize`` picks the solve path from the matrix structure:
-  the P2 pencils of ``spatial.assemble_system`` take the condensed path
-  (midpoints eliminated without pivoting, which the definite imaginary
-  part -Re(sigma_j)*B of every shifted matrix makes safe, then a pivoted
-  tridiagonal solve on the vertices); everything else takes dense LU,
-  which ``factorize`` refuses for a sparse matrix larger than
-  DENSE_ORACLE_MAX_DOF.  The condensed solves call LAPACK as ctypes
-  foreign calls that drop the GIL, and numpy drops it inside its array
-  loops, so the stacks are solved concurrently; dense solves go through
+  ``solvers.factorize_shifted`` picks the solve path from the pencil's
+  structure: the P2 pencils of ``spatial.assemble_system`` take the
+  condensed path, built straight from the pencil's diagonals with no
+  sparse matrix per shift (midpoints eliminated without pivoting, which
+  the definite imaginary part -Re(sigma_j)*B of every shifted matrix
+  makes safe, then a pivoted tridiagonal solve on the vertices);
+  everything else builds the shifted matrices and takes dense LU, which
+  is refused for a sparse matrix larger than DENSE_ORACLE_MAX_DOF.  A
+  prepared stepper keeps only the factors, not the shifted matrices.
+  The condensed solves call LAPACK as ctypes foreign calls that drop the
+  GIL, and numpy drops it inside its array loops, so the stacks are
+  solved concurrently; dense solves go through
   scipy's ``lu_solve``, which holds the GIL.  A condensed stack is one
   ``zgttrs`` call.  The pool never starts more solving threads than the
   CPUs the process may run on: extra threads add only GIL handoffs.  The
@@ -62,7 +65,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from .approx import PartialFractionApproximation
 from .errors import AdmissibilityError, SolverError
-from .solvers import DENSE_ORACLE_MAX_DOF, factorize
+from .solvers import DENSE_ORACLE_MAX_DOF, factorize, factorize_shifted
 from .spatial import SystemMatrices, spectral_radius_estimate
 
 # Headroom multiplier applied to the spectral-radius bound wherever a
@@ -189,7 +192,7 @@ class RexiStepper(Stepper):
         self._iB = (1j * self.system.B).tocsr()
         # Shift index of each stack's first row, and one past the last.
         self._starts = np.cumsum(
-            [0] + [len(fac.matrices) for fac in self.factorizations])
+            [0] + [fac.K for fac in self.factorizations])
         # The calling thread solves the first stack, the pool the others.
         self._helpers = len(self.factorizations) - 1
         self._pool = (ThreadPoolExecutor(max_workers=self._helpers)
@@ -242,13 +245,12 @@ def rexi_prepare(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     t0 = time.perf_counter()
-    shifted = [(tau * sys.A - (1j * sigma) * sys.B).tocsr()
-               for sigma in approx.shifts]
     threads = min(workers, approx.K, _usable_cpus())
     factorizations = []
     for stack in np.array_split(np.arange(approx.K), threads):
         try:
-            factorizations.append(factorize(*(shifted[j] for j in stack)))
+            factorizations.append(factorize_shifted(
+                sys.A, sys.B, tau, approx.shifts[stack]))
         except SolverError as exc:
             if exc.index is None:  # not attributable to one shift
                 raise

@@ -1,9 +1,11 @@
 """Direct factorizations for factor-once / solve-many use.
 
-Two solve paths behind one interface, picked by :func:`factorize` from the
-matrix structure.  Each factors a stack of K >= 1 matrices of one order,
-and ``solve(b)`` solves every one of them for the vector ``b``, returning
-a (K, n) array; a single matrix is the K = 1 case.
+Two solve paths behind one interface, picked from the matrix structure by
+:func:`factorize` (a stack of given matrices) or :func:`factorize_shifted`
+(the REXI stack ``tau*A - 1j*sigma_j*B`` of one pencil).  Each factors a
+stack of K >= 1 matrices of one order, and ``solve(b)`` solves every one
+of them for the vector ``b``, returning a (K, n) array; a single matrix is
+the K = 1 case.
 
 * :class:`CondensedFactorization` -- the P2 pentadiagonal systems of
   ``spatial.assemble_system``.  Every midpoint DOF (the even indices)
@@ -13,8 +15,12 @@ a (K, n) array; a single matrix is the K = 1 case.
   factored as one tridiagonal system by one ``zgttrf`` call (partial
   pivoting).  A solve reduces the right-hand side onto the vertices, runs
   one ``zgttrs`` call and recovers the midpoints, each numpy step over the
-  whole stack at once.  The midpoint elimination does not pivot, which is
-  safe for the matrices it is used on: a REXI shifted matrix
+  whole stack at once.  It is built from the stack's five diagonals,
+  which :func:`factorize_shifted` computes for a P2 pencil directly,
+  ``tau*A.diagonal(k) - 1j*sigma_j*B.diagonal(k)``, with no sparse matrix
+  per shift; it keeps only the contiguous arrays that a solve reads,
+  about 74 bytes per matrix per DOF.  The midpoint elimination does not
+  pivot, which is safe for the matrices it is used on: a REXI shifted matrix
   ``tau*A - sigma_j*iB`` with real symmetric A, SPD B and Re(sigma_j) != 0
   has the definite imaginary part ``-Re(sigma_j)*B``.  Its diagonal (the
   midpoint pivots) then has nonzero imaginary parts, and its Schur
@@ -39,8 +45,8 @@ GIL while the routine runs; that, and numpy dropping the GIL inside its
 array loops, is what lets a thread pool solve stacks concurrently.
 (scipy's f2py wrapper for ``zgttrf`` holds the GIL and rejects order 1.)
 
-Both expose ``kind`` (``"condensed"`` or ``"dense"``) and the factored
-``matrices`` for residual checks.
+Both expose ``kind`` (``"condensed"`` or ``"dense"``) and the stack size
+``K``; neither keeps the matrices it factored.
 """
 
 from __future__ import annotations
@@ -59,6 +65,8 @@ from .errors import SolverError
 DENSE_ORACLE_MAX_DOF = 512
 # Reciprocal condition estimates below this are treated as singular.
 RCOND_FLOOR = 1e-14
+# Diagonal offsets of a P2 matrix, in the order CondensedFactorization takes.
+_OFFSETS = (0, 1, -1, 2, -2)
 
 
 def _lapack_function(name: str, n_args: int):
@@ -116,28 +124,26 @@ class CondensedFactorization:
     """A stack of K P2 pentadiagonal matrices of one order, each solved
     through the tridiagonal Schur complement on its vertices.
 
-    With m = (n - 1) / 2, vertex k is DOF 2k + 1 and lies between the
-    midpoints k and k + 1 (DOFs 2k and 2k + 2).  Every coefficient array
-    has a leading axis over the stack.  Matrix j's Schur complement is
-    block j of one tridiagonal system of order K*m.  Zero couplings between
-    blocks keep LAPACK from pivoting or mixing values across a boundary, so
-    every row is bitwise that of a stack of one.  ``bandwidth``, ``kl`` and
-    ``ku`` describe each pentadiagonal matrix; perfbench reads them.
+    Built from the stack's diagonals at offsets 0, 1, -1, 2 and -2, each a
+    (K, n - |offset|) array.  With m = (n - 1) / 2, vertex k is DOF 2k + 1
+    and lies between the midpoints k and k + 1 (DOFs 2k and 2k + 2).  Every
+    coefficient array has a leading axis over the stack.  Matrix j's Schur
+    complement is block j of one tridiagonal system of order K*m.  Zero
+    couplings between blocks keep LAPACK from pivoting or mixing values
+    across a boundary, so every row is bitwise that of a stack of one.
+    ``bandwidth``, ``kl`` and ``ku`` describe each pentadiagonal matrix;
+    perfbench reads them.
     """
 
     kind = "condensed"
     kl = ku = 2
     bandwidth = 5
 
-    def __init__(self, *mats):
-        self.matrices = mats
-        n = mats[0].shape[0]
+    def __init__(self, diag, upper, lower, upper2, lower2):
+        self.K, n = diag.shape
         m = (n - 1) // 2
-        size = len(mats) * m
+        size = self.K * m
 
-        diag, upper, lower, upper2, lower2 = (
-            np.array([mat.diagonal(k) for mat in mats], dtype=complex)
-            for k in (0, 1, -1, 2, -2))
         mid = diag[:, 0::2]
         zero = np.argwhere(mid == 0)
         if zero.size:
@@ -150,17 +156,18 @@ class CondensedFactorization:
         inv_mid = 1.0 / mid
         # Vertex k's couplings to midpoints k and k+1 (to_*), and theirs to
         # it (from_*), the latter stored divided by the midpoint pivot.
-        to_left, to_right = lower[:, 0::2], upper[:, 1::2]
-        from_left, from_right = upper[:, 0::2], lower[:, 1::2]
+        # Copies, so the factorization holds none of the diagonals.
+        to_left = np.ascontiguousarray(lower[:, 0::2])
+        to_right = np.ascontiguousarray(upper[:, 1::2])
         self._inv_mid = inv_mid
         self._to_left, self._to_right = to_left, to_right
-        self._from_left = from_left * inv_mid[:, :-1]
-        self._from_right = from_right * inv_mid[:, 1:]
+        self._from_left = upper[:, 0::2] * inv_mid[:, :-1]
+        self._from_right = lower[:, 1::2] * inv_mid[:, 1:]
 
         # The stacked Schur complement as LAPACK's dl, d, du (+ du2, ipiv),
         # factored in place by zgttrf.  dl and du end each block with the
         # zero coupling to the next one; LAPACK reads K*m - 1 of them.
-        dl, d, du = np.zeros((3, len(mats), m), dtype=complex)
+        dl, d, du = np.zeros((3, self.K, m), dtype=complex)
         d[...] = (diag[:, 1::2] - to_left * self._from_left
                   - to_right * self._from_right)
         du[:, :-1] = upper2[:, 1::2] - to_right[:, :-1] * self._from_left[:, 1:]
@@ -178,7 +185,7 @@ class CondensedFactorization:
         # zgttrf reports the first zero pivot of U, 1-based over the stack;
         # matrices before its block are screened first, so the lowest
         # failing j is named.
-        j, row = divmod(info.value - 1, m) if info.value else (len(mats), 0)
+        j, row = divmod(info.value - 1, m) if info.value else (self.K, 0)
         _screen_pivots(np.concatenate([mid, d], axis=1)[:j])
         if info.value:
             raise SolverError(
@@ -200,7 +207,7 @@ class CondensedFactorization:
                 f"right-hand side of shape {b.shape} does not match a "
                 f"system of order {self._n}"
             )
-        x = np.empty((len(self.matrices), self._n), dtype=complex)
+        x = np.empty((self.K, self._n), dtype=complex)
         # Midpoints first hold inv(D) b_mid, then the solution.
         x_mid, x_vert = x[:, 0::2], x[:, 1::2]
         np.multiply(self._inv_mid, b[0::2], out=x_mid)
@@ -234,7 +241,7 @@ class DenseFactorization:
     bandwidth = None
 
     def __init__(self, *mats):
-        self.matrices = mats
+        self.K = len(mats)
         self._lus = []
         for mat in mats:
             dense = mat.toarray() if issparse(mat) else np.asarray(mat)
@@ -259,7 +266,9 @@ def factorize(*mats):
     ``DENSE_ORACLE_MAX_DOF``.  A :class:`SolverError` names the failing
     matrix's position in ``index``."""
     if all(issparse(mat) and _is_p2(mat) for mat in mats):
-        return CondensedFactorization(*mats)
+        return CondensedFactorization(*(
+            np.array([mat.diagonal(k) for mat in mats], dtype=complex)
+            for k in _OFFSETS))
     n = mats[0].shape[0]
     for j, mat in enumerate(mats):
         if n > DENSE_ORACLE_MAX_DOF and issparse(mat) and not _is_p2(mat):
@@ -269,3 +278,26 @@ def factorize(*mats):
                 index=j,
             )
     return DenseFactorization(*mats)
+
+
+def factorize_shifted(A, B, tau: float, shifts: np.ndarray):
+    """Factorize the stack ``tau*A - 1j*shifts[j]*B`` of the sparse pencil
+    (A, B), j = 0 .. K-1, as :func:`factorize` would factor those matrices.
+
+    When A and B both have the P2 pattern, the stack's diagonals are
+    computed straight from the pencil's, with the elementwise operations
+    of the sparse arithmetic, so the factors are bitwise those of the
+    built matrices; no matrix is built.  Any other pencil builds the K
+    shifted matrices and calls :func:`factorize`.  A :class:`SolverError`
+    names the failing shift's position in ``index``.
+    """
+    i_shifts = 1j * np.asarray(shifts)
+    if not (_is_p2(A) and _is_p2(B)):
+        return factorize(*((tau * A - i_sigma * B).tocsr()
+                           for i_sigma in i_shifts))
+    diagonals = []
+    for k in _OFFSETS:
+        diag = i_shifts[:, None] * B.diagonal(k)
+        np.subtract(tau * A.diagonal(k), diag, out=diag)
+        diagonals.append(diag)
+    return CondensedFactorization(*diagonals)

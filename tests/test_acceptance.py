@@ -139,7 +139,7 @@ def test_criterion_01_faber_cf_certificate(tmp_path, capsys):
 def test_criterion_02_hankel_error_equals_sigma():
     a = np.array([1.0 / math.factorial(j) for j in range(41)])
     sigma, profile = cf_circle_error(
-        ComplexSeries(offset=0, coeffs=a), 16, n_samples=4096
+        ComplexSeries(coeffs=a), 16, n_samples=4096
     )
     assert sigma > 0
     measured = float(profile.max())

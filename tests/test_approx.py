@@ -36,8 +36,7 @@ from rexiprop.errors import ApproximationError
 # ---------------------------------------------------------------------------
 
 def test_series_window_accessors():
-    ser = ComplexSeries(offset=0, coeffs=np.array([1.0, 2.0, 3.0]))
-    assert ser.offset == 0
+    ser = ComplexSeries(coeffs=np.array([1.0, 2.0, 3.0]))
     assert ser.coeffs.dtype == complex
     np.testing.assert_array_equal(ser.coeffs, [1.0, 2.0, 3.0])
 
@@ -170,7 +169,7 @@ def test_coefficients_non_finite_inner_contour_is_an_error():
 def _geometric_series(pole=2.0, length=30):
     # 1/(z - pole) = -sum_j z**j / pole**(j+1) inside |z| < pole.
     return ComplexSeries(
-        offset=0, coeffs=np.array([-(pole ** -(j + 1)) for j in range(length + 1)])
+        coeffs=np.array([-(pole ** -(j + 1)) for j in range(length + 1)])
     )
 
 
@@ -183,7 +182,7 @@ def test_cf_recovers_rational_target():
 
 def test_cf_theorem_equality_and_near_circularity():
     a = np.array([1.0 / math.factorial(j) for j in range(41)])
-    ser = ComplexSeries(offset=0, coeffs=a)
+    ser = ComplexSeries(coeffs=a)
     sigma, profile = cf_circle_error(ser, 16)
     dev = np.abs(profile)
     assert abs(dev.max() - sigma) <= 1e-3 * sigma
@@ -194,20 +193,14 @@ def test_cf_theorem_equality_and_near_circularity():
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_cf_pole_count_never_exceeds_degree(n):
     a = np.array([1.0 / math.factorial(j) for j in range(41)])
-    cf = cf_approximate(ComplexSeries(offset=0, coeffs=a), n)
+    cf = cf_approximate(ComplexSeries(coeffs=a), n)
     assert 0 < cf.n_poles <= n
 
 
 def test_cf_window_too_short():
     a = np.ones(10)
     with pytest.raises(ValueError, match="too short"):
-        cf_approximate(ComplexSeries(offset=0, coeffs=a), 16)
-
-
-def test_cf_rejects_shifted_series():
-    ser = ComplexSeries(offset=-2, coeffs=np.ones(40))
-    with pytest.raises(ValueError):
-        cf_approximate(ser, 4)
+        cf_approximate(ComplexSeries(coeffs=a), 16)
 
 
 def test_cf_complex_window_is_refused():
@@ -215,7 +208,7 @@ def test_cf_complex_window_is_refused():
     # real Bessel coefficients J_k(r1).
     a = np.array([1.0 / math.factorial(j) for j in range(41)], dtype=complex)
     a[3] += 1e-9j
-    ser = ComplexSeries(offset=0, coeffs=a)
+    ser = ComplexSeries(coeffs=a)
     for build in (cf_approximate, cf_circle_error):
         with pytest.raises(ApproximationError,
                            match=r"complex: max\|Im a_j\| / max\|a_j\| = "
@@ -223,13 +216,13 @@ def test_cf_complex_window_is_refused():
             build(ser, 4)
     # Rounding-level imaginary parts below the threshold are ignored.
     a[3] = a[3].real + 1e-13j
-    assert cf_approximate(ComplexSeries(offset=0, coeffs=a), 4).n_poles > 0
+    assert cf_approximate(ComplexSeries(coeffs=a), 4).n_poles > 0
 
 
 def test_cf_degenerate_tail_is_an_error():
     # A polynomial symbol of lower degree has an exactly zero singular value
     # at this index; the construction cannot proceed.
-    ser = ComplexSeries(offset=0, coeffs=np.array([1.0] + [0.0] * 10))
+    ser = ComplexSeries(coeffs=np.array([1.0] + [0.0] * 10))
     with pytest.raises(ApproximationError, match="singular value"):
         cf_approximate(ser, 2)
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -176,26 +177,52 @@ def test_factorize_refuses_large_non_p2_sparse():
 
 def test_prepare_scalar_shifted_matrices(flagship):
     omega, tau = 3.0, 0.5
-    stp = rexi_prepare(scalar_system(omega), flagship, tau,
-                       sr_value=omega, workers=1)
-    matrices = [mat for fac in stp.factorizations for mat in fac.matrices]
-    assert len(matrices) == flagship.K
-    for sigma, mat in zip(flagship.shifts, matrices):
-        assert mat.toarray()[0, 0] == pytest.approx(tau * omega - 1j * sigma)
+    sysm = scalar_system(omega)
+    stp = rexi_prepare(sysm, flagship, tau, sr_value=omega, workers=1)
+    assert [fac.K for fac in stp.factorizations] == [flagship.K]
+    assert stp.solver == "dense"
+    x = stp.factorizations[0].solve(np.ones(1))[:, 0]
+    for sigma, x_j in zip(flagship.shifts, x):
+        # Row j solves the 1x1 system rebuilt from the scalar pencil.
+        mat = (tau * sysm.A - 1j * sigma * sysm.B).toarray()[0, 0]
+        assert x_j * mat == pytest.approx(1.0, rel=1e-14)
 
 
-def test_prepare_factorization_residuals(flagship, fem):
+def test_prepare_factorization_residuals(flagship, fem, monkeypatch):
     sysm, _, _, sr = fem
-    stp = rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=1)
+    monkeypatch.setattr(integrate, "_usable_cpus", lambda: 2)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(sysm.n_dof)
-    for fac in stp.factorizations:
-        solutions = fac.solve(rhs)
-        assert solutions.shape == (len(fac.matrices), sysm.n_dof)
-        for mat, x in zip(fac.matrices, solutions):
+    for workers in (1, 2):
+        with rexi_prepare(sysm, flagship, 0.02, sr_value=sr,
+                          workers=workers) as stp:
+            assert [fac.K for fac in stp.factorizations] == \
+                [flagship.K // workers] * workers
+            rows = np.concatenate([fac.solve(rhs)
+                                   for fac in stp.factorizations])
+            assert stp.solver == "condensed"
+        assert rows.shape == (flagship.K, sysm.n_dof)
+        # Each row against its shifted matrix, rebuilt from the system.
+        for sigma, x in zip(flagship.shifts, rows):
+            mat = 0.02 * sysm.A - 1j * sigma * sysm.B
             assert (np.linalg.norm(mat @ x - rhs)
                     / np.linalg.norm(rhs)) < 1e-10
+
+
+def test_prepare_retains_little_per_shift(flagship, fem):
+    # The stepper keeps the factors a solve reads, no shifted matrices:
+    # about 80 bytes per shift per DOF (B as iB included).
+    sysm, _, _, sr = fem
+    rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=1)  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stp = rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
     assert stp.solver == "condensed"
+    assert retained / (flagship.K * sysm.n_dof) <= 100
 
 
 def test_prepare_records_admissibility(flagship):
@@ -317,7 +344,7 @@ def test_failed_shift_solve_is_reported(flagship, fem, workers, monkeypatch):
                       workers=workers) as stp:
         # The stack holding shift 5, found by its pivot array's address:
         # the stacks hold the shifts in order, one zgttrs call apiece.
-        sizes = [len(fac.matrices) for fac in stp.factorizations]
+        sizes = [fac.K for fac in stp.factorizations]
         c = int(np.searchsorted(np.cumsum(sizes), 5, side="right"))
         ipiv = stp.factorizations[c]._ipiv.ctypes.data
         first = sum(sizes[:c])
@@ -713,6 +740,52 @@ def test_condensed_solve_every_flagship_shift(flagship, x0, x1, n_elems):
             assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
             # Row j of the stacked solve is the single-matrix solve.
             assert xs[j].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("size", [16, 8, 1])
+def test_shifted_factorization_is_factorize_bitwise(flagship, size):
+    # Desk scale: the stacks built from the pencil's diagonals solve, byte
+    # for byte, as those factored from the built shifted matrices, and keep
+    # no matrices.
+    sysm, mesh = _barrier_pencil(-30.0, 30.0, 500)
+    u0 = project_initial(mesh, WavePacketParams(r_bar=-3.0, p_bar=5.0, sigma=4.0),
+                         PhysicalConstants(), sysm.B)
+    rng = np.random.default_rng(11)
+    rhs = [1j * (sysm.B @ u0),
+           rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(sysm.n_dof)]
+    for lo in range(0, flagship.K, size):
+        shifts = flagship.shifts[lo:lo + size]
+        fac = solvers.factorize_shifted(sysm.A, sysm.B, 2e-4, shifts)
+        ref = factorize(*((2e-4 * sysm.A - (1j * sigma) * sysm.B).tocsr()
+                          for sigma in shifts))
+        assert isinstance(fac, CondensedFactorization)
+        assert fac.K == size and not hasattr(fac, "matrices")
+        for b in rhs:
+            assert fac.solve(b).tobytes() == ref.solve(b).tobytes()
+
+
+def test_shifted_factorization_of_other_pencils(flagship):
+    # A pencil without the P2 pattern builds its shifted matrices: dense
+    # LU up to DENSE_ORACLE_MAX_DOF, refused above, naming the stack's
+    # first shift.
+    def tridiagonal(n, centre):
+        return diags([np.full(n - 1, -1.0), np.full(n, centre),
+                      np.full(n - 1, -1.0)], offsets=[-1, 0, 1], format="csr")
+
+    shifts = flagship.shifts[:3]
+    n = DENSE_ORACLE_MAX_DOF
+    a_mat, b_mat = tridiagonal(n, 4.0), tridiagonal(n, 6.0)
+    fac = solvers.factorize_shifted(a_mat, b_mat, 0.5, shifts)
+    assert isinstance(fac, DenseFactorization)
+    assert fac.K == 3 and not hasattr(fac, "matrices")
+    b = np.random.default_rng(12).standard_normal(n)
+    for sigma, x in zip(shifts, fac.solve(b)):
+        mat = 0.5 * a_mat - 1j * sigma * b_mat
+        assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) < 1e-10
+    with pytest.raises(SolverError, match=rf"order {n + 1}\b") as raised:
+        solvers.factorize_shifted(tridiagonal(n + 1, 4.0),
+                                  tridiagonal(n + 1, 6.0), 0.5, shifts)
+    assert raised.value.index == 0
 
 
 def test_condensed_solve_shapes_keep_the_input(flagship, fem):
