@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import (
+    DEFAULT_SAMPLES,
     DEFAULT_TRUNCATION,
     JoukowskiMap,
     PartialFractionApproximation,
@@ -171,7 +172,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.t_end < cfg.dt:
         bad(f"t_end must be >= dt, got t_end={cfg.t_end}, dt={cfg.dt}")
     if cfg.snapshot_every < 0:
-        bad(f"snapshot_every must be >= 1 (or omitted), got {cfg.snapshot_every}")
+        bad(f"snapshot_every must be >= 0 (0 = first and last state only), "
+            f"got {cfg.snapshot_every}")
     if cfg.snapshot_every == 0:
         cfg.snapshot_every = cfg.n_steps
     if cfg.snapshot_points < 2:
@@ -272,6 +274,20 @@ def _write_snapshot(path: str, xs: np.ndarray, psi: np.ndarray) -> None:
 
 def cmd_approx(args) -> int:
     """Build, optionally stabilize, and serialize an approximation."""
+    if not 0 < args.r1 < math.inf:
+        raise ConfigError(f"--r1 must be positive and finite, got {args.r1}")
+    if args.degree < 1:
+        raise ConfigError(f"--degree must be >= 1, got {args.degree}")
+    # The window a_0 .. a_truncation must hold 2*degree + 1 coefficients,
+    # and is sampled on circles of DEFAULT_SAMPLES points.
+    longest = DEFAULT_SAMPLES // 2 - 1
+    if not 2 * args.degree <= args.truncation <= longest:
+        raise ConfigError(
+            f"--truncation must lie in [2 * degree, {longest}] = "
+            f"[{2 * args.degree}, {longest}], got {args.truncation}")
+    if args.stabilize is not None and not 0 < args.stabilize < 1:
+        raise ConfigError(
+            f"--stabilize must lie in (0, 1), got {args.stabilize}")
     approx = faber_cf(JoukowskiMap(args.r1), args.truncation, args.degree)
     if args.stabilize is not None:
         approx = stabilize(approx, args.stabilize)
@@ -311,6 +327,9 @@ def _parse_grid(spec: str):
 
 def cmd_stability(args) -> int:
     """Sample |r(z)|-1 on a rectangle and along the imaginary axis."""
+    if args.axis_samples < 1:
+        raise ConfigError(
+            f"--axis-samples must be >= 1, got {args.axis_samples}")
     approx = _read_approx(args.approx)
     re_lo, re_hi, im_lo, im_hi, n_re, n_im = _parse_grid(args.grid)
     res = np.linspace(re_lo, re_hi, n_re)
@@ -383,6 +402,7 @@ def cmd_tunnel(args) -> int:
         "t_end": n_steps * cfg.dt,
         "K": approx.K,
         "workers": stepper.workers,
+        "solving_threads": len(stepper.factorizations),
         "sr_method": sr.method,
         "override_admissibility": cfg.override_admissibility,
         "override_used": stepper.override_used,

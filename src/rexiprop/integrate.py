@@ -5,28 +5,25 @@ spectrum is purely imaginary for symmetric A and SPD B.  Three ways to
 apply the propagator live here:
 
 * REXI stepping: exp(tau*M) u ~ sum_j beta_j (tau*A - sigma_j*iB)^-1 (iB) u.
-  The K shifted systems are factored once per (system, approx, tau), as
-  one stack of consecutive shifts per solving thread, and each step is
-  one product iB u and one stacked solve per stack, on a thread pool.
+  The K shifted systems are factored once per (system, approx, tau), as one
+  stack of consecutive shifts per solving thread.  Each step is one product
+  iB u and one (K, n) solution block, each stack solving into its rows on a
+  thread pool, then weighted in place and summed over axis 0.
   ``solvers.factorize_shifted`` picks the solve path from the pencil's
   structure: the P2 pencils of ``spatial.assemble_system`` take the
-  condensed path, built straight from the pencil's diagonals with no
-  sparse matrix per shift (midpoints eliminated without pivoting, which
-  the definite imaginary part -Re(sigma_j)*B of every shifted matrix
-  makes safe, then a pivoted tridiagonal solve on the vertices);
-  everything else builds the shifted matrices and takes dense LU, which
-  is refused for a sparse matrix larger than DENSE_ORACLE_MAX_DOF.  A
-  prepared stepper keeps only the factors, not the shifted matrices.
-  The condensed solves call LAPACK as ctypes foreign calls that drop the
-  GIL, and numpy drops it inside its array loops, so the stacks are
-  solved concurrently; dense solves go through
-  scipy's ``lu_solve``, which holds the GIL.  A condensed stack is one
-  ``zgttrs`` call.  The pool never starts more solving threads than the
-  CPUs the process may run on: extra threads add only GIL handoffs.  The
-  weighted sum is a plain sum in fixed ascending-j order, taken on the
-  calling thread once every stack is solved, and every row is computed
-  the same way whatever stack holds it, so results do not depend on the
-  worker count.
+  condensed path, built straight from the pencil's diagonals (midpoints
+  eliminated without pivoting, which the definite imaginary part
+  -Re(sigma_j)*B of every shifted matrix makes safe, then one pivoted
+  ``zgttrs`` call on the vertices); everything else builds the shifted
+  matrices and takes dense LU, refused for a sparse matrix larger than
+  DENSE_ORACLE_MAX_DOF.  The condensed solves call LAPACK as ctypes foreign
+  calls that drop the GIL, and numpy drops it inside its array loops, so the
+  stacks are solved concurrently; dense solves go through scipy's
+  ``lu_solve``, which holds the GIL.  The pool never starts more solving
+  threads than the CPUs the process may run on: extra threads add only GIL
+  handoffs.  Zero couplings between a stack's blocks make each row bitwise
+  the same whatever stack holds it, so with one block and one reduction the
+  results do not depend on the worker count.
 * Chebyshev/Clenshaw stepping: p(tau*M) u for a Chebyshev expansion of
   exp on i[-R, R]; each recurrence stage costs one A-multiply and one
   B-solve.  This is the comparison method and, as one step over a whole
@@ -276,11 +273,11 @@ def rexi_prepare(
 
 
 def rexi_step(stepper: RexiStepper, u: np.ndarray) -> np.ndarray:
-    """One REXI step: rhs = iBu, one stacked solve per stack (the first on
-    the calling thread, the others on the pool), then, on the calling
-    thread once every stack is solved, the plain sum w_0*X_0 + w_1*X_1 +
-    ... in ascending shift order, so 1-worker and K-worker execution
-    produce identical results.
+    """One REXI step: rhs = iBu, then one (K, n) block X whose row j solves
+    shifted system j, each stack solving into its rows (the first on the
+    calling thread, the others on the pool).  The calling thread then
+    weights X in place and sums it over axis 0, adding whole rows in
+    ascending j, so any worker count gives identical results.
     """
     timers = stepper.timers
     starts = stepper._starts
@@ -288,10 +285,12 @@ def rexi_step(stepper: RexiStepper, u: np.ndarray) -> np.ndarray:
     t0 = time.perf_counter()
     rhs = stepper._iB @ u
     t1 = time.perf_counter()
+    # Per step: kept on the stepper, the block would only add to its memory.
+    X = np.empty((starts[-1], rhs.size), dtype=complex)
 
     def solve(c):
         try:
-            return stepper.factorizations[c].solve(rhs)
+            stepper.factorizations[c].solve(rhs, out=X[starts[c]:starts[c + 1]])
         except SolverError as exc:
             raise SolverError(f"solve failed for shifts j = {starts[c]}.."
                               f"{starts[c + 1] - 1}: {exc}") from exc
@@ -299,23 +298,19 @@ def rexi_step(stepper: RexiStepper, u: np.ndarray) -> np.ndarray:
     helpers = [stepper._pool.submit(solve, c)
                for c in range(1, len(stepper.factorizations))]
     try:
-        stacks = [solve(0)]
+        solve(0)
     finally:
         # Retrieve every helper's outcome; the lowest failing stack is raised.
         for future in helpers:
             future.exception()
-    stacks += [future.result() for future in helpers]
+    for future in helpers:
+        future.result()
     t2 = time.perf_counter()
     # Weight times solution, in this operand order: numpy's complex product
     # can round differently with the operands swapped.  No BLAS call (such
     # as weights @ X): OpenBLAS's own threads would compete with the pool.
-    weights = stepper.approx.weights
-    rows = [row for stack in stacks for row in stack]
-    total = weights[0] * rows[0]
-    term = np.empty_like(total)
-    for weight, row in zip(weights[1:], rows[1:]):
-        np.multiply(weight, row, out=term)
-        total += term
+    np.multiply(stepper.approx.weights[:, None], X, out=X)
+    total = X.sum(axis=0)
     timers["rhs"] += t1 - t0
     timers["local"] += t2 - t1
     timers["reduce"] += time.perf_counter() - t2

@@ -3,9 +3,10 @@
 Two solve paths behind one interface, picked from the matrix structure by
 :func:`factorize` (a stack of given matrices) or :func:`factorize_shifted`
 (the REXI stack ``tau*A - 1j*sigma_j*B`` of one pencil).  Each factors a
-stack of K >= 1 matrices of one order, and ``solve(b)`` solves every one
-of them for the vector ``b``, returning a (K, n) array; a single matrix is
-the K = 1 case.
+stack of K >= 1 matrices of one order, and ``solve(b, out=None)`` solves
+every one of them for the vector ``b`` into a new (K, n) array, or into
+``out``: a REXI step passes each stack its rows of one solution block.  A
+single matrix is the K = 1 case.
 
 * :class:`CondensedFactorization` -- the P2 pentadiagonal systems of
   ``spatial.assemble_system``.  Every midpoint DOF (the even indices)
@@ -196,18 +197,19 @@ class CondensedFactorization:
         self._trans = ctypes.c_char(b"N")
         self._nrhs = ctypes.c_int(1)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Solve every matrix of the stack for the vector ``b``, which is
-        left unmodified; row j of the (K, n) result solves matrix j.  Runs
-        the one ``zgttrs`` call without holding the GIL and allocates its
-        buffers per call, so threads may share one factorization."""
+        left unmodified; row j of the (K, n) result (``out`` when given, a
+        C-contiguous complex array) solves matrix j.  Runs the one
+        ``zgttrs`` call without holding the GIL and allocates its scratch
+        per call, so threads may share one factorization."""
         b = np.asarray(b)
         if b.shape != (self._n,):
             raise ValueError(
                 f"right-hand side of shape {b.shape} does not match a "
                 f"system of order {self._n}"
             )
-        x = np.empty((self.K, self._n), dtype=complex)
+        x = np.empty((self.K, self._n), dtype=complex) if out is None else out
         # Midpoints first hold inv(D) b_mid, then the solution.
         x_mid, x_vert = x[:, 0::2], x[:, 1::2]
         np.multiply(self._inv_mid, b[0::2], out=x_mid)
@@ -252,11 +254,14 @@ class DenseFactorization:
                 self._lus.append(lu_factor(dense, check_finite=False))
         _screen_pivots(np.array([np.diagonal(lu) for lu, _ in self._lus]))
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Row j of the (K, n) result solves matrix j for the vector ``b``."""
+    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Row j of the (K, n) result (``out`` when given) solves matrix j."""
         b = np.asarray(b, dtype=complex)
-        return np.array([lu_solve(lu, b, check_finite=False)
-                         for lu in self._lus])
+        if out is None:
+            out = np.empty((self.K, len(b)), dtype=complex)
+        for row, lu in zip(out, self._lus):
+            row[...] = lu_solve(lu, b, check_finite=False)
+        return out
 
 
 def factorize(*mats):

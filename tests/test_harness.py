@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from rexiprop import integrate
 from rexiprop.approx import (
     JoukowskiMap,
     PartialFractionApproximation,
@@ -137,6 +138,7 @@ def test_parse_config_not_key_value(tmp_path):
         ({"potential": "harmonic"}, "potential"),
         ({"x0": 12.0}, "x0 must be"),
         ({"snapshot_points": 1}, "snapshot_points"),
+        ({"snapshot_every": -1}, r"snapshot_every must be >= 0 \(0 = first"),
     ],
 )
 def test_parse_config_invariants(tmp_path, overrides, match):
@@ -203,6 +205,35 @@ def test_cmd_approx_contour_rho_is_gone(tmp_path, capsys):
                "--contour-rho", "1.5", "--out", str(tmp_path / "a.json")])
     assert rc == 2
     assert "--contour-rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["approx", "--r1", "-1", "--degree", "16"], "--r1"),
+        (["approx", "--r1", "nan", "--degree", "16"], "--r1"),
+        (["approx", "--r1", "10", "--degree", "0"], "--degree"),
+        (["approx", "--r1", "10", "--degree", "16", "--stabilize", "2"],
+         "--stabilize"),
+        (["approx", "--r1", "10", "--degree", "16", "--truncation", "10"],
+         "--truncation"),
+        (["approx", "--r1", "10", "--degree", "4", "--truncation", "2048"],
+         "--truncation"),
+        (["stability", "--axis-samples", "-1"], "--axis-samples"),
+        (["stability", "--axis-samples", "0"], "--axis-samples"),
+    ],
+)
+def test_cli_arguments_out_of_range_are_config_errors(tmp_path, capsys,
+                                                      approx_file, argv, flag):
+    # Refused before anything is built or written, naming the flag.
+    if argv[0] == "approx":
+        argv = argv + ["--out", str(tmp_path / "a.json")]
+    else:
+        argv = argv + ["--approx", approx_file, "--grid=0,0,0,1,1,2",
+                       "--out-prefix", str(tmp_path / "stab")]
+    assert main(argv) == 2
+    assert f"config error: {flag} must" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_main_requires_subcommand(capsys):
@@ -582,6 +613,21 @@ def test_cmd_compare_reference_option_is_gone(tmp_path, capsys, approx_file):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "--reference" in capsys.readouterr().err
+
+
+def test_cmd_tunnel_metadata_records_the_solving_threads(tmp_path, capsys,
+                                                        approx_file,
+                                                        monkeypatch):
+    # workers records the request; at most one thread per usable CPU solved.
+    monkeypatch.setattr(integrate, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, workers=16, approx_path=approx_file)
+    out_dir = tmp_path / "out"
+    assert main(["tunnel", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    md = json.loads((out_dir / "metadata.json").read_text())
+    assert md["workers"] == 16 and md["solving_threads"] == 2
+    assert list(md).index("solving_threads") == list(md).index("workers") + 1
+    assert list(md)[-2:] == ["sup_error", "rounding_floor"]
 
 
 def test_cmd_tunnel_metadata_records_the_factorization(tmp_path, capsys,

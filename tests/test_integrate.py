@@ -140,6 +140,10 @@ def test_dense_factorization_for_full_matrices():
     b = rng.standard_normal(40)
     x = fac.solve(b)[0]
     assert np.linalg.norm(dense @ x - b) / np.linalg.norm(b) < 1e-10
+    # Solving into a given block writes and returns it, with the same bytes.
+    block = np.full((1, 40), np.nan, dtype=complex)
+    assert fac.solve(b, out=block) is block
+    assert block.tobytes() == fac.solve(b).tobytes()
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
@@ -312,11 +316,11 @@ def test_workers_do_not_change_the_answer(flagship, fem):
     assert np.max(np.abs(u_serial - u_pooled)) <= 1e-13
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3, 16])
 def test_step_is_the_plain_ascending_sum(flagship, workers, monkeypatch):
     # Desk scale: the step is w_0*X_0 + w_1*X_1 + ... over the rows of the
     # stacked solve, added in ascending j, byte for byte, whatever stack
-    # holds each row.
+    # holds each row (three workers split the shifts 6/5/5).
     sysm, mesh = _barrier_pencil(-30.0, 30.0, 500)
     u0 = project_initial(mesh, WavePacketParams(r_bar=-3.0, p_bar=5.0, sigma=4.0),
                          PhysicalConstants(), sysm.B)
@@ -326,7 +330,7 @@ def test_step_is_the_plain_ascending_sum(flagship, workers, monkeypatch):
     expected = flagship.weights[0] * rows[0]
     for weight, row in zip(flagship.weights[1:], rows[1:]):
         expected = expected + weight * row
-    monkeypatch.setattr(integrate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(integrate, "_usable_cpus", lambda: 16)
     with rexi_prepare(sysm, flagship, 2e-4, workers=workers) as stp:
         assert len(stp.factorizations) == workers
         assert rexi_step(stp, u0).tobytes() == expected.tobytes()
@@ -746,7 +750,7 @@ def test_condensed_solve_every_flagship_shift(flagship, x0, x1, n_elems):
 def test_shifted_factorization_is_factorize_bitwise(flagship, size):
     # Desk scale: the stacks built from the pencil's diagonals solve, byte
     # for byte, as those factored from the built shifted matrices, and keep
-    # no matrices.
+    # no matrices; solving into rows of a larger block gives the same bytes.
     sysm, mesh = _barrier_pencil(-30.0, 30.0, 500)
     u0 = project_initial(mesh, WavePacketParams(r_bar=-3.0, p_bar=5.0, sigma=4.0),
                          PhysicalConstants(), sysm.B)
@@ -761,7 +765,13 @@ def test_shifted_factorization_is_factorize_bitwise(flagship, size):
         assert isinstance(fac, CondensedFactorization)
         assert fac.K == size and not hasattr(fac, "matrices")
         for b in rhs:
-            assert fac.solve(b).tobytes() == ref.solve(b).tobytes()
+            x = fac.solve(b)
+            assert x.tobytes() == ref.solve(b).tobytes()
+            block = np.full((size + 2, sysm.n_dof), np.nan, dtype=complex)
+            rows = block[1:-1]
+            assert fac.solve(b, out=rows) is rows
+            assert rows.tobytes() == x.tobytes()
+            assert np.isnan(block[[0, -1]]).all()
 
 
 def test_shifted_factorization_of_other_pencils(flagship):
