@@ -4,7 +4,6 @@ interval, P2 finite elements, and shifted-solve time stepping."""
 
 from .approx import (
     CFApproximation,
-    ComplexSeries,
     JoukowskiMap,
     PartialFractionApproximation,
     approx_from_json,

@@ -17,6 +17,10 @@ interval i*[-R1, R1] by a Joukowski-type conformal map:
 4. fit partial-fraction weights so the disc expansion of the weighted
    pole sum matches the disc expansion of the rational approximant.
 
+The stages hand plain 1-D complex arrays to each other.  Every circle is
+sampled at the same DEFAULT_SAMPLES roots of unity, and the coefficient
+window is always a_0 .. a_DEFAULT_TRUNCATION.
+
 Everything downstream consumes only the result type
 :class:`PartialFractionApproximation`: shifts, weights, the interval
 radius, and a measured (not estimated) sup error on the interval.
@@ -48,6 +52,11 @@ from .errors import ApproximationError
 # circle chosen per order (see _series_from_radius_ladder).
 DEFAULT_TRUNCATION = 300
 DEFAULT_SAMPLES = 4096
+# The DEFAULT_SAMPLES roots of unity: every circle the pipeline samples is
+# this one, scaled.
+_UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(DEFAULT_SAMPLES)
+                      / DEFAULT_SAMPLES)
+_UNIT_CIRCLE.flags.writeable = False
 CIRCLE_TOL = 1e-8
 CONDITION_LIMIT = 1e12
 MIN_SHIFT_DISTANCE_REL = 1e-3
@@ -62,16 +71,6 @@ _SUP_CHECK_BLOCK = 4096
 # ---------------------------------------------------------------------------
 # Series on circles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComplexSeries:
-    """A finite window of power-series coefficients a_j, j = 0 .. len-1."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-
 
 def _ladder_radii(max_radius: float) -> np.ndarray:
     """Geometric ladder of sampling radii in (1, max_radius]."""
@@ -94,7 +93,7 @@ def _series_from_radius_ladder(
     f: Callable[[np.ndarray], np.ndarray],
     length: int,
     max_radius: float = 1e4,
-) -> ComplexSeries:
+) -> np.ndarray:
     """Taylor coefficients a_0 .. a_length of ``f`` with per-order contours.
 
     A single circle |z| = rho recovers every coefficient with roughly the
@@ -116,10 +115,9 @@ def _series_from_radius_ladder(
     best_log = np.full(length + 1, np.inf)
     sampled = False
     prev_peak = 0.0
-    unit = np.exp(2j * np.pi * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES)
     for rho in _ladder_radii(max_radius):
         with np.errstate(all="ignore"):
-            vals = np.asarray(f(rho * unit), dtype=complex)
+            vals = np.asarray(f(rho * _UNIT_CIRCLE), dtype=complex)
         if not np.all(np.isfinite(vals)):
             if sampled:
                 break
@@ -148,7 +146,7 @@ def _series_from_radius_ladder(
         best[better] = cand[better]
         best_log[better] = cand_log[better]
         sampled = True
-    return ComplexSeries(coeffs=best)
+    return best
 
 
 def hankel_matrix(a: Sequence[complex]) -> np.ndarray:
@@ -160,10 +158,7 @@ def hankel_matrix(a: Sequence[complex]) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 1 or len(a) == 0:
         raise ValueError("coefficient window must be a non-empty 1-D sequence")
-    d = len(a)
-    padded = np.zeros(2 * d - 1, dtype=a.dtype)
-    padded[:d] = a
-    return _hankel_from_rows(padded[:d], padded[d - 1:])
+    return _hankel_from_rows(a)
 
 
 def _singular_triple(h_mat: np.ndarray, index: int):
@@ -220,22 +215,18 @@ class CFApproximation:
         return len(self.poles_outside)
 
 
-def _check_cf_input(series: ComplexSeries, n: int) -> np.ndarray:
+def _cf_input(a: Sequence[complex], n: int):
+    """(a, sigma, u, v): the window as a complex array and the (n+1)-st
+    singular triple of its Hankel matrix, with degeneracy guard."""
     if n < 1:
         raise ValueError(f"degree n must be >= 1, got {n}")
-    a = np.asarray(series.coeffs, dtype=complex)
+    a = np.asarray(a, dtype=complex)
     if len(a) - 1 < 2 * n:
         raise ValueError(
             f"series too short for degree {n}: need at least {2 * n + 1} "
             f"coefficients, got {len(a)}"
         )
-    return a
-
-
-def _denominator_vector(a: np.ndarray, n: int):
-    """Singular triple of the coefficient Hankel matrix, with degeneracy guard."""
-    h_mat = hankel_matrix(a)
-    sigma, u, v = _singular_triple(h_mat, n)
+    sigma, u, v = _singular_triple(hankel_matrix(a), n)
     # Exactly-rational targets of lower degree make the (n+1)-st singular
     # value vanish.  Only a true zero (or subnormal) counts as degenerate:
     # legitimate smooth targets reach sigma values like 1e-41, far below
@@ -246,19 +237,28 @@ def _denominator_vector(a: np.ndarray, n: int):
             f"({sigma:.3e}); the target is effectively rational of degree "
             f"< {n} and the construction is degenerate"
         )
-    return sigma, u, v
+    return a, sigma, u, v
 
 
-def _circle_error(sigma: float, u: np.ndarray, v: np.ndarray, length: int,
-                  zc: np.ndarray) -> np.ndarray:
+def _circle_error(sigma: float, u: np.ndarray, v: np.ndarray,
+                  length: int) -> np.ndarray:
     """The error term sigma * z^L * p(z)/q(z) of the extended approximant
-    at the points zc, with p = u ascending and q(z) = z^L v(1/z)."""
+    on the unit circle, with p = u ascending and q(z) = z^L v(1/z)."""
+    zc = _UNIT_CIRCLE
     p_vals = npoly.polyval(zc, u)
     q_vals = npoly.polyval(zc, v[::-1])
     return sigma * zc**length * p_vals / q_vals
 
 
-def cf_approximate(series: ComplexSeries, n: int) -> CFApproximation:
+def _circle_product(poles: np.ndarray) -> np.ndarray:
+    """prod_k (z - poles[k]) on the unit circle."""
+    vals = np.ones_like(_UNIT_CIRCLE)
+    for zk in poles:
+        vals *= _UNIT_CIRCLE - zk
+    return vals
+
+
+def cf_approximate(a: Sequence[complex], n: int) -> CFApproximation:
     """Degree-(n-1, n) rational approximant of a power series on the disc.
 
     The (n+1)-st singular triple (sigma, u, v) of the coefficient Hankel
@@ -275,9 +275,8 @@ def cf_approximate(series: ComplexSeries, n: int) -> CFApproximation:
     poles; each one is recorded as a warning on the result.  A pole count
     below n, whatever its cause, is recorded as a warning too.
     """
-    a = _check_cf_input(series, n)
+    a, sigma, u, v = _cf_input(a, n)
     length = len(a) - 1
-    sigma, u, v = _denominator_vector(a, n)
 
     # q's coefficients in descending powers of z are exactly v.
     roots = np.roots(v)
@@ -307,19 +306,15 @@ def cf_approximate(series: ComplexSeries, n: int) -> CFApproximation:
             "(try a longer coefficient window)"
         )
 
-    zc = np.exp(2j * np.pi * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES)
-    h_vals = npoly.polyval(zc, a)
-    err_vals = _circle_error(sigma, u, v, length, zc)
+    h_vals = npoly.polyval(_UNIT_CIRCLE, a)
+    err_vals = _circle_error(sigma, u, v, length)
     if not np.all(np.isfinite(err_vals)):
         raise ApproximationError(
             "denominator vanished on a unit-circle sample point; the "
             "singular vector has a root on the sampling grid"
         )
 
-    q_out_vals = np.ones_like(zc)
-    for zk in outside:
-        q_out_vals *= zc - zk
-    numer_samples = q_out_vals * (h_vals - err_vals)
+    numer_samples = _circle_product(outside) * (h_vals - err_vals)
     d = np.fft.fft(numer_samples) / DEFAULT_SAMPLES
     return CFApproximation(
         numerator_coeffs=d[:n].copy(),
@@ -329,12 +324,7 @@ def cf_approximate(series: ComplexSeries, n: int) -> CFApproximation:
     )
 
 
-def cf_circle_error(
-    series: ComplexSeries,
-    n: int,
-    *,
-    n_samples: int = DEFAULT_SAMPLES,
-) -> tuple[float, np.ndarray]:
+def cf_circle_error(a: Sequence[complex], n: int) -> tuple[float, np.ndarray]:
     """(sigma, |target - extended approximant| on unit-circle samples).
 
     The pointwise error is evaluated through the stable product form
@@ -342,11 +332,8 @@ def cf_circle_error(
     constant sigma, so the spread of the returned profile around sigma
     measures the numerical health of the singular triple.
     """
-    a = _check_cf_input(series, n)
-    length = len(a) - 1
-    sigma, u, v = _denominator_vector(a, n)
-    zc = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    return sigma, np.abs(_circle_error(sigma, u, v, length, zc))
+    a, sigma, u, v = _cf_input(a, n)
+    return sigma, np.abs(_circle_error(sigma, u, v, len(a) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +348,9 @@ class JoukowskiMap:
     r1: float
 
     def __post_init__(self):
-        if not (self.r1 > 0.0):
-            raise ValueError(f"interval radius r1 must be positive, got {self.r1}")
+        if not (math.isfinite(self.r1) and self.r1 > 0.0):
+            raise ValueError(
+                f"interval radius r1 must be finite and positive, got {self.r1}")
 
 
 def joukowski_eval(mp: JoukowskiMap, z) -> np.ndarray | complex:
@@ -378,7 +366,7 @@ def faber_coefficients(
     mp: JoukowskiMap,
     g: Callable[[np.ndarray], np.ndarray],
     length: int,
-) -> ComplexSeries:
+) -> np.ndarray:
     """First ``length + 1`` expansion coefficients of g pulled back through
     the map.
 
@@ -493,11 +481,9 @@ def stabilize(
 # The combined construction: map + CF + weight fit
 # ---------------------------------------------------------------------------
 
-def _distance_to_interval(s: complex, r1: float) -> float:
-    """Distance from s to the segment i*[-r1, r1]."""
-    if abs(s.imag) <= r1:
-        return abs(s.real)
-    return abs(s - 1j * math.copysign(r1, s.imag))
+def _distance_to_interval(s: np.ndarray, r1: float) -> np.ndarray:
+    """Distance from each point of s to the segment i*[-r1, r1]."""
+    return np.hypot(s.real, np.maximum(np.abs(s.imag) - r1, 0.0))
 
 
 def rounding_floor(approx: PartialFractionApproximation) -> float:
@@ -505,23 +491,18 @@ def rounding_floor(approx: PartialFractionApproximation) -> float:
 
     The sum bounds sum_j |beta_j / (ix - sigma_j)| on the whole interval,
     so this is the scale of the rounding error of the pole sum there."""
-    dist = np.array([_distance_to_interval(complex(s), approx.domain_radius)
-                     for s in approx.shifts])
+    dist = _distance_to_interval(approx.shifts, approx.domain_radius)
     return float(np.finfo(float).eps * np.sum(np.abs(approx.weights) / dist))
 
 
-def faber_cf(
-    mp: JoukowskiMap,
-    truncation: int = DEFAULT_TRUNCATION,
-    degree: int = 16,
-) -> PartialFractionApproximation:
+def faber_cf(mp: JoukowskiMap, degree: int = 16) -> PartialFractionApproximation:
     """Partial-fraction approximation of exp on i*[-r1, r1].
 
     Runs the full pipeline: expansion coefficients of exp through the map
-    (window length ``truncation``), the disc-side rational construction at
-    ``degree``, forward mapping of the poles to shifts, and a linear fit of
-    the weights so the first K expansion coefficients of the weighted pole
-    sum match those of the disc rational.  Every expansion involved is
+    (window a_0 .. a_DEFAULT_TRUNCATION), the disc-side rational
+    construction at ``degree``, forward mapping of the poles to shifts, and
+    a linear fit of the weights so the first K expansion coefficients of
+    the weighted pole sum match those of the disc rational.  Every expansion involved is
     sampled on an adaptive ladder of circles (see
     :func:`faber_coefficients`).
 
@@ -531,13 +512,13 @@ def faber_cf(
     threshold applies to the equilibrated matrix.  The returned sup error
     is measured on a dense grid of the interval.
     """
-    series = faber_coefficients(mp, np.exp, truncation)
-    cf = cf_approximate(series, degree)
+    cf = cf_approximate(faber_coefficients(mp, np.exp, DEFAULT_TRUNCATION),
+                        degree)
     n_poles = cf.n_poles
     warnings = cf.warnings
 
     shifts = np.asarray(joukowski_eval(mp, cf.poles_outside))
-    min_dist = min(_distance_to_interval(complex(s), mp.r1) for s in shifts)
+    min_dist = float(np.min(_distance_to_interval(shifts, mp.r1)))
     if min_dist < MIN_SHIFT_DISTANCE_REL * mp.r1:
         raise ApproximationError(
             f"a shift lies within {min_dist:.3e} of the approximation "
@@ -546,11 +527,8 @@ def faber_cf(
 
     # Disc expansion of the rational approximant (unit circle suffices: the
     # poles are well outside).
-    zc = np.exp(2j * np.pi * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES)
-    q_out_vals = np.ones_like(zc)
-    for zk in cf.poles_outside:
-        q_out_vals *= zc - zk
-    r_vals = npoly.polyval(zc, cf.numerator_coeffs) / q_out_vals
+    r_vals = (npoly.polyval(_UNIT_CIRCLE, cf.numerator_coeffs)
+              / _circle_product(cf.poles_outside))
     c_vec = (np.fft.fft(r_vals) / DEFAULT_SAMPLES)[:n_poles]
 
     # Per-pole expansion sequences through the map.  The expansions only
@@ -559,11 +537,10 @@ def faber_cf(
     b_mat = np.empty((n_poles, n_poles), dtype=complex)
     b_cap = float(np.min(np.abs(cf.poles_outside))) ** (2.0 / 3.0)
     for k, s_k in enumerate(shifts):
-        seq = _series_from_radius_ladder(
+        b_mat[:, k] = _series_from_radius_ladder(
             lambda z, s=s_k: 1.0 / (joukowski_eval(mp, z) - s),
             n_poles - 1, max_radius=b_cap,
         )
-        b_mat[:, k] = seq.coeffs
 
     # Max-abs equilibration: D_r B D_c has unit-scale rows and columns.
     d_row = 1.0 / np.max(np.abs(b_mat), axis=1)

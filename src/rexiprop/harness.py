@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import (
-    DEFAULT_SAMPLES,
     DEFAULT_TRUNCATION,
     JoukowskiMap,
     PartialFractionApproximation,
@@ -276,19 +275,16 @@ def cmd_approx(args) -> int:
     """Build, optionally stabilize, and serialize an approximation."""
     if not 0 < args.r1 < math.inf:
         raise ConfigError(f"--r1 must be positive and finite, got {args.r1}")
-    if args.degree < 1:
-        raise ConfigError(f"--degree must be >= 1, got {args.degree}")
-    # The window a_0 .. a_truncation must hold 2*degree + 1 coefficients,
-    # and is sampled on circles of DEFAULT_SAMPLES points.
-    longest = DEFAULT_SAMPLES // 2 - 1
-    if not 2 * args.degree <= args.truncation <= longest:
+    # The window a_0 .. a_DEFAULT_TRUNCATION must hold 2*degree + 1
+    # coefficients.
+    if not 1 <= args.degree <= DEFAULT_TRUNCATION // 2:
         raise ConfigError(
-            f"--truncation must lie in [2 * degree, {longest}] = "
-            f"[{2 * args.degree}, {longest}], got {args.truncation}")
+            f"--degree must lie in [1, {DEFAULT_TRUNCATION // 2}], "
+            f"got {args.degree}")
     if args.stabilize is not None and not 0 < args.stabilize < 1:
         raise ConfigError(
             f"--stabilize must lie in (0, 1), got {args.stabilize}")
-    approx = faber_cf(JoukowskiMap(args.r1), args.truncation, args.degree)
+    approx = faber_cf(JoukowskiMap(args.r1), args.degree)
     if args.stabilize is not None:
         approx = stabilize(approx, args.stabilize)
     with open(args.out, "w") as fh:
@@ -309,9 +305,12 @@ def _parse_grid(spec: str):
         )
     def num(tok, conv, name):
         try:
-            return conv(tok)
+            value = conv(tok)
         except ValueError:
             raise ConfigError(f"--grid: bad {name} token {tok!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"--grid: {name} token {tok!r} is not finite")
+        return value
     re_lo = num(tokens[0], float, "reLo")
     re_hi = num(tokens[1], float, "reHi")
     im_lo = num(tokens[2], float, "imLo")
@@ -408,6 +407,7 @@ def cmd_tunnel(args) -> int:
         "override_used": stepper.override_used,
         "factor_s": stepper.timers["factor"],
         "solver": stepper.solver,
+        "approx_warnings": list(approx.warnings),
         "stabilize_factor": approx.stabilize_factor,
         "sup_error": approx.sup_error,
         "rounding_floor": rounding_floor(approx),
@@ -519,12 +519,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, required=True,
                    help="half-length of the imaginary interval")
     p.add_argument("--degree", type=int, required=True,
-                   help="number of poles requested")
+                   help="number of poles requested, 1 to "
+                        f"{DEFAULT_TRUNCATION // 2}")
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--stabilize", type=float, default=None, metavar="EPS",
                    help="damp the weights by (1-EPS)")
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
-                   help="series truncation length")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("stability", help="sample the stability indicator")

@@ -12,12 +12,12 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import jv
 
 from rexiprop.approx import (
-    ComplexSeries,
     JoukowskiMap,
     PartialFractionApproximation,
     approx_from_json,
     approx_to_json,
     cf_approximate,
+    _distance_to_interval,
     cf_circle_error,
     evaluate_pfd,
     faber_cf,
@@ -29,16 +29,6 @@ from rexiprop.approx import (
     sup_error_on_interval,
 )
 from rexiprop.errors import ApproximationError
-
-
-# ---------------------------------------------------------------------------
-# Series windows
-# ---------------------------------------------------------------------------
-
-def test_series_window_accessors():
-    ser = ComplexSeries(coeffs=np.array([1.0, 2.0, 3.0]))
-    assert ser.coeffs.dtype == complex
-    np.testing.assert_array_equal(ser.coeffs, [1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +92,8 @@ def test_map_rejects_bad_radius():
         JoukowskiMap(0.0)
     with pytest.raises(ValueError):
         JoukowskiMap(-2.0)
+    with pytest.raises(ValueError, match="finite and positive, got inf"):
+        JoukowskiMap(float("inf"))
 
 
 @settings(max_examples=200)
@@ -122,27 +114,27 @@ def test_map_algebraic_identity(z):
 # ---------------------------------------------------------------------------
 
 def test_coefficients_constant_target():
-    ser = faber_coefficients(JoukowskiMap(10.0), lambda w: np.ones_like(w), 20)
-    assert abs(ser.coeffs[0] - 1.0) < 1e-13
-    assert np.max(np.abs(ser.coeffs[1:])) < 1e-13
+    a = faber_coefficients(JoukowskiMap(10.0), lambda w: np.ones_like(w), 20)
+    assert abs(a[0] - 1.0) < 1e-13
+    assert np.max(np.abs(a[1:])) < 1e-13
 
 
 def test_coefficients_identity_target():
     # g(w) = w pulls back to 5z - 5/z, whose nonnegative orders keep only a_1.
-    ser = faber_coefficients(JoukowskiMap(10.0), lambda w: w, 20)
-    assert abs(ser.coeffs[1] - 5.0) < 1e-12
-    assert np.max(np.abs(np.delete(ser.coeffs, 1))) < 1e-12
+    a = faber_coefficients(JoukowskiMap(10.0), lambda w: w, 20)
+    assert abs(a[1] - 5.0) < 1e-12
+    assert np.max(np.abs(np.delete(a, 1))) < 1e-12
 
 
 def test_coefficients_exp_match_bessel():
-    ser = faber_coefficients(JoukowskiMap(10.0), np.exp, 60)
+    a = faber_coefficients(JoukowskiMap(10.0), np.exp, 60)
     ref = jv(np.arange(61), 10.0)
-    np.testing.assert_allclose(ser.coeffs, ref, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(a, ref, rtol=1e-11, atol=0.0)
 
 
 def test_coefficients_exp_decay_below_1e16():
-    ser = faber_coefficients(JoukowskiMap(10.0), np.exp, 200)
-    mags = np.abs(ser.coeffs)
+    a = faber_coefficients(JoukowskiMap(10.0), np.exp, 200)
+    mags = np.abs(a)
     assert np.any(mags < 1e-16)
     assert int(np.argmax(mags < 1e-16)) < 200
 
@@ -168,9 +160,7 @@ def test_coefficients_non_finite_inner_contour_is_an_error():
 
 def _geometric_series(pole=2.0, length=30):
     # 1/(z - pole) = -sum_j z**j / pole**(j+1) inside |z| < pole.
-    return ComplexSeries(
-        coeffs=np.array([-(pole ** -(j + 1)) for j in range(length + 1)])
-    )
+    return np.array([-(pole ** -(j + 1)) for j in range(length + 1)])
 
 
 def test_cf_recovers_rational_target():
@@ -182,8 +172,7 @@ def test_cf_recovers_rational_target():
 
 def test_cf_theorem_equality_and_near_circularity():
     a = np.array([1.0 / math.factorial(j) for j in range(41)])
-    ser = ComplexSeries(coeffs=a)
-    sigma, profile = cf_circle_error(ser, 16)
+    sigma, profile = cf_circle_error(a, 16)
     dev = np.abs(profile)
     assert abs(dev.max() - sigma) <= 1e-3 * sigma
     # The deviation is circular: constant modulus on the whole circle.
@@ -193,14 +182,14 @@ def test_cf_theorem_equality_and_near_circularity():
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_cf_pole_count_never_exceeds_degree(n):
     a = np.array([1.0 / math.factorial(j) for j in range(41)])
-    cf = cf_approximate(ComplexSeries(coeffs=a), n)
+    cf = cf_approximate(a, n)
     assert 0 < cf.n_poles <= n
 
 
 def test_cf_window_too_short():
     a = np.ones(10)
     with pytest.raises(ValueError, match="too short"):
-        cf_approximate(ComplexSeries(coeffs=a), 16)
+        cf_approximate(a, 16)
 
 
 def test_cf_complex_window_is_refused():
@@ -208,23 +197,21 @@ def test_cf_complex_window_is_refused():
     # real Bessel coefficients J_k(r1).
     a = np.array([1.0 / math.factorial(j) for j in range(41)], dtype=complex)
     a[3] += 1e-9j
-    ser = ComplexSeries(coeffs=a)
     for build in (cf_approximate, cf_circle_error):
         with pytest.raises(ApproximationError,
                            match=r"complex: max\|Im a_j\| / max\|a_j\| = "
                                  r"1\.000e-09 exceeds 1e-12"):
-            build(ser, 4)
+            build(a, 4)
     # Rounding-level imaginary parts below the threshold are ignored.
     a[3] = a[3].real + 1e-13j
-    assert cf_approximate(ComplexSeries(coeffs=a), 4).n_poles > 0
+    assert cf_approximate(a, 4).n_poles > 0
 
 
 def test_cf_degenerate_tail_is_an_error():
     # A polynomial symbol of lower degree has an exactly zero singular value
     # at this index; the construction cannot proceed.
-    ser = ComplexSeries(coeffs=np.array([1.0] + [0.0] * 10))
     with pytest.raises(ApproximationError, match="singular value"):
-        cf_approximate(ser, 2)
+        cf_approximate([1.0] + [0.0] * 10, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +254,15 @@ def test_flagship_is_clean(flagship):
     assert flagship.warnings == ()
 
 
-def test_faber_cf_rejects_short_window():
-    with pytest.raises(ValueError):
-        faber_cf(JoukowskiMap(10.0), truncation=20, degree=16)
+def test_distance_to_interval_matches_geometry():
+    # Inside the band |Im s| <= r1 the nearest point of i[-r1, r1] is
+    # i*Im(s); above and below it is the nearer endpoint +-i*r1.
+    r1 = 2.0
+    s = np.array([3.0 + 1.5j, -0.5 - 2.0j, 4.0 + 5.0j, -1.0 - 6.0j,
+                  7j, -2.5 + 0j, 1.0j])
+    expected = [3.0, 0.5, 5.0, math.sqrt(17.0), 5.0, 2.5, 0.0]
+    np.testing.assert_allclose(_distance_to_interval(s, r1), expected,
+                               rtol=1e-15, atol=0.0)
 
 
 def test_pfd_single_pole_value():

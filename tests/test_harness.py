@@ -207,6 +207,13 @@ def test_cmd_approx_contour_rho_is_gone(tmp_path, capsys):
     assert "--contour-rho" in capsys.readouterr().err
 
 
+def test_cmd_approx_truncation_is_gone(tmp_path, capsys):
+    rc = main(["approx", "--r1", "10", "--degree", "16",
+               "--truncation", "300", "--out", str(tmp_path / "a.json")])
+    assert rc == 2
+    assert "--truncation" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -215,10 +222,8 @@ def test_cmd_approx_contour_rho_is_gone(tmp_path, capsys):
         (["approx", "--r1", "10", "--degree", "0"], "--degree"),
         (["approx", "--r1", "10", "--degree", "16", "--stabilize", "2"],
          "--stabilize"),
-        (["approx", "--r1", "10", "--degree", "16", "--truncation", "10"],
-         "--truncation"),
-        (["approx", "--r1", "10", "--degree", "4", "--truncation", "2048"],
-         "--truncation"),
+        (["approx", "--r1", "10", "--degree", "151"], "--degree"),
+        (["approx", "--r1", "10", "--degree", "2048"], "--degree"),
         (["stability", "--axis-samples", "-1"], "--axis-samples"),
         (["stability", "--axis-samples", "0"], "--axis-samples"),
     ],
@@ -355,6 +360,21 @@ def test_cmd_stability_rejects_bad_grid(tmp_path, capsys, approx_file, grid):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, token", [("nan,5,-30,30,3,4", "nan"),
+                                         ("-inf,5,-30,inf,3,4", "-inf"),
+                                         ("0,1,0,inf,2,2", "inf")])
+def test_cmd_stability_rejects_non_finite_grid(tmp_path, capsys, approx_file,
+                                               grid, token):
+    # Refused before any file is written, naming the token.
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["stability", "--approx", approx_file, f"--grid={grid}",
+               "--out-prefix", str(out / "s")])
+    assert rc == 2
+    assert f"token {token!r} is not finite" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_cmd_stability_prints_loaded_approx_warnings(tmp_path, capsys):
     lossy = faber_cf(JoukowskiMap(2.0), degree=16)
     path = tmp_path / "lossy.json"
@@ -414,6 +434,7 @@ def test_cmd_tunnel_snapshots_and_metadata(tmp_path, capsys, approx_file):
     assert md["admissibility_ratio"] < 1.0
     assert md["bnorm_drift_rel"] <= 10 * (1e-9 + 1e-11)
     assert md["override_used"] is False
+    assert md["approx_warnings"] == []
 
 
 def test_cmd_tunnel_prints_loaded_approx_warnings(tmp_path, capsys):
@@ -425,9 +446,13 @@ def test_cmd_tunnel_prints_loaded_approx_warnings(tmp_path, capsys):
     path = tmp_path / "lossy.json"
     path.write_text(approx_to_json(lossy) + "\n")
     cfg = write_config(tmp_path, approx_path=str(path))
-    rc = main(["tunnel", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    out_dir = tmp_path / "out"
+    rc = main(["tunnel", "--config", cfg, "--out-dir", str(out_dir)])
     assert rc == 0
     assert f"warning: {lossy.warnings[0]}" in capsys.readouterr().err
+    # metadata.json keeps the warnings too.
+    md = json.loads((out_dir / "metadata.json").read_text())
+    assert md["approx_warnings"] == list(lossy.warnings)
 
 
 def test_cmd_tunnel_impossible_approx_is_config_error(tmp_path, capsys,
