@@ -37,14 +37,12 @@ from .integrate import (
     chebyshev_prepare,
     chebyshev_reference,
     chebyshev_run,
-    chebyshev_step,
     dense_decomposition,
     dense_expm_apply,
     max_step_size,
     rexi_error_bound,
     rexi_prepare,
     rexi_run,
-    rexi_step,
 )
 from .spatial import (
     Mesh1D,

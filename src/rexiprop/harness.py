@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -87,6 +88,12 @@ class ExperimentConfig:
         return max(1, round(self.t_end / self.dt))
 
 
+# Value type of each config key, ``X | None`` read as X.
+_CONFIG_TYPES = {
+    key: next((t for t in get_args(hint) if t is not type(None)), hint)
+    for key, hint in get_type_hints(ExperimentConfig).items()
+}
+
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
@@ -117,13 +124,6 @@ def parse_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         lines = fh.readlines()
 
-    types = {
-        "x0": float, "x1": float, "n_elems": int, "potential": str,
-        "v_max": float, "c_barr": float, "r_bar": float, "p_bar": float,
-        "sigma": float, "dt": float, "t_end": float, "snapshot_every": int,
-        "snapshot_points": int, "approx_path": str, "workers": int,
-        "stabilize_eps": float, "override_admissibility": bool,
-    }
     values = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -136,14 +136,14 @@ def parse_config(path: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in types:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(
                 f"{path}:{lineno}: unknown config key {key!r} "
-                f"(valid keys: {', '.join(sorted(types))})"
+                f"(valid keys: {', '.join(sorted(_CONFIG_TYPES))})"
             )
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-        values[key] = _coerce(key, val, types[key])
+        values[key] = _coerce(key, val, _CONFIG_TYPES[key])
 
     cfg = ExperimentConfig(**values)
     _validate_config(cfg)
@@ -255,16 +255,20 @@ def _timed_run(stepper: Stepper, u0, n_steps: int, observer=None):
         return u, time.perf_counter() - t0
 
 
-def _g12(x: float) -> str:
-    return format(float(x), ".12g")
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write the header line(s), then one line per row: strings verbatim,
+    numbers as ``format(float(v), ".12g")``."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str)
+                              else format(float(v), ".12g")
+                              for v in row) + "\n")
 
 
 def _write_snapshot(path: str, xs: np.ndarray, psi: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,re_psi,im_psi,density\n")
-        for x, p in zip(xs, psi):
-            fh.write(f"{_g12(x)},{_g12(p.real)},{_g12(p.imag)},"
-                     f"{_g12(p.real**2 + p.imag**2)}\n")
+    _write_csv(path, "x,re_psi,im_psi,density",
+               zip(xs, psi.real, psi.imag, psi.real**2 + psi.imag**2))
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +307,16 @@ def _parse_grid(spec: str):
             f"--grid expects 'reLo,reHi,imLo,imHi,nRe,nIm' (6 values), "
             f"got {len(tokens)}: {spec!r}"
         )
-    def num(tok, conv, name):
+    values = []
+    for tok, conv, name in zip(tokens, [float] * 4 + [int] * 2,
+                               ["reLo", "reHi", "imLo", "imHi", "nRe", "nIm"]):
         try:
-            value = conv(tok)
+            values.append(conv(tok))
         except ValueError:
             raise ConfigError(f"--grid: bad {name} token {tok!r}") from None
-        if not math.isfinite(value):
+        if not math.isfinite(values[-1]):
             raise ConfigError(f"--grid: {name} token {tok!r} is not finite")
-        return value
-    re_lo = num(tokens[0], float, "reLo")
-    re_hi = num(tokens[1], float, "reHi")
-    im_lo = num(tokens[2], float, "imLo")
-    im_hi = num(tokens[3], float, "imHi")
-    n_re = num(tokens[4], int, "nRe")
-    n_im = num(tokens[5], int, "nIm")
+    re_lo, re_hi, im_lo, im_hi, n_re, n_im = values
     if n_re < 1 or n_im < 1:
         raise ConfigError(f"--grid: counts must be >= 1, got {n_re},{n_im}")
     if re_lo > re_hi or im_lo > im_hi:
@@ -333,30 +333,27 @@ def cmd_stability(args) -> int:
     re_lo, re_hi, im_lo, im_hi, n_re, n_im = _parse_grid(args.grid)
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
-    grid_path = args.out_prefix + "_grid.csv"
-    with open(grid_path, "w") as fh:
-        fh.write("re,im,indicator\n")
+
+    def grid_rows():
+        # One row of the rectangle at a time bounds the (n_im, K)
+        # temporaries, and the rows stream to the file as they come.
         for re in res:
             z_row = re + 1j * ims
-            on_pole = np.min(np.abs(z_row[:, None] - approx.shifts), axis=1) == 0
-            vals = np.full(len(ims), np.nan)
-            if np.any(~on_pole):
-                vals[~on_pole] = stability_indicator(approx, z_row[~on_pole])
-            for im, val, hit in zip(ims, vals, on_pole):
-                if hit:
-                    print(f"note: skipped grid point {re}+{im}j "
-                          "(coincides with a shift)", file=sys.stderr)
-                    continue
-                fh.write(f"{_g12(re)},{_g12(im)},{_g12(val)}\n")
+            on_pole = np.isin(z_row, approx.shifts)
+            for im in ims[on_pole]:
+                print(f"note: skipped grid point {re}+{im}j "
+                      "(coincides with a shift)", file=sys.stderr)
+            yield from ((re, im, v) for im, v in zip(
+                ims[~on_pole], stability_indicator(approx, z_row[~on_pole])))
+
+    grid_path = args.out_prefix + "_grid.csv"
+    _write_csv(grid_path, "re,im,indicator", grid_rows())
 
     xs = np.linspace(-1.5 * approx.domain_radius, 1.5 * approx.domain_radius,
                      args.axis_samples)
-    deviation = stability_indicator(approx, 1j * xs)
     axis_path = args.out_prefix + "_axis.csv"
-    with open(axis_path, "w") as fh:
-        fh.write("im,deviation\n")
-        for x, d in zip(xs, deviation):
-            fh.write(f"{_g12(x)},{_g12(d)}\n")
+    _write_csv(axis_path, "im,deviation",
+               zip(xs, stability_indicator(approx, 1j * xs)))
     print(f"wrote {grid_path} and {axis_path}")
     return 0
 
@@ -444,41 +441,33 @@ def cmd_compare(args) -> int:
 
     ref_inf = float(np.max(np.abs(u_ref)))
     ref_b = b_norm(u_ref, system.B)
+    norm0 = b_norm(u0, system.B)
     rows = []
     for name in methods:
         stepper = _METHODS[name](cfg, system, approx, sr)
         u, total = _timed_run(stepper, u0, n_steps)
-        rows.append({
-            "method": name,
-            "dt": cfg.dt,
-            "error_inf": float(np.max(np.abs(u - u_ref))) / ref_inf,
-            "error_b": b_norm(u - u_ref, system.B) / ref_b,
-            "time_total_s": total,
-            "time_rhs_s": stepper.timers["rhs"],
-            "time_local_s": stepper.timers["local"],
-            "time_reduce_s": stepper.timers["reduce"],
-        })
+        rows.append((name, cfg.dt,
+                     float(np.max(np.abs(u - u_ref))) / ref_inf,
+                     b_norm(u - u_ref, system.B) / ref_b, total,
+                     stepper.timers["rhs"], stepper.timers["local"],
+                     stepper.timers["reduce"], stepper.timers["factor"],
+                     stepper.admissibility_ratio,
+                     abs(b_norm(u, system.B) - norm0) / norm0))
 
-    with open(args.out, "w") as fh:
-        fh.write("# errors are relative to exp(T*M) u0 as one Chebyshev "
-                 f"step: degree={ref.degree} R={_g12(ref.R)} "
-                 f"sup_error={ref.sup_error:.6e} seconds={_g12(ref_s)} "
-                 f"sr_estimate={_g12(sr)} sr_method={sr.method}; "
-                 "time_reduce_s is an in-process plain weighted sum, not a "
-                 "cross-node reduction\n")
-        fh.write("method,dt,error_inf,error_b,time_total_s,time_rhs_s,"
-                 "time_local_s,time_reduce_s\n")
-        for row in rows:
-            fh.write(",".join([
-                row["method"],
-                _g12(row["dt"]),
-                _g12(row["error_inf"]),
-                _g12(row["error_b"]),
-                _g12(row["time_total_s"]),
-                _g12(row["time_rhs_s"]),
-                _g12(row["time_local_s"]),
-                _g12(row["time_reduce_s"]),
-            ]) + "\n")
+    _write_csv(args.out,
+               "# errors are relative to exp(T*M) u0 as one Chebyshev "
+               f"step: degree={ref.degree} R={ref.R:.12g} "
+               f"sup_error={ref.sup_error:.6e} seconds={ref_s:.12g} "
+               f"sr_estimate={float(sr):.12g} sr_method={sr.method}; "
+               f"approximant: R1={approx.domain_radius:.12g} K={approx.K} "
+               f"approx_sup_error={approx.sup_error:.6e} "
+               f"rounding_floor={rounding_floor(approx):.6e} "
+               f"approx_warnings={len(approx.warnings)}; "
+               "time_reduce_s is an in-process plain weighted sum, not a "
+               "cross-node reduction\n"
+               "method,dt,error_inf,error_b,time_total_s,time_rhs_s,"
+               "time_local_s,time_reduce_s,time_factor_s,admissibility_ratio,"
+               "bnorm_drift_rel", rows)
     print(f"wrote {args.out}")
     return 0
 
@@ -492,11 +481,8 @@ def cmd_eig(args) -> int:
     cfg = parse_config(args.config)
     _mesh, _consts, system = _build_system(cfg)
     est = spectral_radius_estimate(system)
-    if cfg.approx_path is not None:
-        approx = _load_approx(cfg)
-        r1 = approx.domain_radius
-    else:
-        r1 = DEFAULT_R1
+    r1 = (DEFAULT_R1 if cfg.approx_path is None
+          else _read_approx(cfg.approx_path).domain_radius)
     print(f"sr_estimate={float(est):.12g}")
     print(f"max_dt={max_step_size(r1, float(est)):.12g}")
     return 0

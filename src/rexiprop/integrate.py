@@ -32,13 +32,15 @@ apply the propagator live here:
   pencil (A, B), for small systems only; supplies the conditioning
   number used in the a-priori error bound.
 
-Both steppers are a :class:`Stepper`: prepared once for (system, tau),
-with ``step(u)``, one ``run`` loop, one admissibility record, per-phase
-``timers`` (``factor`` at prepare time; ``rhs``, ``local`` and ``reduce``
-per step), and ``close()``/``with`` support.  ``run`` flushes subnormal
-parts of the state to zero, on its copy of u0 and after every step: the
-Gaussian tails of a wave packet otherwise decay into subnormal numbers,
-whose arithmetic made each step several times slower.
+Both steppers are a :class:`Stepper`: prepared once for (system, tau)
+by ``rexi_prepare`` or ``chebyshev_prepare``, they step only through
+their ``step(u)`` method, with one ``run`` loop, one admissibility
+record, per-phase ``timers`` (``factor`` at prepare time; ``rhs``,
+``local`` and ``reduce`` per step), and ``close()``/``with`` support.
+``run`` flushes subnormal parts of the state to zero, on its copy of u0
+and after every step: the Gaussian tails of a wave packet otherwise decay
+into subnormal numbers, whose arithmetic made each step several times
+slower.
 
 A step tau is admissible when SAFETY_FACTOR * tau * sr(M) <= R1, i.e.
 the scaled spectrum stays inside the interval where the rational or
@@ -60,8 +62,12 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.chebyshev import chebval
 
-from .approx import PartialFractionApproximation
-from .errors import AdmissibilityError, SolverError
+from .approx import (
+    MIN_SHIFT_DISTANCE_REL,
+    PartialFractionApproximation,
+    _distance_to_interval,
+)
+from .errors import AdmissibilityError, ApproximationError, SolverError
 from .solvers import DENSE_ORACLE_MAX_DOF, factorize, factorize_shifted
 from .spatial import SystemMatrices, spectral_radius_estimate
 
@@ -100,11 +106,11 @@ def _flush_subnormals(u: np.ndarray) -> None:
 class Stepper:
     """A propagator prepared for one (system, tau).
 
-    Subclasses supply ``step(u)``, ``interval_radius`` (the R of the
-    interval i[-R, R] on which their approximant is certified) and the
-    ``kind`` named in errors.  When ``sr_value`` is None it is taken from
-    ``spectral_radius_estimate``: the system's P2 bound, or dense ``eigh``
-    for a hand-built pencil.
+    Subclasses supply ``step(u)``, the one way to apply the propagator
+    once, ``interval_radius`` (the R of the interval i[-R, R] on which
+    their approximant is certified) and the ``kind`` named in errors.
+    When ``sr_value`` is None it is taken from ``spectral_radius_estimate``:
+    the system's P2 bound, or dense ``eigh`` for a hand-built pencil.
     """
 
     system: SystemMatrices
@@ -205,7 +211,47 @@ class RexiStepper(Stepper):
         return self.factorizations[0].kind
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        return rexi_step(self, u)
+        """One REXI step: rhs = iBu, then one (K, n) block X whose row j
+        solves shifted system j, each stack solving into its rows (the first
+        on the calling thread, the others on the pool).  The calling thread
+        then weights X in place and sums it over axis 0, adding whole rows
+        in ascending j, so any worker count gives identical results.
+        """
+        timers, starts, facs = self.timers, self._starts, self.factorizations
+
+        t0 = time.perf_counter()
+        rhs = self._iB @ u
+        t1 = time.perf_counter()
+        # Per step: kept on the stepper, the block would only add to memory.
+        X = np.empty((starts[-1], rhs.size), dtype=complex)
+
+        def solve(c):
+            try:
+                facs[c].solve(rhs, out=X[starts[c]:starts[c + 1]])
+            except SolverError as exc:
+                raise SolverError(f"solve failed for shifts j = {starts[c]}.."
+                                  f"{starts[c + 1] - 1}: {exc}") from exc
+
+        helpers = [self._pool.submit(solve, c) for c in range(1, len(facs))]
+        try:
+            solve(0)
+        finally:
+            # Retrieve every outcome; the lowest failing stack is raised.
+            for future in helpers:
+                future.exception()
+        for future in helpers:
+            future.result()
+        t2 = time.perf_counter()
+        # Weight times solution, in this operand order: numpy's complex
+        # product can round differently with the operands swapped.  No BLAS
+        # call (such as weights @ X): OpenBLAS's own threads would compete
+        # with the pool.
+        np.multiply(self.approx.weights[:, None], X, out=X)
+        total = X.sum(axis=0)
+        timers["rhs"] += t1 - t0
+        timers["local"] += t2 - t1
+        timers["reduce"] += time.perf_counter() - t2
+        return total
 
     def close(self):
         # A closed pool refuses new work, so a later pooled step raises.
@@ -230,12 +276,21 @@ def rexi_prepare(
     and no more than the CPUs this process may run on, are started, and
     the shifts are split into that many stacks of consecutive shifts.
     ``timers["factor"]`` records the seconds spent building and factoring
-    the shifted systems.
+    the shifted systems.  A shift within MIN_SHIFT_DISTANCE_REL * R1 of the
+    interval i[-R1, R1] (the bound ``faber_cf`` holds its own shifts to) is
+    refused with an ApproximationError before anything is factored.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if len(np.unique(approx.shifts)) != approx.K:
         raise ValueError("approximation shifts must be distinct")
+    dist = _distance_to_interval(approx.shifts, approx.domain_radius)
+    j = int(np.argmin(dist))
+    if dist[j] < MIN_SHIFT_DISTANCE_REL * approx.domain_radius:
+        raise ApproximationError(
+            f"shift j = {j} (sigma = {approx.shifts[j]}) lies within "
+            f"{dist[j]:.3e} of the approximation interval i[-R1, R1]; its "
+            "shifted system would be near-singular")
     if workers is None:
         workers = approx.K
     if workers < 1:
@@ -272,58 +327,9 @@ def rexi_prepare(
     return stepper
 
 
-def rexi_step(stepper: RexiStepper, u: np.ndarray) -> np.ndarray:
-    """One REXI step: rhs = iBu, then one (K, n) block X whose row j solves
-    shifted system j, each stack solving into its rows (the first on the
-    calling thread, the others on the pool).  The calling thread then
-    weights X in place and sums it over axis 0, adding whole rows in
-    ascending j, so any worker count gives identical results.
-    """
-    timers = stepper.timers
-    starts = stepper._starts
-
-    t0 = time.perf_counter()
-    rhs = stepper._iB @ u
-    t1 = time.perf_counter()
-    # Per step: kept on the stepper, the block would only add to its memory.
-    X = np.empty((starts[-1], rhs.size), dtype=complex)
-
-    def solve(c):
-        try:
-            stepper.factorizations[c].solve(rhs, out=X[starts[c]:starts[c + 1]])
-        except SolverError as exc:
-            raise SolverError(f"solve failed for shifts j = {starts[c]}.."
-                              f"{starts[c + 1] - 1}: {exc}") from exc
-
-    helpers = [stepper._pool.submit(solve, c)
-               for c in range(1, len(stepper.factorizations))]
-    try:
-        solve(0)
-    finally:
-        # Retrieve every helper's outcome; the lowest failing stack is raised.
-        for future in helpers:
-            future.exception()
-    for future in helpers:
-        future.result()
-    t2 = time.perf_counter()
-    # Weight times solution, in this operand order: numpy's complex product
-    # can round differently with the operands swapped.  No BLAS call (such
-    # as weights @ X): OpenBLAS's own threads would compete with the pool.
-    np.multiply(stepper.approx.weights[:, None], X, out=X)
-    total = X.sum(axis=0)
-    timers["rhs"] += t1 - t0
-    timers["local"] += t2 - t1
-    timers["reduce"] += time.perf_counter() - t2
-    return total
-
-
-def rexi_run(
-    stepper: RexiStepper,
-    u0: np.ndarray,
-    n_steps: int,
-    observer: Observer | None = None,
-) -> np.ndarray:
-    """Apply rexi_step ``n_steps`` times; see :meth:`Stepper.run`."""
+def rexi_run(stepper: RexiStepper, u0: np.ndarray, n_steps: int,
+             observer: Observer | None = None) -> np.ndarray:
+    """``stepper.run``, kept as a function because perfbench calls it."""
     return stepper.run(u0, n_steps, observer)
 
 
@@ -381,7 +387,25 @@ class ChebyshevStepper(Stepper):
         return self.R
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        return chebyshev_step(self, self.system, u)
+        """p(tau*M) u by the Clenshaw backward recurrence.
+
+        The scaled argument -i*tau*M/R reduces to the real operator
+        -(tau/R) * B^-1 A, so each stage is one A-multiply and one B-solve.
+        """
+        a = self.coeffs
+        scale = -(self.tau / self.R)
+        solve_b = self.B_factorization.solve
+        a_mat = self._A
+
+        t0 = time.perf_counter()
+        u = np.asarray(u, dtype=complex)
+        b1 = np.zeros_like(u)
+        b2 = np.zeros_like(u)
+        for k in range(self.degree, 0, -1):
+            b1, b2 = a[k] * u + 2.0 * scale * solve_b(a_mat @ b1)[0] - b2, b1
+        out = a[0] * u + scale * solve_b(a_mat @ b1)[0] - b2
+        self.timers["local"] += time.perf_counter() - t0
+        return out
 
 
 def chebyshev_prepare(
@@ -448,47 +472,14 @@ def chebyshev_reference(
                              sr_value=sr_value)
 
 
-def _require_prepared_system(stepper: ChebyshevStepper, sys: SystemMatrices):
+def chebyshev_run(stepper: ChebyshevStepper, sys: SystemMatrices,
+                  u0: np.ndarray, n_steps: int,
+                  observer: Observer | None = None) -> np.ndarray:
+    """``stepper.run``, kept as a function because perfbench calls it;
+    ``sys`` must be the system the stepper was prepared for."""
     if sys is not stepper.system:
         raise ValueError("sys is not the system this Chebyshev stepper was "
                          "prepared for")
-
-
-def chebyshev_step(
-    stepper: ChebyshevStepper, sys: SystemMatrices, u: np.ndarray
-) -> np.ndarray:
-    """p(tau*M) u by the Clenshaw backward recurrence.
-
-    The scaled argument -i*tau*M/R reduces to the real operator
-    -(tau/R) * B^-1 A, so each stage is one A-multiply and one B-solve.
-    ``sys`` must be the system the stepper was prepared for.
-    """
-    _require_prepared_system(stepper, sys)
-    a = stepper.coeffs
-    scale = -(stepper.tau / stepper.R)
-    solve_b = stepper.B_factorization.solve
-    a_mat = stepper._A
-
-    t0 = time.perf_counter()
-    u = np.asarray(u, dtype=complex)
-    b1 = np.zeros_like(u)
-    b2 = np.zeros_like(u)
-    for k in range(stepper.degree, 0, -1):
-        b1, b2 = a[k] * u + 2.0 * scale * solve_b(a_mat @ b1)[0] - b2, b1
-    out = a[0] * u + scale * solve_b(a_mat @ b1)[0] - b2
-    stepper.timers["local"] += time.perf_counter() - t0
-    return out
-
-
-def chebyshev_run(
-    stepper: ChebyshevStepper,
-    sys: SystemMatrices,
-    u0: np.ndarray,
-    n_steps: int,
-    observer: Observer | None = None,
-) -> np.ndarray:
-    """Apply chebyshev_step ``n_steps`` times; see :meth:`Stepper.run`."""
-    _require_prepared_system(stepper, sys)
     return stepper.run(u0, n_steps, observer)
 
 

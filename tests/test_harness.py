@@ -15,6 +15,7 @@ from rexiprop.approx import (
     approx_from_json,
     approx_to_json,
     faber_cf,
+    rounding_floor,
 )
 from rexiprop.errors import ConfigError
 from rexiprop.harness import ExperimentConfig, main, parse_config
@@ -103,9 +104,13 @@ def test_parse_config_duplicate_key(tmp_path):
 
 def test_parse_config_bad_value(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("dt = fast\n")
-    with pytest.raises(ConfigError, match="cannot parse"):
-        parse_config(str(path))
+    for text, match in (("dt = fast", "cannot parse 'fast' as float"),
+                        ("workers = 2.5", "cannot parse '2.5' as int"),
+                        ("override_admissibility = maybe",
+                         "expected true/false, got 'maybe'")):
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=match):
+            parse_config(str(path))
 
 
 @pytest.mark.parametrize("key, text", [
@@ -139,6 +144,9 @@ def test_parse_config_not_key_value(tmp_path):
         ({"x0": 12.0}, "x0 must be"),
         ({"snapshot_points": 1}, "snapshot_points"),
         ({"snapshot_every": -1}, r"snapshot_every must be >= 0 \(0 = first"),
+        ({"v_max": -1.0}, "v_max must be >= 0"),
+        ({"c_barr": 0.0}, "c_barr must be > 0"),
+        ({"sigma": 0.0}, "sigma must be > 0"),
     ],
 )
 def test_parse_config_invariants(tmp_path, overrides, match):
@@ -271,6 +279,15 @@ def test_cmd_eig_reports_sr_and_max_dt(tmp_path, capsys, approx_file):
     assert max_dt == pytest.approx(10.0 / sr, rel=1e-12)
 
 
+def test_cmd_eig_default_r1(tmp_path, capsys):
+    # Without approx_path, max_dt is for the default R1 = 10.
+    assert main(["eig", "--config", write_config(tmp_path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    sr = float(lines[0].partition("=")[2])
+    max_dt = float(lines[1].partition("=")[2])
+    assert max_dt == pytest.approx(10.0 / sr, rel=1e-12)
+
+
 def test_cmd_eig_needs_no_wave_packet(tmp_path, capsys, approx_file):
     # The packet at r_bar = -4 is clipped by the wall at x0 = -5: eig reports
     # sr(M) of the system regardless, while tunnel still refuses the run.
@@ -352,7 +369,8 @@ def test_cmd_stability_skips_grid_point_on_a_shift(tmp_path, capsys):
     assert read_csv_rows(prefix + "_grid.csv") == ["re,im,indicator"]
 
 
-@pytest.mark.parametrize("grid", ["1,2,3", "3,1,0,1,2,2", "0,1,0,1,0,2"])
+@pytest.mark.parametrize("grid", ["1,2,3", "3,1,0,1,2,2", "0,1,0,1,0,2",
+                                  "0,1,0,1,two,2"])
 def test_cmd_stability_rejects_bad_grid(tmp_path, capsys, approx_file, grid):
     rc = main(["stability", "--approx", approx_file, f"--grid={grid}",
                "--out-prefix", str(tmp_path / "s")])
@@ -453,6 +471,35 @@ def test_cmd_tunnel_prints_loaded_approx_warnings(tmp_path, capsys):
     # metadata.json keeps the warnings too.
     md = json.loads((out_dir / "metadata.json").read_text())
     assert md["approx_warnings"] == list(lossy.warnings)
+
+
+def test_cmd_tunnel_default_approximant(tmp_path, capsys, flagship):
+    # Without approx_path the run builds the degree-16, R1 = 10 flagship.
+    out_dir = tmp_path / "out"
+    rc = main(["tunnel", "--config", write_config(tmp_path),
+               "--out-dir", str(out_dir)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    md = json.loads((out_dir / "metadata.json").read_text())
+    assert md["K"] == 16 and md["r1"] == 10.0
+    assert md["approx_warnings"] == []
+    assert md["sup_error"] == flagship.sup_error
+
+
+def test_cmd_tunnel_shift_on_the_interval_is_numerical_failure(
+        tmp_path, capsys, approx_file):
+    # Shift 0 moved to 3j, on i[-10, 10]: refused before any step, where the
+    # run used to exit 0 with a B-norm drift of 1.5e23.
+    doc = json.loads(open(approx_file).read())
+    doc["shifts"][0] = [0.0, 3.0]
+    path = tmp_path / "on_interval.json"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, approx_path=str(path))
+    out_dir = tmp_path / "out"
+    rc = main(["tunnel", "--config", cfg, "--out-dir", str(out_dir)])
+    assert rc == 3
+    assert "j = 0 (sigma = 3j)" in capsys.readouterr().err
+    assert not (out_dir / "metadata.json").exists()
 
 
 def test_cmd_tunnel_impossible_approx_is_config_error(tmp_path, capsys,
@@ -588,17 +635,32 @@ def test_cmd_compare_fine_reference(tmp_path, capsys, approx_file):
     assert int(fields["degree"]) >= math.ceil(float(fields["R"]))
     assert 0 <= float(fields["sup_error"]) < 1e-13
     assert float(fields["seconds"]) > 0
+    # ... and the approximant that ran.
+    approx = approx_from_json(open(approx_file).read())
+    assert float(fields["R1"]) == 10.0 and int(fields["K"]) == 16
+    assert float(fields["approx_sup_error"]) == pytest.approx(
+        approx.sup_error, rel=1e-6)
+    assert float(fields["rounding_floor"]) == pytest.approx(
+        rounding_floor(approx), rel=1e-6)
+    assert fields["approx_warnings"] == "0"
     assert rows[1] == ("method,dt,error_inf,error_b,time_total_s,"
-                       "time_rhs_s,time_local_s,time_reduce_s")
+                       "time_rhs_s,time_local_s,time_reduce_s,time_factor_s,"
+                       "admissibility_ratio,bnorm_drift_rel")
     assert len(rows) == 4
     rexi_row = rows[2].split(",")
     cheb_row = rows[3].split(",")
     assert rexi_row[0] == "rexi" and cheb_row[0] == "chebyshev"
     for row in (rexi_row, cheb_row):
+        assert len(row) == 11
         assert float(row[1]) == 2e-3
         assert 0 <= float(row[2]) < 1e-5   # 10 near-exact steps
         assert 0 <= float(row[3]) < 1e-5
         assert float(row[4]) >= 0
+        assert float(row[8]) > 0
+        # Both methods are certified on i[-10, 10].
+        assert float(row[9]) == pytest.approx(1.05 * 2e-3 * sr / 10.0,
+                                              rel=1e-10)
+        assert 0 <= float(row[10]) < 1e-8
 
 
 def test_cmd_compare_single_method(tmp_path, capsys, approx_file):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,21 +19,19 @@ from scipy.sparse.linalg import splu
 
 from rexiprop import integrate, solvers
 from rexiprop.approx import PartialFractionApproximation, evaluate_pfd
-from rexiprop.errors import AdmissibilityError, SolverError
+from rexiprop.errors import AdmissibilityError, ApproximationError, SolverError
 from rexiprop.integrate import (
     SAFETY_FACTOR,
     chebyshev_coeffs,
     chebyshev_prepare,
     chebyshev_reference,
     chebyshev_run,
-    chebyshev_step,
     dense_decomposition,
     dense_expm_apply,
     max_step_size,
     rexi_error_bound,
     rexi_prepare,
     rexi_run,
-    rexi_step,
 )
 from rexiprop.solvers import (
     DENSE_ORACLE_MAX_DOF,
@@ -258,6 +257,22 @@ def test_prepare_singular_shift_names_index(flagship):
         rexi_prepare(sys1, flagship, 1.0, sr_value=1.0, workers=1)
 
 
+def test_prepare_refuses_shift_on_the_interval(flagship, monkeypatch):
+    # 3j lies on i[-10, 10]: its shifted system is singular wherever
+    # tau*M has the eigenvalue 3j, and near-singular close to it.
+    shifts = flagship.shifts.copy()
+    shifts[0] = 3j
+    bad = replace(flagship, shifts=shifts)
+
+    def factor(*args):
+        raise AssertionError("factored a shift on the interval")
+
+    monkeypatch.setattr(integrate, "factorize_shifted", factor)
+    with pytest.raises(ApproximationError,
+                       match=r"j = 0 \(sigma = 3j\) lies within 0\.000e\+00"):
+        rexi_prepare(scalar_system(1.0), bad, 1.0, sr_value=1.0)
+
+
 def test_prepare_validates_inputs(flagship):
     with pytest.raises(ValueError):
         rexi_prepare(scalar_system(1.0), flagship, 0.0, sr_value=1.0)
@@ -273,21 +288,21 @@ def test_prepare_validates_inputs(flagship):
 def test_scalar_step_is_pole_sum(flagship, omega):
     stp = rexi_prepare(scalar_system(omega), flagship, 1.0,
                        sr_value=abs(omega), workers=1)
-    got = rexi_step(stp, np.array([1.0 + 0.0j]))[0]
+    got = stp.step(np.array([1.0 + 0.0j]))[0]
     z = -1j * omega
     assert abs(got - evaluate_pfd(flagship, z)) < 8 * EPS * pole_sum_scale(flagship, z)
 
 
 def test_scalar_step_matches_exp(flagship):
     stp = rexi_prepare(scalar_system(1.0), flagship, 1.0, sr_value=1.0, workers=1)
-    got = rexi_step(stp, np.array([1.0 + 0.0j]))[0]
+    got = stp.step(np.array([1.0 + 0.0j]))[0]
     assert abs(got - np.exp(-1j)) <= 5e-9
 
 
 def test_step_zero_state_is_zero(flagship, fem):
     sysm, _, _, sr = fem
     stp = rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=1)
-    out = rexi_step(stp, np.zeros(sysm.n_dof, dtype=complex))
+    out = stp.step(np.zeros(sysm.n_dof, dtype=complex))
     assert np.all(out == 0)
 
 
@@ -298,8 +313,8 @@ def test_step_linear(flagship, fem):
     v = rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(sysm.n_dof)
     a = 0.7 - 0.2j
     b = -1.3 + 0.4j
-    lhs = rexi_step(stp, a * u0 + b * v)
-    rhs = a * rexi_step(stp, u0) + b * rexi_step(stp, v)
+    lhs = stp.step(a * u0 + b * v)
+    rhs = a * stp.step(u0) + b * stp.step(v)
     # Floor set by per-term rounding of the weighted pole sum (see the
     # weights' magnitude), not by the reduction order.
     tol = 16 * EPS * float(np.sum(np.abs(flagship.weights)
@@ -333,7 +348,7 @@ def test_step_is_the_plain_ascending_sum(flagship, workers, monkeypatch):
     monkeypatch.setattr(integrate, "_usable_cpus", lambda: 16)
     with rexi_prepare(sysm, flagship, 2e-4, workers=workers) as stp:
         assert len(stp.factorizations) == workers
-        assert rexi_step(stp, u0).tobytes() == expected.tobytes()
+        assert stp.step(u0).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -360,7 +375,7 @@ def test_failed_shift_solve_is_reported(flagship, fem, workers, monkeypatch):
 
         monkeypatch.setattr(solvers, "_ZGTTRS", stack_fails)
         with pytest.raises(SolverError, match=r"info=-3") as raised:
-            rexi_step(stp, u0)
+            stp.step(u0)
     # An argument error belongs to the whole call, so the message names
     # the stack's shift range, which holds shift 5.
     lo, hi = map(int, re.search(r"shifts j = (\d+)\.\.(\d+)\b",
@@ -502,7 +517,7 @@ def test_chebyshev_zero_operator_is_near_identity():
                           n_dof=3)
     stp = chebyshev_prepare(sys0, 0.1, sr_value=0.0)
     u = np.array([1.0, -2.0j, 0.5 + 0.5j])
-    out = chebyshev_step(stp, sys0, u)
+    out = stp.step(u)
     assert np.max(np.abs(out - u)) <= stp.sup_error + 1e-13
 
 
@@ -522,7 +537,7 @@ def test_clenshaw_matches_direct_summation():
                             sr_value=float(np.max(np.abs(diag_a))))
     rng = np.random.default_rng(9)
     u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    got = chebyshev_step(stp, sys5, u)
+    got = stp.step(u)
     want = chebval(-tau * diag_a / stp.R, stp.coeffs) * u
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -530,7 +545,7 @@ def test_clenshaw_matches_direct_summation():
 def test_chebyshev_zero_state_and_gate(fem):
     sysm, _, u0, sr = fem
     stp = chebyshev_prepare(sysm, 0.02, sr_value=sr)
-    out = chebyshev_step(stp, sysm, np.zeros(sysm.n_dof, dtype=complex))
+    out = stp.step(np.zeros(sysm.n_dof, dtype=complex))
     assert np.all(out == 0)
     np.testing.assert_array_equal(chebyshev_run(stp, sysm, u0, 0), u0)
 
@@ -547,8 +562,6 @@ def test_chebyshev_rejects_unprepared_system(fem):
     sysm, _, u0, sr = fem
     stp = chebyshev_prepare(sysm, 0.02, sr_value=sr)
     other = SystemMatrices(A=sysm.A.copy(), B=sysm.B, n_dof=sysm.n_dof)
-    with pytest.raises(ValueError, match="prepared"):
-        chebyshev_step(stp, other, u0)
     with pytest.raises(ValueError, match="prepared"):
         chebyshev_run(stp, other, u0, 1)
 
@@ -671,7 +684,7 @@ def test_rexi_within_apriori_bound(flagship):
         stp = rexi_prepare(sys_n, flagship, tau, sr_value=sr, workers=1)
         dec = dense_decomposition(sys_n)
         u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        err = np.max(np.abs(rexi_step(stp, u)
+        err = np.max(np.abs(stp.step(u)
                             - dense_expm_apply(sys_n, tau, u, decomposition=dec)))
         assert err <= rexi_error_bound(flagship.sup_error, dec.cond_inf) \
             * np.max(np.abs(u))
@@ -683,7 +696,7 @@ def test_rexi_and_chebyshev_agree(flagship, fem):
     rstp = rexi_prepare(sysm, flagship, tau, sr_value=sr, workers=1)
     cstp = chebyshev_prepare(sysm, tau, sr_value=sr)
     dec = dense_decomposition(sysm)
-    diff = np.max(np.abs(rexi_step(rstp, u0) - chebyshev_step(cstp, sysm, u0)))
+    diff = np.max(np.abs(rstp.step(u0) - cstp.step(u0)))
     assert diff <= (flagship.sup_error + cstp.sup_error) * dec.cond_inf \
         * np.max(np.abs(u0))
 
