@@ -486,6 +486,18 @@ def _distance_to_interval(s: np.ndarray, r1: float) -> np.ndarray:
     return np.hypot(s.real, np.maximum(np.abs(s.imag) - r1, 0.0))
 
 
+def check_shift_distance(shifts: np.ndarray, r1: float) -> None:
+    """Refuse any shift within MIN_SHIFT_DISTANCE_REL * r1 of i[-r1, r1],
+    where its shifted system would be near-singular, naming the nearest."""
+    dist = _distance_to_interval(shifts, r1)
+    j = int(np.argmin(dist))
+    if dist[j] < MIN_SHIFT_DISTANCE_REL * r1:
+        raise ApproximationError(
+            f"shift j = {j} (sigma = {shifts[j]}) lies within "
+            f"{dist[j]:.3e} of the approximation interval i[-R1, R1]; its "
+            "shifted system would be near-singular")
+
+
 def rounding_floor(approx: PartialFractionApproximation) -> float:
     """eps * sum_j |beta_j| / dist(sigma_j, i*[-R1, R1]).
 
@@ -518,12 +530,7 @@ def faber_cf(mp: JoukowskiMap, degree: int = 16) -> PartialFractionApproximation
     warnings = cf.warnings
 
     shifts = np.asarray(joukowski_eval(mp, cf.poles_outside))
-    min_dist = float(np.min(_distance_to_interval(shifts, mp.r1)))
-    if min_dist < MIN_SHIFT_DISTANCE_REL * mp.r1:
-        raise ApproximationError(
-            f"a shift lies within {min_dist:.3e} of the approximation "
-            "interval; the resolvent solves would be near-singular"
-        )
+    check_shift_distance(shifts, mp.r1)
 
     # Disc expansion of the rational approximant (unit circle suffices: the
     # poles are well outside).

@@ -361,24 +361,28 @@ def cmd_stability(args) -> int:
 def cmd_tunnel(args) -> int:
     """Run the tunneling experiment and write snapshots plus metadata."""
     cfg = parse_config(args.config)
-    os.makedirs(args.out_dir, exist_ok=True)
     approx = _load_approx(cfg)
     mesh, consts, system, u0 = _build_experiment(cfg)
     sr = spectral_radius_estimate(system)
 
     n_steps = cfg.n_steps
     xs = np.linspace(cfg.x0, cfg.x1, cfg.snapshot_points)
-    _write_snapshot(os.path.join(args.out_dir, "snapshot_000000.csv"),
-                    xs, evaluate_state(u0, mesh, xs))
-    snapshots = 1
+    snapshots = 0
+
+    def write_snapshot(step, state):
+        nonlocal snapshots
+        _write_snapshot(os.path.join(args.out_dir, f"snapshot_{step:06d}.csv"),
+                        xs, evaluate_state(state, mesh, xs))
+        snapshots += 1
 
     def observer(step, _t, state):
-        nonlocal snapshots
+        # Step 1 is the first sign the run was admitted: only then is the
+        # output directory touched, so a refused run leaves it as it was.
+        if step == 1:
+            os.makedirs(args.out_dir, exist_ok=True)
+            write_snapshot(0, u0)
         if step % cfg.snapshot_every == 0 or step == n_steps:
-            _write_snapshot(
-                os.path.join(args.out_dir, f"snapshot_{step:06d}.csv"),
-                xs, evaluate_state(state, mesh, xs))
-            snapshots += 1
+            write_snapshot(step, state)
 
     stepper = _prepare_rexi(cfg, system, approx, sr)
     u_final, wall = _timed_run(stepper, u0, n_steps, observer)
@@ -456,7 +460,7 @@ def cmd_compare(args) -> int:
 
     _write_csv(args.out,
                "# errors are relative to exp(T*M) u0 as one Chebyshev "
-               f"step: degree={ref.degree} R={ref.R:.12g} "
+               f"step: degree={ref.degree} R={ref.interval_radius:.12g} "
                f"sup_error={ref.sup_error:.6e} seconds={ref_s:.12g} "
                f"sr_estimate={float(sr):.12g} sr_method={sr.method}; "
                f"approximant: R1={approx.domain_radius:.12g} K={approx.K} "

@@ -32,11 +32,15 @@ apply the propagator live here:
   pencil (A, B), for small systems only; supplies the conditioning
   number used in the a-priori error bound.
 
-Both steppers are a :class:`Stepper`: prepared once for (system, tau)
-by ``rexi_prepare`` or ``chebyshev_prepare``, they step only through
-their ``step(u)`` method, with one ``run`` loop, one admissibility
-record, per-phase ``timers`` (``factor`` at prepare time; ``rhs``,
-``local`` and ``reduce`` per step), and ``close()``/``with`` support.
+Both steppers are a :class:`Stepper`, built for one (system, tau) by one
+constructor call, ``RexiStepper(sys, approx, tau)`` or
+``ChebyshevStepper(sys, tau)`` (also named ``rexi_prepare`` and
+``chebyshev_prepare``), which validates, factors and records the
+``interval_radius`` R of the approximant's interval i[-R, R].  They step
+only through their ``step(u)`` method, with one ``run`` loop, one
+admissibility record, per-phase ``timers`` (``factor`` at construction;
+``rhs``, ``local`` and ``reduce`` per step), and ``close()``/``with``
+support.
 ``run`` flushes subnormal parts of the state to zero, on its copy of u0
 and after every step: the Gaussian tails of a wave packet otherwise decay
 into subnormal numbers, whose arithmetic made each step several times
@@ -55,19 +59,15 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.chebyshev import chebval
 
-from .approx import (
-    MIN_SHIFT_DISTANCE_REL,
-    PartialFractionApproximation,
-    _distance_to_interval,
-)
-from .errors import AdmissibilityError, ApproximationError, SolverError
+from .approx import PartialFractionApproximation, check_shift_distance
+from .errors import AdmissibilityError, SolverError
 from .solvers import DENSE_ORACLE_MAX_DOF, factorize, factorize_shifted
 from .spatial import SystemMatrices, spectral_radius_estimate
 
@@ -102,35 +102,36 @@ def _flush_subnormals(u: np.ndarray) -> None:
     parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
 
 
-@dataclass(kw_only=True)
 class Stepper:
     """A propagator prepared for one (system, tau).
 
-    Subclasses supply ``step(u)``, the one way to apply the propagator
-    once, ``interval_radius`` (the R of the interval i[-R, R] on which
-    their approximant is certified) and the ``kind`` named in errors.
-    When ``sr_value`` is None it is taken from ``spectral_radius_estimate``:
-    the system's P2 bound, or dense ``eigh`` for a hand-built pencil.
+    Each subclass's constructor builds its approximant on i[-R, R], calls
+    this one with R as ``interval_radius``, and factors what its steps
+    solve; the subclass supplies ``step(u)``, the one way to apply the
+    propagator once, and the ``kind`` named in errors.  When ``sr_value``
+    is None it is taken from ``spectral_radius_estimate``: the system's P2
+    bound, or dense ``eigh`` for a hand-built pencil.
     """
 
-    system: SystemMatrices
-    tau: float
-    sr_value: float | None = None
-    override_admissibility: bool = False
-    override_used: bool = False
-    timers: dict = field(default_factory=lambda: {
-        "factor": 0.0, "rhs": 0.0, "local": 0.0, "reduce": 0.0,
-    })
-    admissibility_ratio: float = field(init=False)
-    admissible: bool = field(init=False)
+    kind: str
 
-    def __post_init__(self):
-        if self.sr_value is None:
-            self.sr_value = spectral_radius_estimate(self.system)
-        self.sr_value = float(self.sr_value)
-        self.admissibility_ratio = (SAFETY_FACTOR * self.tau * self.sr_value
-                                    / self.interval_radius)
+    def __init__(self, system: SystemMatrices, tau: float,
+                 interval_radius: float, sr_value: float | None,
+                 override_admissibility: bool):
+        if not tau > 0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        if sr_value is None:
+            sr_value = spectral_radius_estimate(system)
+        self.system = system
+        self.tau = tau
+        self.interval_radius = interval_radius
+        self.sr_value = float(sr_value)
+        self.override_admissibility = override_admissibility
+        self.override_used = False
+        self.admissibility_ratio = (SAFETY_FACTOR * tau * self.sr_value
+                                    / interval_radius)
         self.admissible = self.admissibility_ratio <= 1.0
+        self.timers = {"factor": 0.0, "rhs": 0.0, "local": 0.0, "reduce": 0.0}
 
     def run(self, u0: np.ndarray, n_steps: int,
             observer: Observer | None = None) -> np.ndarray:
@@ -177,33 +178,66 @@ class Stepper:
 # REXI stepping
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RexiStepper(Stepper):
-    """Prepared REXI propagator: ``factorizations`` stack consecutive
-    shifted systems, in shift order, one stack per solving thread; timers
-    accumulate per-phase wall seconds."""
+    """REXI propagator: the K shifted systems (tau*A - sigma_j*iB) are
+    factored once, as ``factorizations``, stacks of consecutive shifts in
+    shift order, one stack per solving thread.
+
+    ``sr_value`` may be supplied when the caller already has sr(M) or a
+    bound on it.  ``workers`` is the number of threads that solve, the
+    calling thread included; it defaults to K.  No more than K threads, and
+    no more than the CPUs this process may run on, are started, and the
+    shifts are split into that many stacks.  ``timers["factor"]`` records
+    the seconds spent building and factoring the shifted systems.  A shift
+    too near the interval i[-R1, R1] (``approx.check_shift_distance``, the
+    rule ``faber_cf`` holds its own shifts to) is refused with an
+    ApproximationError before anything is factored.
+    """
 
     kind = "REXI"
 
-    approx: PartialFractionApproximation
-    factorizations: list
-    workers: int
+    def __init__(self, system: SystemMatrices,
+                 approx: PartialFractionApproximation, tau: float, *,
+                 workers: int | None = None, sr_value: float | None = None,
+                 override_admissibility: bool = False):
+        if len(np.unique(approx.shifts)) != approx.K:
+            raise ValueError("approximation shifts must be distinct")
+        check_shift_distance(approx.shifts, approx.domain_radius)
+        if workers is None:
+            workers = approx.K
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(system, tau, approx.domain_radius, sr_value,
+                         override_admissibility)
+        self.approx = approx
+        self.workers = workers
 
-    def __post_init__(self):
-        super().__post_init__()
+        t0 = time.perf_counter()
+        threads = min(workers, approx.K, _usable_cpus())
+        self.factorizations = []
+        for stack in np.array_split(np.arange(approx.K), threads):
+            try:
+                self.factorizations.append(factorize_shifted(
+                    system.A, system.B, tau, approx.shifts[stack]))
+            except SolverError as exc:
+                if exc.index is None:  # not attributable to one shift
+                    raise
+                j = stack[exc.index]
+                raise SolverError(
+                    f"shifted system j = {j} (sigma = {approx.shifts[j]}) "
+                    f"cannot be factored; if it is singular, the shift "
+                    f"coincides with an eigenvalue of tau*M ({exc})"
+                ) from exc
+        self.timers["factor"] = time.perf_counter() - t0
+
         # iB in complex storage, so the per-step product needs no upcast.
-        self._iB = (1j * self.system.B).tocsr()
+        self._iB = (1j * system.B).tocsr()
         # Shift index of each stack's first row, and one past the last.
-        self._starts = np.cumsum(
-            [0] + [fac.K for fac in self.factorizations])
+        self._starts = np.cumsum([0] + [fac.K for fac in self.factorizations])
         # The calling thread solves the first stack, the pool the others.
         self._helpers = len(self.factorizations) - 1
         self._pool = (ThreadPoolExecutor(max_workers=self._helpers)
                       if self._helpers else None)
-
-    @property
-    def interval_radius(self) -> float:
-        return self.approx.domain_radius
 
     @property
     def solver(self) -> str:
@@ -259,72 +293,8 @@ class RexiStepper(Stepper):
             self._pool.shutdown(wait=True)
 
 
-def rexi_prepare(
-    sys: SystemMatrices,
-    approx: PartialFractionApproximation,
-    tau: float,
-    *,
-    workers: int | None = None,
-    sr_value: float | None = None,
-    override_admissibility: bool = False,
-) -> RexiStepper:
-    """Factor the K shifted systems (tau*A - sigma_j*iB) once.
-
-    ``sr_value`` may be supplied when the caller already has sr(M) or a
-    bound on it.  ``workers`` is the number of threads that solve, the
-    calling thread included; it defaults to K.  No more than K threads,
-    and no more than the CPUs this process may run on, are started, and
-    the shifts are split into that many stacks of consecutive shifts.
-    ``timers["factor"]`` records the seconds spent building and factoring
-    the shifted systems.  A shift within MIN_SHIFT_DISTANCE_REL * R1 of the
-    interval i[-R1, R1] (the bound ``faber_cf`` holds its own shifts to) is
-    refused with an ApproximationError before anything is factored.
-    """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if len(np.unique(approx.shifts)) != approx.K:
-        raise ValueError("approximation shifts must be distinct")
-    dist = _distance_to_interval(approx.shifts, approx.domain_radius)
-    j = int(np.argmin(dist))
-    if dist[j] < MIN_SHIFT_DISTANCE_REL * approx.domain_radius:
-        raise ApproximationError(
-            f"shift j = {j} (sigma = {approx.shifts[j]}) lies within "
-            f"{dist[j]:.3e} of the approximation interval i[-R1, R1]; its "
-            "shifted system would be near-singular")
-    if workers is None:
-        workers = approx.K
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    t0 = time.perf_counter()
-    threads = min(workers, approx.K, _usable_cpus())
-    factorizations = []
-    for stack in np.array_split(np.arange(approx.K), threads):
-        try:
-            factorizations.append(factorize_shifted(
-                sys.A, sys.B, tau, approx.shifts[stack]))
-        except SolverError as exc:
-            if exc.index is None:  # not attributable to one shift
-                raise
-            j = stack[exc.index]
-            raise SolverError(
-                f"shifted system j = {j} (sigma = {approx.shifts[j]}) cannot "
-                f"be factored; if it is singular, the shift coincides with an "
-                f"eigenvalue of tau*M ({exc})"
-            ) from exc
-    factor_s = time.perf_counter() - t0
-
-    stepper = RexiStepper(
-        approx=approx,
-        tau=tau,
-        system=sys,
-        factorizations=factorizations,
-        workers=workers,
-        sr_value=sr_value,
-        override_admissibility=override_admissibility,
-    )
-    stepper.timers["factor"] = factor_s
-    return stepper
+# perfbench and the tests build steppers by these names.
+rexi_prepare = RexiStepper
 
 
 def rexi_run(stepper: RexiStepper, u0: np.ndarray, n_steps: int,
@@ -365,26 +335,29 @@ def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
     return ChebyshevCoeffs(coeffs=a, sup_error=sup)
 
 
-@dataclass
 class ChebyshevStepper(Stepper):
-    """Prepared Clenshaw propagator for p(tau*M)."""
+    """Clenshaw propagator for p(tau*M): the coefficients of p are built
+    for i[-radius, radius] and B is factored once."""
 
     kind = "Chebyshev"
 
-    coeffs: np.ndarray
-    degree: int
-    R: float
-    B_factorization: object
-    sup_error: float
-
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, system: SystemMatrices, tau: float, *,
+                 degree: int = 26, radius: float = 10.0,
+                 sr_value: float | None = None,
+                 override_admissibility: bool = False):
+        # Built first: chebyshev_coeffs refuses a radius the admissibility
+        # ratio would divide by.
+        cc = chebyshev_coeffs(radius, degree)
+        super().__init__(system, tau, float(radius), sr_value,
+                         override_admissibility)
+        self.coeffs = cc.coeffs
+        self.sup_error = cc.sup_error
+        self.degree = degree
+        t0 = time.perf_counter()
+        self.B_factorization = factorize(system.B)
+        self.timers["factor"] = time.perf_counter() - t0
         # A in complex storage, so the per-stage product needs no upcast.
-        self._A = self.system.A.astype(complex)
-
-    @property
-    def interval_radius(self) -> float:
-        return self.R
+        self._A = system.A.astype(complex)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         """p(tau*M) u by the Clenshaw backward recurrence.
@@ -393,7 +366,7 @@ class ChebyshevStepper(Stepper):
         -(tau/R) * B^-1 A, so each stage is one A-multiply and one B-solve.
         """
         a = self.coeffs
-        scale = -(self.tau / self.R)
+        scale = -(self.tau / self.interval_radius)
         solve_b = self.B_factorization.solve
         a_mat = self._A
 
@@ -408,35 +381,7 @@ class ChebyshevStepper(Stepper):
         return out
 
 
-def chebyshev_prepare(
-    sys: SystemMatrices,
-    tau: float,
-    *,
-    degree: int = 26,
-    radius: float = 10.0,
-    sr_value: float | None = None,
-    override_admissibility: bool = False,
-) -> ChebyshevStepper:
-    """Build coefficients for i[-radius, radius] and factor B once."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    cc = chebyshev_coeffs(radius, degree)
-    t0 = time.perf_counter()
-    b_factorization = factorize(sys.B)
-    factor_s = time.perf_counter() - t0
-    stepper = ChebyshevStepper(
-        coeffs=cc.coeffs,
-        degree=degree,
-        R=float(radius),
-        tau=tau,
-        system=sys,
-        B_factorization=b_factorization,
-        sup_error=cc.sup_error,
-        sr_value=sr_value,
-        override_admissibility=override_admissibility,
-    )
-    stepper.timers["factor"] = factor_s
-    return stepper
+chebyshev_prepare = ChebyshevStepper
 
 
 def chebyshev_reference(
@@ -468,8 +413,8 @@ def chebyshev_reference(
     degree = math.ceil(radius)
     while not 2.0 * abs(jv(degree + 1, radius)) < eps:
         degree += 1
-    return chebyshev_prepare(sys, t, degree=degree, radius=radius,
-                             sr_value=sr_value)
+    return ChebyshevStepper(sys, t, degree=degree, radius=radius,
+                            sr_value=sr_value)
 
 
 def chebyshev_run(stepper: ChebyshevStepper, sys: SystemMatrices,

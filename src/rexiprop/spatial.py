@@ -352,13 +352,11 @@ def spectral_radius_estimate(sys: SystemMatrices) -> SpectralRadiusEstimate:
 def evaluate_state(u: np.ndarray, mesh: Mesh1D, xs) -> np.ndarray:
     """P2 interpolant of the interior coefficient vector at points xs."""
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    span = mesh.x1 - mesh.x0
-    if np.any(xs_arr < mesh.x0 - 1e-12 * span) or np.any(
-        xs_arr > mesh.x1 + 1e-12 * span
-    ):
-        bad = xs_arr[(xs_arr < mesh.x0) | (xs_arr > mesh.x1)][0]
+    tol = 1e-12 * (mesh.x1 - mesh.x0)
+    outside = (xs_arr < mesh.x0 - tol) | (xs_arr > mesh.x1 + tol)
+    if np.any(outside):
         raise SpatialError(
-            f"sample point x = {bad} lies outside the domain "
+            f"sample point x = {xs_arr[outside][0]} lies outside the domain "
             f"({mesh.x0}, {mesh.x1})"
         )
     full = np.zeros(2 * mesh.n_elems + 1, dtype=complex)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.special import jv
 
+from rexiprop import approx as approx_module
 from rexiprop.approx import (
+    CFApproximation,
     JoukowskiMap,
     PartialFractionApproximation,
     approx_from_json,
@@ -263,6 +265,19 @@ def test_distance_to_interval_matches_geometry():
     expected = [3.0, 0.5, 5.0, math.sqrt(17.0), 5.0, 2.5, 0.0]
     np.testing.assert_allclose(_distance_to_interval(s, r1), expected,
                                rtol=1e-15, atol=0.0)
+
+
+def test_faber_cf_refuses_shift_near_the_interval(monkeypatch):
+    # A disc pole just outside i maps to a shift next to the endpoint 10i:
+    # refused by the rule the REXI stepper applies, naming the shift.
+    def near_pole(a, n):
+        return CFApproximation(numerator_coeffs=np.ones(1, dtype=complex),
+                               poles_outside=np.array([1j * (1 + 1e-6)]),
+                               sigma=0.0)
+
+    monkeypatch.setattr(approx_module, "cf_approximate", near_pole)
+    with pytest.raises(ApproximationError, match=r"j = 0 \(sigma = "):
+        faber_cf(JoukowskiMap(10.0), degree=1)
 
 
 def test_pfd_single_pole_value():

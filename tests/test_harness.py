@@ -502,6 +502,33 @@ def test_cmd_tunnel_shift_on_the_interval_is_numerical_failure(
     assert not (out_dir / "metadata.json").exists()
 
 
+@pytest.mark.parametrize("refusal", ["inadmissible_dt", "shift_on_interval"])
+def test_cmd_tunnel_refused_run_leaves_out_dir_untouched(tmp_path, capsys,
+                                                         approx_file, refusal):
+    if refusal == "inadmissible_dt":  # ratio 4.5
+        cfg = write_config(tmp_path, dt=0.2, t_end=0.4, approx_path=approx_file)
+    else:
+        doc = json.loads(open(approx_file).read())
+        doc["shifts"][0] = [0.0, 3.0]
+        path = tmp_path / "on_interval.json"
+        path.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, approx_path=str(path))
+    missing = tmp_path / "missing"
+    assert main(["tunnel", "--config", cfg, "--out-dir", str(missing)]) == 3
+    assert not missing.exists()
+
+    # A directory an admitted run wrote: the refused run changes nothing.
+    earlier = tmp_path / "earlier"
+    good = tmp_path / "good"
+    good.mkdir()
+    good = write_config(good, approx_path=approx_file)
+    assert main(["tunnel", "--config", good, "--out-dir", str(earlier)]) == 0
+    before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+    assert main(["tunnel", "--config", cfg, "--out-dir", str(earlier)]) == 3
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+    capsys.readouterr()
+
+
 def test_cmd_tunnel_impossible_approx_is_config_error(tmp_path, capsys,
                                                       approx_file):
     doc = json.loads(open(approx_file).read())

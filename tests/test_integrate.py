@@ -538,7 +538,7 @@ def test_clenshaw_matches_direct_summation():
     rng = np.random.default_rng(9)
     u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     got = stp.step(u)
-    want = chebval(-tau * diag_a / stp.R, stp.coeffs) * u
+    want = chebval(-tau * diag_a / stp.interval_radius, stp.coeffs) * u
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -570,6 +570,15 @@ def test_chebyshev_prepare_validates_tau(fem):
     sysm, _, _, sr = fem
     with pytest.raises(ValueError):
         chebyshev_prepare(sysm, -0.1, sr_value=sr)
+    with pytest.raises(ValueError, match=r"tau must be positive, got 0\.0"):
+        chebyshev_prepare(sysm, 0.0, sr_value=sr)
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        chebyshev_prepare(sysm, 0.1, degree=0, sr_value=sr)
+    # The radius divides the admissibility ratio: refused before it does.
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="interval radius must be "
+                           f"positive, got {re.escape(str(radius))}"):
+            chebyshev_prepare(sysm, 0.1, radius=radius, sr_value=sr)
 
 
 @pytest.mark.parametrize("n_elems", [64, 500])
@@ -588,9 +597,10 @@ def test_chebyshev_reference_matches_dense_oracle(fem, n_elems):
     assert ref.tau == t and ref.admissibility_ratio == 1.0
     # The degree is the first past ceil(R) whose dropped coefficient
     # 2|J_{d+1}(R)| is below machine epsilon.
-    assert ref.degree >= np.ceil(ref.R)
-    assert 2 * abs(jv(ref.degree + 1, ref.R)) < EPS
-    assert ref.degree == np.ceil(ref.R) or 2 * abs(jv(ref.degree, ref.R)) >= EPS
+    r = ref.interval_radius
+    assert ref.degree >= np.ceil(r)
+    assert 2 * abs(jv(ref.degree + 1, r)) < EPS
+    assert ref.degree == np.ceil(r) or 2 * abs(jv(ref.degree, r)) >= EPS
     assert ref.sup_error < 1e-13
 
     got = ref.run(u0, 1)

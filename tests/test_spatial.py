@@ -460,6 +460,11 @@ def test_evaluate_state_rejects_out_of_domain():
     mesh = build_mesh(0.0, 1.0, 4)
     with pytest.raises(SpatialError, match="outside the domain"):
         evaluate_state(np.zeros(7, dtype=complex), mesh, np.array([1.5]))
+    # -1 - 1e-14 is within the tolerance, so the point named is 1.5.
+    mesh = build_mesh(-1.0, 1.0, 3)
+    with pytest.raises(SpatialError, match=r"x = 1\.5 lies outside"):
+        evaluate_state(np.zeros(5, dtype=complex), mesh,
+                       np.array([-1.0 - 1e-14, 0.0, 1.5]))
 
 
 def test_density_nonnegative_normalized_and_zero_at_walls():
