@@ -1,10 +1,10 @@
 """Command-line harness: approximation generation, stability sampling, the
 tunneling experiment, method comparison tables, and spectral-radius reports.
 
-All file formats live here: flat ``key=value`` config files, the
-approximation JSON, snapshot/stability/comparison CSVs, and the run
-metadata JSON.  Exit codes: 0 success, 2 usage or config error,
-3 numerical failure, 4 I/O error.
+The CLI's own formats live here: flat ``key=value`` config files,
+snapshot/stability/comparison CSVs and the run metadata JSON (the
+approximation JSON is :mod:`rexiprop.approx`'s).  Exit codes: 0 success,
+2 usage or config error, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from .approx import (
 from .errors import ConfigError, NumericalError
 from .integrate import (
     SAFETY_FACTOR,
-    Stepper,
-    chebyshev_prepare,
+    ChebyshevStepper,
+    RexiStepper,
     chebyshev_reference,
     max_step_size,
-    rexi_prepare,
 )
 from .spatial import (
     PhysicalConstants,
@@ -154,18 +153,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     def bad(msg):
         raise ConfigError(f"invalid config: {msg}")
 
-    if not cfg.x0 < cfg.x1:
-        bad(f"x0 must be < x1, got ({cfg.x0}, {cfg.x1})")
-    if cfg.n_elems < 1:
-        bad(f"n_elems must be >= 1, got {cfg.n_elems}")
-    if cfg.potential not in ("zero", "step"):
-        bad(f"potential must be 'zero' or 'step', got {cfg.potential!r}")
-    if cfg.v_max < 0:
-        bad(f"v_max must be >= 0, got {cfg.v_max}")
-    if cfg.c_barr <= 0:
-        bad(f"c_barr must be > 0, got {cfg.c_barr}")
-    if cfg.sigma <= 0:
-        bad(f"sigma must be > 0, got {cfg.sigma}")
+    try:
+        _spatial(cfg)
+    except ValueError as exc:
+        bad(exc)
     if not cfg.dt > 0:
         bad(f"dt must be > 0, got {cfg.dt}")
     if cfg.t_end < cfg.dt:
@@ -210,49 +201,44 @@ def _load_approx(cfg: ExperimentConfig) -> PartialFractionApproximation:
     return approx
 
 
-def _build_system(cfg: ExperimentConfig):
-    mesh = build_mesh(cfg.x0, cfg.x1, cfg.n_elems)
-    potential = (PotentialSpec.zero() if cfg.potential == "zero"
-                 else PotentialSpec.step_barrier(cfg.v_max, cfg.c_barr))
+def _spatial(cfg: ExperimentConfig):
+    """The config's mesh, potential and packet: each type refuses its own
+    keys' bad values with a ValueError, which config validation reports."""
+    return (build_mesh(cfg.x0, cfg.x1, cfg.n_elems),
+            PotentialSpec(cfg.potential, cfg.v_max, cfg.c_barr),
+            WavePacketParams(cfg.r_bar, cfg.p_bar, cfg.sigma))
+
+
+def _build(cfg: ExperimentConfig):
+    """The config's mesh, assembled system and projected initial state."""
+    mesh, potential, packet = _spatial(cfg)
     consts = PhysicalConstants()
-    return mesh, consts, assemble_system(mesh, potential, consts)
+    system = assemble_system(mesh, potential, consts)
+    return mesh, system, project_initial(mesh, packet, consts, system.B)
 
 
-def _build_experiment(cfg: ExperimentConfig):
-    mesh, consts, system = _build_system(cfg)
-    packet = WavePacketParams(r_bar=cfg.r_bar, p_bar=cfg.p_bar, sigma=cfg.sigma)
-    u0 = project_initial(mesh, packet, consts, system.B)
-    return mesh, consts, system, u0
+_METHODS = ("rexi", "chebyshev")
 
 
-def _prepare_rexi(cfg: ExperimentConfig, system, approx, sr) -> Stepper:
-    return rexi_prepare(
-        system, approx, cfg.dt,
-        workers=cfg.workers,
-        sr_value=sr,
-        override_admissibility=cfg.override_admissibility,
-    )
-
-
-def _prepare_chebyshev(cfg: ExperimentConfig, system, approx, sr) -> Stepper:
-    return chebyshev_prepare(
-        system, cfg.dt,
-        degree=COMPARISON_CHEB_DEGREE,
-        radius=approx.domain_radius,
-        sr_value=sr,
-        override_admissibility=cfg.override_admissibility,
-    )
-
-
-_METHODS = {"rexi": _prepare_rexi, "chebyshev": _prepare_chebyshev}
-
-
-def _timed_run(stepper: Stepper, u0, n_steps: int, observer=None):
-    """Run ``stepper`` and close it; return (final state, wall seconds)."""
+def _run(method: str, cfg: ExperimentConfig, system, approx, sr, u0,
+         observer=None):
+    """Prepare ``method`` at cfg.dt, run cfg.n_steps and close it; return
+    (stepper, final state, wall seconds, relative B-norm drift)."""
+    admission = dict(sr_value=sr,
+                     override_admissibility=cfg.override_admissibility)
+    if method == "rexi":
+        stepper = RexiStepper(system, approx, cfg.dt, workers=cfg.workers,
+                              **admission)
+    else:
+        stepper = ChebyshevStepper(system, cfg.dt,
+                                   degree=COMPARISON_CHEB_DEGREE,
+                                   radius=approx.domain_radius, **admission)
     with stepper:
         t0 = time.perf_counter()
-        u = stepper.run(u0, n_steps, observer)
-        return u, time.perf_counter() - t0
+        u = stepper.run(u0, cfg.n_steps, observer)
+        wall = time.perf_counter() - t0
+    norm0 = b_norm(u0, system.B)
+    return stepper, u, wall, abs(b_norm(u, system.B) - norm0) / norm0
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -264,11 +250,6 @@ def _write_csv(path: str, header: str, rows) -> None:
             fh.write(",".join(v if isinstance(v, str)
                               else format(float(v), ".12g")
                               for v in row) + "\n")
-
-
-def _write_snapshot(path: str, xs: np.ndarray, psi: np.ndarray) -> None:
-    _write_csv(path, "x,re_psi,im_psi,density",
-               zip(xs, psi.real, psi.imag, psi.real**2 + psi.imag**2))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +343,7 @@ def cmd_tunnel(args) -> int:
     """Run the tunneling experiment and write snapshots plus metadata."""
     cfg = parse_config(args.config)
     approx = _load_approx(cfg)
-    mesh, consts, system, u0 = _build_experiment(cfg)
+    mesh, system, u0 = _build(cfg)
     sr = spectral_radius_estimate(system)
 
     n_steps = cfg.n_steps
@@ -371,8 +352,10 @@ def cmd_tunnel(args) -> int:
 
     def write_snapshot(step, state):
         nonlocal snapshots
-        _write_snapshot(os.path.join(args.out_dir, f"snapshot_{step:06d}.csv"),
-                        xs, evaluate_state(state, mesh, xs))
+        psi = evaluate_state(state, mesh, xs)
+        _write_csv(os.path.join(args.out_dir, f"snapshot_{step:06d}.csv"),
+                   "x,re_psi,im_psi,density",
+                   zip(xs, psi.real, psi.imag, psi.real**2 + psi.imag**2))
         snapshots += 1
 
     def observer(step, _t, state):
@@ -384,11 +367,8 @@ def cmd_tunnel(args) -> int:
         if step % cfg.snapshot_every == 0 or step == n_steps:
             write_snapshot(step, state)
 
-    stepper = _prepare_rexi(cfg, system, approx, sr)
-    u_final, wall = _timed_run(stepper, u0, n_steps, observer)
-
-    norm0 = b_norm(u0, system.B)
-    drift = abs(b_norm(u_final, system.B) - norm0) / norm0
+    stepper, _u, wall, drift = _run("rexi", cfg, system, approx, sr, u0,
+                                    observer)
     metadata = {
         "n_dof": system.n_dof,
         "sr_estimate": float(sr),
@@ -397,7 +377,7 @@ def cmd_tunnel(args) -> int:
         "admissibility_ratio": stepper.admissibility_ratio,
         "wall_time_s": wall,
         "bnorm_drift_rel": drift,
-        "n_nodes": 2 * cfg.n_elems + 1,
+        "n_nodes": mesh.nodes.size,
         "n_steps": n_steps,
         "t_end": n_steps * cfg.dt,
         "K": approx.K,
@@ -429,12 +409,11 @@ def cmd_compare(args) -> int:
         raise ConfigError("--methods must name at least one method")
     for m in methods:
         if m not in _METHODS:
-            raise ConfigError(
-                f"unknown method {m!r} (available: {', '.join(sorted(_METHODS))})"
-            )
+            raise ConfigError(f"unknown method {m!r} (available: "
+                              f"{', '.join(sorted(_METHODS))})")
 
     approx = _load_approx(cfg)
-    mesh, consts, system, u0 = _build_experiment(cfg)
+    _mesh, system, u0 = _build(cfg)
     sr = spectral_radius_estimate(system)
     n_steps = cfg.n_steps
 
@@ -445,18 +424,15 @@ def cmd_compare(args) -> int:
 
     ref_inf = float(np.max(np.abs(u_ref)))
     ref_b = b_norm(u_ref, system.B)
-    norm0 = b_norm(u0, system.B)
     rows = []
     for name in methods:
-        stepper = _METHODS[name](cfg, system, approx, sr)
-        u, total = _timed_run(stepper, u0, n_steps)
+        stepper, u, total, drift = _run(name, cfg, system, approx, sr, u0)
         rows.append((name, cfg.dt,
                      float(np.max(np.abs(u - u_ref))) / ref_inf,
                      b_norm(u - u_ref, system.B) / ref_b, total,
                      stepper.timers["rhs"], stepper.timers["local"],
                      stepper.timers["reduce"], stepper.timers["factor"],
-                     stepper.admissibility_ratio,
-                     abs(b_norm(u, system.B) - norm0) / norm0))
+                     stepper.admissibility_ratio, drift))
 
     _write_csv(args.out,
                "# errors are relative to exp(T*M) u0 as one Chebyshev "
@@ -483,8 +459,10 @@ def cmd_eig(args) -> int:
     largest admissible step is max_dt / SAFETY_FACTOR.
     """
     cfg = parse_config(args.config)
-    _mesh, _consts, system = _build_system(cfg)
-    est = spectral_radius_estimate(system)
+    # No packet is projected: sr(M) is reported even for an unsupported one.
+    mesh, potential, _packet = _spatial(cfg)
+    est = spectral_radius_estimate(
+        assemble_system(mesh, potential, PhysicalConstants()))
     r1 = (DEFAULT_R1 if cfg.approx_path is None
           else _read_approx(cfg.approx_path).domain_radius)
     print(f"sr_estimate={float(est):.12g}")

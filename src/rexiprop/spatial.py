@@ -87,10 +87,11 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.kind not in ("zero", "step"):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.v_max < 0:
+            raise ValueError(
+                f"potential must be 'zero' or 'step', got {self.kind!r}")
+        if not 0 <= self.v_max < math.inf:
             raise ValueError(f"v_max must be >= 0, got {self.v_max}")
-        if self.c_barr <= 0:
+        if not 0 < self.c_barr < math.inf:
             raise ValueError(f"c_barr must be > 0, got {self.c_barr}")
 
     @classmethod
@@ -110,8 +111,9 @@ class PhysicalConstants:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must both be positive")
+        if not (0 < self.hbar < math.inf and 0 < self.mass < math.inf):
+            raise ValueError(f"hbar and mass must both be positive and "
+                             f"finite, got ({self.hbar}, {self.mass})")
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,11 @@ class WavePacketParams:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.r_bar) and math.isfinite(self.p_bar)):
+            raise ValueError(f"r_bar and p_bar must be finite, "
+                             f"got ({self.r_bar}, {self.p_bar})")
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,16 @@ class SystemMatrices:
 
     A: csr_matrix
     B: csr_matrix
-    n_dof: int
     sr_bound: float | None = None
+
+    def __post_init__(self):
+        if not self.A.shape == self.B.shape == (self.n_dof, self.n_dof):
+            raise ValueError(f"A and B must be square of one order, got "
+                             f"{self.A.shape} and {self.B.shape}")
+
+    @property
+    def n_dof(self) -> int:
+        return self.A.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +158,10 @@ class SystemMatrices:
 
 def build_mesh(x0: float, x1: float, n_elems: int) -> Mesh1D:
     """Uniform mesh of ``n_elems`` quadratic elements on (x0, x1)."""
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError(f"x0 and x1 must be finite, got ({x0}, {x1})")
     if not x0 < x1:
-        raise ValueError(f"need x0 < x1, got ({x0}, {x1})")
+        raise ValueError(f"x0 must be < x1, got ({x0}, {x1})")
     if n_elems < 1:
         raise ValueError(f"n_elems must be >= 1, got {n_elems}")
     nodes = np.linspace(x0, x1, 2 * n_elems + 1)
@@ -233,7 +248,7 @@ def assemble_system(
     v_max = potential.v_max if potential.kind == "step" else 0.0
     bound = (consts.hbar / (2.0 * consts.mass) * 60.0 / mesh.h**2
              + v_max / consts.hbar)
-    return SystemMatrices(A=a_mat, B=b_mat, n_dof=n_nodes - 2,
+    return SystemMatrices(A=a_mat, B=b_mat,
                           sr_bound=float(np.nextafter(bound, np.inf)))
 
 

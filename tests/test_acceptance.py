@@ -162,7 +162,7 @@ def test_criterion_04_apriori_error_bound_random_systems(flagship):
         a = 0.5 * (m0 + m0.T)
         r = rng.standard_normal((n, n))
         b = r @ r.T + n * np.eye(n)
-        sysm = SystemMatrices(A=csr_matrix(a), B=csr_matrix(b), n_dof=n)
+        sysm = SystemMatrices(A=csr_matrix(a), B=csr_matrix(b))
         lam = sla.eigh(a, b, eigvals_only=True)
         sr = float(np.max(np.abs(lam)))
         tau = 0.9 * 10.0 / (1.05 * sr)   # tau * sr(M) <= 10, admissible
@@ -183,7 +183,7 @@ def test_criterion_04_apriori_error_bound_random_systems(flagship):
 
 def test_criterion_05_scalar_phase_accuracy(flagship):
     sysm = SystemMatrices(
-        A=csr_matrix(np.array([[1.0]])), B=identity(1, format="csr"), n_dof=1
+        A=csr_matrix(np.array([[1.0]])), B=identity(1, format="csr")
     )
     target = np.exp(-1j)
     rx = rexi_prepare(sysm, flagship, 1.0, sr_value=1.0)

@@ -194,6 +194,11 @@ def test_cf_window_too_short():
         cf_approximate(a, 16)
 
 
+def test_cf_degree_below_one_is_refused():
+    with pytest.raises(ValueError, match="degree n must be >= 1, got 0"):
+        cf_approximate([1.0, 0.5, 0.25], 0)
+
+
 def test_cf_complex_window_is_refused():
     # Only real Hankel matrices are supported; exp through the map has the
     # real Bessel coefficients J_k(r1).
@@ -476,6 +481,7 @@ def test_json_rejects_malformed_documents(flagship):
     pair["shifts"][2] = ["a", 1]
     impossible += [
         ({**doc, "R1": None}, "R1 must be a number"),
+        ({**doc, "R1": 10**400}, "R1 must be a number"),
         ({**doc, "sup_error": None}, "sup_error must be a number"),
         (pair, "shifts must be a number"),
         ({**doc, "weights": [[1.0, 2.0, 3.0]] * 16}, "weights must be a list of"),

@@ -548,6 +548,16 @@ def test_cmd_tunnel_impossible_approx_is_config_error(tmp_path, capsys,
         assert "is invalid" in capsys.readouterr().err
 
 
+def test_cmd_tunnel_unparsable_approx_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    cfg = write_config(tmp_path, approx_path=str(bad))
+    rc = main(["tunnel", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_tunnel_composes_stabilization(tmp_path, capsys):
     # A damped file plus stabilize_eps records the product of both factors,
     # the factor the weights were actually scaled by.
@@ -708,6 +718,15 @@ def test_cmd_compare_unknown_method(tmp_path, capsys, approx_file):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "unknown method" in capsys.readouterr().err
+
+
+def test_cmd_compare_needs_a_method(tmp_path, capsys, approx_file):
+    cfg = write_config(tmp_path, approx_path=approx_file)
+    rc = main(["compare", "--config", cfg, "--methods", ",",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "--methods must name at least one method" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_cmd_compare_dense_reference(tmp_path, capsys, approx_file):

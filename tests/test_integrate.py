@@ -58,7 +58,6 @@ def scalar_system(omega: float) -> SystemMatrices:
     return SystemMatrices(
         A=csr_matrix(np.array([[omega]], dtype=float)),
         B=identity(1, format="csr"),
-        n_dof=1,
     )
 
 
@@ -87,7 +86,7 @@ def random_pencil(rng, n):
     a_d = 0.5 * (m0 + m0.T)
     r0 = rng.standard_normal((n, n))
     b_d = r0 @ r0.T + n * np.eye(n)
-    sys_n = SystemMatrices(A=csr_matrix(a_d), B=csr_matrix(b_d), n_dof=n)
+    sys_n = SystemMatrices(A=csr_matrix(a_d), B=csr_matrix(b_d))
     sr = float(np.max(np.abs(sla.eigh(a_d, b_d, eigvals_only=True))))
     return sys_n, sr
 
@@ -251,7 +250,6 @@ def test_prepare_singular_shift_names_index(flagship):
     sys1 = SystemMatrices(
         A=csr_matrix(np.array([[1j * sigma0]])),
         B=identity(1, format="csr"),
-        n_dof=1,
     )
     with pytest.raises(SolverError, match=r"j = 0"):
         rexi_prepare(sys1, flagship, 1.0, sr_value=1.0, workers=1)
@@ -513,8 +511,7 @@ def test_chebyshev_coeffs_validation():
 
 
 def test_chebyshev_zero_operator_is_near_identity():
-    sys0 = SystemMatrices(A=csr_matrix((3, 3)), B=identity(3, format="csr"),
-                          n_dof=3)
+    sys0 = SystemMatrices(A=csr_matrix((3, 3)), B=identity(3, format="csr"))
     stp = chebyshev_prepare(sys0, 0.1, sr_value=0.0)
     u = np.array([1.0, -2.0j, 0.5 + 0.5j])
     out = stp.step(u)
@@ -531,7 +528,7 @@ def test_chebyshev_scalar_within_certificate():
 def test_clenshaw_matches_direct_summation():
     diag_a = np.array([-4.9, -1.0, 0.0, 2.2, 4.4])
     sys5 = SystemMatrices(A=diags(diag_a, format="csr"),
-                          B=identity(5, format="csr"), n_dof=5)
+                          B=identity(5, format="csr"))
     tau = 0.7
     stp = chebyshev_prepare(sys5, tau, degree=26, radius=10.0,
                             sr_value=float(np.max(np.abs(diag_a))))
@@ -561,7 +558,7 @@ def test_chebyshev_zero_state_and_gate(fem):
 def test_chebyshev_rejects_unprepared_system(fem):
     sysm, _, u0, sr = fem
     stp = chebyshev_prepare(sysm, 0.02, sr_value=sr)
-    other = SystemMatrices(A=sysm.A.copy(), B=sysm.B, n_dof=sysm.n_dof)
+    other = SystemMatrices(A=sysm.A.copy(), B=sysm.B)
     with pytest.raises(ValueError, match="prepared"):
         chebyshev_run(stp, other, u0, 1)
 
@@ -655,7 +652,7 @@ def test_dense_expm_tau_zero(fem):
 def test_dense_expm_diagonal_phases():
     diag_a = np.array([0.3, -1.2, 2.0, 4.4])
     sys4 = SystemMatrices(A=diags(diag_a, format="csr"),
-                          B=identity(4, format="csr"), n_dof=4)
+                          B=identity(4, format="csr"))
     u = np.array([1.0, 1.0j, -0.5, 2.0 - 1.0j])
     tau = 0.8
     got = dense_expm_apply(sys4, tau, u)
@@ -869,7 +866,7 @@ def test_zero_midpoint_pivot_names_index(flagship):
     assert shifted[2, 2] == 0
     with pytest.raises(SolverError, match="midpoint pivot at index 2"):
         factorize(shifted)
-    sys_zero = SystemMatrices(A=a_mat.tocsr(), B=sysm.B, n_dof=5)
+    sys_zero = SystemMatrices(A=a_mat.tocsr(), B=sysm.B)
     with pytest.raises(SolverError, match=r"j = 0 .*midpoint pivot at index 2"):
         rexi_prepare(sys_zero, flagship, 1.0, sr_value=1.0, workers=1)
 
@@ -883,7 +880,7 @@ def test_zero_vertex_row_names_its_matrix(flagship):
     a_mat = sysm.A.astype(complex).tolil()
     a_mat[7, :] = sigma1 * sysm.B[7, :].toarray()
     a_mat[:, 7] = sigma1 * sysm.B[:, 7].toarray()
-    sys_zero = SystemMatrices(A=a_mat.tocsr(), B=sysm.B, n_dof=15)
+    sys_zero = SystemMatrices(A=a_mat.tocsr(), B=sysm.B)
     shifted = [(sys_zero.A - (1j * sigma) * sysm.B).tocsr()
                for sigma in flagship.shifts[:3]]
     assert not shifted[1][7].count_nonzero()

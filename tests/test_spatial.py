@@ -198,6 +198,52 @@ def test_mesh_rejects_bad_arguments():
         build_mesh(0.0, 1.0, 0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, args, match", [
+    (build_mesh, (1.0, 1.0, 4), r"x0 must be < x1, got \(1.0, 1.0\)"),
+    (build_mesh, (0.0, INF, 3), "x0 and x1 must be finite"),
+    (build_mesh, (0.0, 1.0, 0), "n_elems must be >= 1, got 0"),
+    (PotentialSpec, ("harmonic",),
+     "potential must be 'zero' or 'step', got 'harmonic'"),
+    (PotentialSpec, ("step", -1.0, 0.005), "v_max must be >= 0, got -1.0"),
+    (PotentialSpec, ("step", NAN, 0.005), "v_max must be >= 0, got nan"),
+    (PotentialSpec, ("step", INF, 0.005), "v_max must be >= 0, got inf"),
+    (PotentialSpec, ("step", 15.0, 0.0), "c_barr must be > 0, got 0.0"),
+    (PotentialSpec, ("step", 15.0, NAN), "c_barr must be > 0, got nan"),
+    (PhysicalConstants, (0.0,), "hbar and mass must both be positive"),
+    (PhysicalConstants, (NAN,), r"finite, got \(nan, 1.0\)"),
+    (WavePacketParams, (-3.0, 5.0, 0.0), "sigma must be > 0, got 0.0"),
+    (WavePacketParams, (-3.0, 5.0, NAN), "sigma must be > 0, got nan"),
+    (WavePacketParams, (NAN, 5.0, 4.0), "r_bar and p_bar must be finite"),
+    (WavePacketParams, (-3.0, INF, 4.0), r"finite, got \(-3.0, inf\)"),
+])
+def test_spatial_types_refuse_bad_values(make, args, match):
+    with pytest.raises(ValueError, match=match):
+        make(*args)
+
+
+def test_system_matrices_n_dof_is_the_pencil_order():
+    import scipy.sparse as sp
+
+    from rexiprop.integrate import dense_decomposition
+
+    big = SystemMatrices(A=sp.identity(600, format="csr"),
+                         B=sp.identity(600, format="csr"))
+    assert big.n_dof == 600
+    # Both dense gates read the order from A, so neither runs eigh here.
+    with pytest.raises(SpatialError, match="order 600"):
+        spectral_radius_estimate(big)
+    with pytest.raises(ValueError, match="n_dof = 600"):
+        dense_decomposition(big)
+    with pytest.raises(ValueError, match=r"\(3, 3\) and \(4, 4\)"):
+        SystemMatrices(A=sp.identity(3, format="csr"),
+                       B=sp.identity(4, format="csr"))
+    with pytest.raises(ValueError, match=r"\(3, 4\) and \(3, 4\)"):
+        SystemMatrices(A=sp.csr_matrix((3, 4)), B=sp.csr_matrix((3, 4)))
+
+
 # ---------------------------------------------------------------------------
 # Structure of the assembled pencil
 # ---------------------------------------------------------------------------
@@ -285,6 +331,11 @@ def test_projection_rejects_clipped_support():
     sys_m = assemble_system(mesh, PotentialSpec.zero(), CONSTS)
     with pytest.raises(SpatialError, match="support"):
         project_initial(mesh, PACKET, CONSTS, sys_m.B)
+    # Centred between two nodes and far narrower than h: every node value
+    # underflows, so there is nothing to normalize.
+    narrow = WavePacketParams(r_bar=0.04, p_bar=0.0, sigma=1e-6)
+    with pytest.raises(SpatialError, match="identically zero"):
+        project_initial(mesh, narrow, CONSTS, sys_m.B)
 
 
 def test_projection_density_converges_cubically():
@@ -344,6 +395,9 @@ def test_b_norm_rejects_indefinite_form():
     bad = sp.csr_matrix(np.array([[-1.0]]))
     with pytest.raises(SpatialError, match="negative"):
         b_norm(np.array([1.0 + 0j]), bad)
+    skew = sp.csr_matrix(np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    with pytest.raises(SpatialError, match="imaginary part"):
+        b_norm(np.array([1.0, 1j]), skew)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +410,6 @@ def _diag_system(a_diag, b_diag):
     return SystemMatrices(
         A=sp.csr_matrix(np.diag(a_diag)),
         B=sp.csr_matrix(np.diag(b_diag)),
-        n_dof=len(a_diag),
     )
 
 
