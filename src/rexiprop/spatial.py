@@ -280,8 +280,15 @@ def project_initial(
     """Interior nodal interpolant of the packet, scaled so uᴴBu = hbar.
 
     With B = hbar * (mass matrix) this normalization makes the discrete
-    probability integral of |psi_h|^2 exactly 1.
+    probability integral of |psi_h|^2 exactly 1.  The packet's centre must
+    lie inside the domain and its magnitude at both ends below
+    SUPPORT_TOL of its peak.
     """
+    if not mesh.x0 < params.r_bar < mesh.x1:
+        raise SpatialError(
+            f"wave packet centre r_bar = {params.r_bar} lies outside the "
+            f"domain ({mesh.x0}, {mesh.x1})"
+        )
     peak = abs(wave_packet_eval(params, consts, params.r_bar))
     for endpoint in (mesh.x0, mesh.x1):
         ratio = abs(wave_packet_eval(params, consts, endpoint)) / peak

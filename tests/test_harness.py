@@ -299,6 +299,18 @@ def test_cmd_eig_needs_no_wave_packet(tmp_path, capsys, approx_file):
     assert "wave packet is not supported" in capsys.readouterr().err
 
 
+def test_cmd_tunnel_refuses_packet_centred_outside_domain(tmp_path, capsys,
+                                                         approx_file):
+    # Far outside (-12, 12) the packet's tails pass the support check.
+    cfg = write_config(tmp_path, r_bar=30.0, approx_path=approx_file)
+    out_dir = tmp_path / "out"
+    rc = main(["tunnel", "--config", cfg, "--out-dir", str(out_dir)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "r_bar = 30.0" in err and "(-12.0, 12.0)" in err
+    assert not out_dir.exists()
+
+
 def test_cmd_eig_sr_scales_like_h_squared(tmp_path, capsys, approx_file):
     def sr_for(n_elems):
         sub = tmp_path / f"n{n_elems}"
@@ -671,7 +683,10 @@ def test_cmd_compare_fine_reference(tmp_path, capsys, approx_file):
     assert float(fields["R"]) == pytest.approx(1.05 * 0.02 * sr, rel=1e-10)
     assert int(fields["degree"]) >= math.ceil(float(fields["R"]))
     assert 0 <= float(fields["sup_error"]) < 1e-13
-    assert float(fields["seconds"]) > 0
+    # build_seconds is the reference's construction alone; seconds adds
+    # its one step.
+    assert 0 < float(fields["build_seconds"]) <= float(fields["seconds"])
+    assert rows[0].index("build_seconds=") < rows[0].index(" seconds=")
     # ... and the approximant that ran.
     approx = approx_from_json(open(approx_file).read())
     assert float(fields["R1"]) == 10.0 and int(fields["K"]) == 16

@@ -499,6 +499,42 @@ def test_chebyshev_certificate_flagship_degree():
     assert 1e-10 <= cc.sup_error <= 1e-7
 
 
+def _chebval_sup_error(r, coeffs):
+    x = np.linspace(-1.0, 1.0, 100_001)
+    return float(np.max(np.abs(chebval(x, coeffs) - np.exp(1j * r * x))))
+
+
+def test_chebyshev_certificate_is_chebvals_bits():
+    # n = 1, 2: chebval's short branches; 26: the comparison method; then
+    # seeded random (r, n) and the degree the reference picks on the desk
+    # system.
+    rng = np.random.default_rng(21)
+    cases = [(10.0, 1), (10.0, 2), (10.0, 26)]
+    cases += [(float(rng.uniform(0.1, 60.0)), int(rng.integers(1, 120)))
+              for _ in range(8)]
+    for r, n in cases:
+        cc = chebyshev_coeffs(r, n)
+        assert cc.sup_error == _chebval_sup_error(r, cc.coeffs), (r, n)
+    sysm, _ = _barrier_pencil(-30.0, 30.0, 500)
+    ref = chebyshev_reference(sysm, 0.02)
+    assert ref.degree == 83
+    assert ref.sup_error == _chebval_sup_error(ref.interval_radius,
+                                               ref.coeffs)
+
+
+def test_chebyshev_certificate_peak_memory():
+    # Evaluated in cache-sized blocks: about 2.6 MB traced, where full-grid
+    # complex arrays took 7.8 MB.
+    chebyshev_coeffs(10.0, 26)  # warm-up
+    tracemalloc.start()
+    try:
+        chebyshev_coeffs(10.0, 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
 def test_chebyshev_low_degree_is_poor():
     assert chebyshev_coeffs(10.0, 5).sup_error > 0.01
 
@@ -537,6 +573,32 @@ def test_clenshaw_matches_direct_summation():
     got = stp.step(u)
     want = chebval(-tau * diag_a / stp.interval_radius, stp.coeffs) * u
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_clenshaw_step_is_textbook_recurrence_in_degree_solves(fem):
+    # One B-solve per degree, and the bits of b_k = a_k u + 2 S b_{k+1} -
+    # b_{k+2} from b_{N+1} = b_{N+2} = 0, with S = scale * B^-1 A.
+    sysm, _, u0, sr = fem
+    stp = chebyshev_prepare(sysm, 0.02, sr_value=sr)
+    solve = stp.B_factorization.solve
+    calls = []
+
+    def counting_solve(b, out=None):
+        calls.append(1)
+        return solve(b, out=out)
+
+    stp.B_factorization.solve = counting_solve
+    got = stp.step(u0)
+    assert len(calls) == stp.degree == 26
+
+    a, a_mat = stp.coeffs, sysm.A.astype(complex)
+    scale = -(stp.tau / stp.interval_radius)
+    b1 = np.zeros_like(u0)
+    b2 = np.zeros_like(u0)
+    for k in range(stp.degree, 0, -1):
+        b1, b2 = a[k] * u0 + 2.0 * scale * solve(a_mat @ b1)[0] - b2, b1
+    want = a[0] * u0 + scale * solve(a_mat @ b1)[0] - b2
+    assert np.array_equal(got, want)
 
 
 def test_chebyshev_zero_state_and_gate(fem):

@@ -338,6 +338,18 @@ def test_projection_rejects_clipped_support():
         project_initial(mesh, narrow, CONSTS, sys_m.B)
 
 
+def test_projection_rejects_centre_outside_domain():
+    # At r_bar = 30 the endpoint ratio is 4.4e-71, so only the centre check
+    # stops a state peaked at the last interior node.
+    mesh = build_mesh(-12.0, 12.0, 64)
+    sys_m = assemble_system(mesh, PotentialSpec.zero(), CONSTS)
+    for r_bar in (30.0, -12.0, 12.0):
+        packet = WavePacketParams(r_bar=r_bar, p_bar=2.0, sigma=1.0)
+        with pytest.raises(SpatialError, match=rf"r_bar = {r_bar} lies "
+                           r"outside the domain \(-12\.0, 12\.0\)"):
+            project_initial(mesh, packet, CONSTS, sys_m.B)
+
+
 def test_projection_density_converges_cubically():
     xs = np.linspace(-14.0, 8.0, 400)
     dens = []
