@@ -61,8 +61,8 @@ CIRCLE_TOL = 1e-8
 CONDITION_LIMIT = 1e12
 MIN_SHIFT_DISTANCE_REL = 1e-3
 _OVERFLOW_GUARD = 1e280
-# Grid points of the interval certificate, and points per evaluate_pfd call
-# there: the blocks bound the (points, K) temporaries without changing any
+# Grid points of the interval certificate, and points per pole sum there:
+# the blocks bound the (points, K) temporaries without changing any
 # point's pole sum.
 _SUP_CHECK_SAMPLES = 100_000
 _SUP_CHECK_BLOCK = 4096
@@ -435,18 +435,39 @@ def evaluate_pfd(approx: PartialFractionApproximation, z) -> np.ndarray | comple
     if np.any(diffs == 0):
         hit = approx.shifts[np.nonzero(diffs == 0)[-1][0]]
         raise ApproximationError(f"evaluation point coincides with the shift {hit}")
-    out = np.sum(approx.weights / diffs, axis=-1)
+    out = _pole_sum(approx.weights, diffs)
     return out if z_arr.ndim else complex(out)
 
 
+def _pole_sum(weights: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] / diffs[..., j], of differences z - s_j none of
+    which is zero; the quotients overwrite ``diffs``."""
+    np.divide(weights, diffs, out=diffs)
+    return np.sum(diffs, axis=-1)
+
+
 def sup_error_on_interval(approx: PartialFractionApproximation) -> float:
-    """max |exp(ix) - r(ix)| over a dense grid on [-R1, R1]."""
+    """max |exp(ix) - r(ix)| over a dense grid on [-R1, R1].
+
+    A grid point ``1j*x`` equals a shift s exactly when s.real == 0 and
+    s.imag is a grid value, so that is checked once over the shifts, by a
+    binary search of the ascending grid; the lowest such point's shift is
+    named, as ``evaluate_pfd`` would.
+    """
     x = np.linspace(-approx.domain_radius, approx.domain_radius,
                     _SUP_CHECK_SAMPLES)
+    s = approx.shifts
+    pos = np.minimum(np.searchsorted(x, s.imag), x.size - 1)
+    hits = np.flatnonzero((s.real == 0) & (x[pos] == s.imag))
+    if hits.size:
+        hit = s[hits[np.argmin(s.imag[hits])]]
+        raise ApproximationError(
+            f"evaluation point coincides with the shift {hit}")
     blocks = np.split(1j * x, range(_SUP_CHECK_BLOCK, _SUP_CHECK_SAMPLES,
                                     _SUP_CHECK_BLOCK))
-    return max(float(np.max(np.abs(np.exp(z) - evaluate_pfd(approx, z))))
-               for z in blocks)
+    return max(float(np.max(np.abs(
+        np.exp(z) - _pole_sum(approx.weights, z[:, None] - s))))
+        for z in blocks)
 
 
 def stability_indicator(approx: PartialFractionApproximation, z) -> np.ndarray | float:

@@ -438,7 +438,8 @@ def cmd_compare(args) -> int:
     _write_csv(args.out,
                "# errors are relative to exp(T*M) u0 as one Chebyshev "
                f"step: degree={ref.degree} R={ref.interval_radius:.12g} "
-               f"sup_error={ref.sup_error:.6e} build_seconds={build_s:.12g} "
+               f"sup_error={ref.sup_error:.6e} ref_solver={ref.solver} "
+               f"build_seconds={build_s:.12g} "
                f"seconds={ref_s:.12g} "
                f"sr_estimate={float(sr):.12g} sr_method={sr.method}; "
                f"approximant: R1={approx.domain_radius:.12g} K={approx.K} "

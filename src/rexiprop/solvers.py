@@ -34,20 +34,38 @@ single matrix is the K = 1 case.
   small oracle systems, scalar systems, random test matrices).  Its solve
   goes through scipy's ``lu_solve`` and holds the GIL.
 
+A Chebyshev stage applies ``B^-1 A`` rather than solving a given system.
+:func:`factorize_pencil` returns an operator for it, whose
+``apply(b, out=None)`` computes ``B^-1 A b`` into a new vector or ``out``:
+
+* :class:`CondensedPencil` -- a P2 pencil.  A's and B's midpoint blocks
+  are both diagonal, so the product with A and the solve with B condense
+  together onto the vertices: an application builds the vertex
+  right-hand side in five products, makes one ``zgttrs`` call on B's
+  vertex Schur complement (``factorize(B)``'s), and recovers the
+  midpoints in five more.  There is no sparse product and no complex
+  copy of A.  At 7999 DOF on a 2-CPU VM an application takes about
+  180-200 us, of which ``zgttrs`` is about 100 us; the product with A and
+  the condensed B-solve it replaces took about 60-85 and 170-180 us.
+* :class:`DensePencil` -- every other pencil (scalar and hand-built
+  systems): the product with A in complex storage, then ``factorize(B)``'s
+  solve.
+
 A sparse matrix without the P2 pattern is refused with :class:`SolverError`
 when its order exceeds ``DENSE_ORACLE_MAX_DOF``, rather than factored by
 O(n^3) dense LU unnoticed.  Dense ndarray inputs are always factored.  A
 factor-time :class:`SolverError` names the failing matrix of the stack in
 ``index``; a failed solve names none (``index`` None).
 
-The condensed path calls LAPACK through the function pointers exported by
+The condensed paths call LAPACK through the function pointers exported by
 :mod:`scipy.linalg.cython_lapack`, as ctypes foreign calls, which drop the
 GIL while the routine runs; that, and numpy dropping the GIL inside its
 array loops, is what lets a thread pool solve stacks concurrently.
 (scipy's f2py wrapper for ``zgttrf`` holds the GIL and rejects order 1.)
 
-Both expose ``kind`` (``"condensed"`` or ``"dense"``) and the stack size
-``K``; neither keeps the matrices it factored.
+Every factorization and pencil operator exposes ``kind``
+(``"condensed"`` or ``"dense"``); the factorizations also expose the stack
+size ``K``, and neither keeps the matrices it factored.
 """
 
 from __future__ import annotations
@@ -221,6 +239,18 @@ class CondensedFactorization:
         np.subtract(b[1::2], rhs, out=rhs)
         np.multiply(self._to_right, x_mid[:, 1:], out=tmp)
         rhs -= tmp
+        self._solve_vertices(rhs)
+        x_vert[...] = rhs
+        np.multiply(self._from_left, rhs, out=tmp)
+        x_mid[:, :-1] -= tmp
+        np.multiply(self._from_right, rhs, out=tmp)
+        x_mid[:, 1:] -= tmp
+        return x
+
+    def _solve_vertices(self, rhs: np.ndarray) -> None:
+        """Overwrite the C-contiguous complex vertex right-hand sides
+        ``rhs``, (K, m) or, for a stack of one, (m,), with the solutions of
+        the Schur complements, by one ``zgttrs`` call."""
         info = ctypes.c_int(0)
         _ZGTTRS(ctypes.byref(self._trans), ctypes.byref(self._order),
                 ctypes.byref(self._nrhs), *self._factors, rhs.ctypes.data,
@@ -228,12 +258,6 @@ class CondensedFactorization:
         if info.value != 0:
             raise SolverError(
                 f"tridiagonal back-substitution failed (info={info.value})")
-        x_vert[...] = rhs
-        np.multiply(self._from_left, rhs, out=tmp)
-        x_mid[:, :-1] -= tmp
-        np.multiply(self._from_right, rhs, out=tmp)
-        x_mid[:, 1:] -= tmp
-        return x
 
 
 class DenseFactorization:
@@ -306,3 +330,114 @@ def factorize_shifted(A, B, tau: float, shifts: np.ndarray):
         np.subtract(tau * A.diagonal(k), diag, out=diag)
         diagonals.append(diag)
     return CondensedFactorization(*diagonals)
+
+
+def _check_rhs(b: np.ndarray, n: int) -> None:
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side of shape {b.shape} does not match "
+                         f"a pencil of shape {(n, n)}")
+
+
+class CondensedPencil:
+    """``B^-1 A`` of a P2 pencil (A, B), applied on the vertices.
+
+    Both matrices have the P2 pattern, and both midpoint blocks are
+    diagonal, so ``B y = A b`` condenses as one solve with B does: with
+    the midpoints eliminated,
+
+        S_B y_v = (A_vv - B_vm B_mm^-1 A_mv) b_v
+                  + (A_vm - B_vm B_mm^-1 A_mm) b_m,
+        y_m = B_mm^-1 A_mm b_m + B_mm^-1 A_mv b_v - B_mm^-1 B_mv y_v,
+
+    where S_B = B_vv - B_vm B_mm^-1 B_mv is B's vertex Schur complement,
+    factored once by ``factorize(B)`` (a :class:`CondensedFactorization`,
+    whose numbering this follows).  The vertex operator is tridiagonal and
+    the midpoint-to-vertex coupling has two bands, so building the vertex
+    right-hand side takes five products of coefficient arrays and ``b``,
+    and recovering the midpoints five more; :meth:`apply` makes one
+    ``zgttrs`` call between them.  B is refused as ``factorize(B)``
+    refuses it.
+    """
+
+    kind = "condensed"
+
+    def __init__(self, A, B):
+        self._n = B.shape[0]
+        self._B = fac = factorize(B)
+        a0, a1, am1, a2, am2 = (np.asarray(A.diagonal(k), dtype=complex)
+                                for k in _OFFSETS)
+        inv_mid = fac._inv_mid[0]
+        to_left, to_right = fac._to_left[0], fac._to_right[0]
+        # B_mm^-1 A_mm, and B_mm^-1 A_mv as midpoint k's coupling to
+        # vertex k (a_from_left) and midpoint k + 1's to vertex k
+        # (a_from_right); B's own, B_mm^-1 B_mv, are the factorization's.
+        self._a_mid = a0[0::2] * inv_mid
+        self._a_from_left = a1[0::2] * inv_mid[:-1]
+        self._a_from_right = am1[1::2] * inv_mid[1:]
+        self._from_left, self._from_right = (fac._from_left[0],
+                                             fac._from_right[0])
+        # The vertex operator A_vv - B_vm B_mm^-1 A_mv (tridiagonal), and
+        # the coupling A_vm - B_vm B_mm^-1 A_mm to midpoints k and k + 1.
+        self._vert = (a0[1::2] - to_left * self._a_from_left
+                      - to_right * self._a_from_right)
+        self._vert_up = a2[1::2] - to_right[:-1] * self._a_from_left[1:]
+        self._vert_lo = am2[1::2] - to_left[1:] * self._a_from_right[:-1]
+        self._to_mid = am1[0::2] - to_left * self._a_mid[:-1]
+        self._to_next = a1[1::2] - to_right * self._a_mid[1:]
+
+    def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``B^-1 A b`` into a new complex array, or into ``out``.  ``b``
+        is read only into copies made first, so ``out`` may be ``b``.
+        Runs the one ``zgttrs`` call without holding the GIL and allocates
+        its scratch per call, so threads may share one operator."""
+        b = np.asarray(b)
+        _check_rhs(b, self._n)
+        y = np.empty(self._n, dtype=complex) if out is None else out
+        # Contiguous copies: products read them faster than strided views.
+        b_mid = np.ascontiguousarray(b[0::2], dtype=complex)
+        b_vert = np.ascontiguousarray(b[1::2], dtype=complex)
+        rhs = self._vert * b_vert
+        tmp = np.empty_like(rhs)
+        rhs[:-1] += np.multiply(self._vert_up, b_vert[1:], out=tmp[:-1])
+        rhs[1:] += np.multiply(self._vert_lo, b_vert[:-1], out=tmp[1:])
+        rhs += np.multiply(self._to_mid, b_mid[:-1], out=tmp)
+        rhs += np.multiply(self._to_next, b_mid[1:], out=tmp)
+        self._B._solve_vertices(rhs)
+        y[1::2] = rhs
+        b_mid *= self._a_mid
+        b_mid[:-1] += np.multiply(self._a_from_left, b_vert, out=tmp)
+        b_mid[1:] += np.multiply(self._a_from_right, b_vert, out=tmp)
+        b_mid[:-1] -= np.multiply(self._from_left, rhs, out=tmp)
+        b_mid[1:] -= np.multiply(self._from_right, rhs, out=tmp)
+        y[0::2] = b_mid
+        return y
+
+
+class DensePencil:
+    """``B^-1 A`` of any other pencil (scalar and hand-built systems): a
+    product with A in complex storage, then a solve with ``factorize(B)``."""
+
+    kind = "dense"
+
+    def __init__(self, A, B):
+        self._n = A.shape[0]
+        self._B = factorize(B)
+        self._A = A.astype(complex)
+
+    def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``B^-1 A b`` into a new complex array, or into ``out``."""
+        b = np.asarray(b)
+        _check_rhs(b, self._n)
+        y = np.empty(self._n, dtype=complex) if out is None else out
+        self._B.solve(self._A @ b, out=y[None])
+        return y
+
+
+def factorize_pencil(A, B):
+    """An operator whose ``apply(b, out=None)`` computes ``B^-1 A b``:
+    :class:`CondensedPencil` when A and B are sparse with the P2 pattern,
+    :class:`DensePencil` otherwise.  Both expose ``kind``, and both
+    refuse B as ``factorize(B)`` does."""
+    if issparse(A) and issparse(B) and _is_p2(A) and _is_p2(B):
+        return CondensedPencil(A, B)
+    return DensePencil(A, B)

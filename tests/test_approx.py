@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -320,6 +321,21 @@ def test_sup_error_equals_unblocked_max(flagship):
     full = float(np.max(np.abs(np.exp(z) - evaluate_pfd(flagship, z))))
     assert sup_error_on_interval(flagship) == full
     assert flagship.sup_error == full
+
+
+def test_sup_error_names_a_shift_on_the_grid(flagship):
+    # Two shifts moved exactly onto grid points: the lower one is named,
+    # as evaluating the whole grid at once names it.
+    x = np.linspace(-10.0, 10.0, 100_000)
+    shifts = flagship.shifts.copy()
+    shifts[3], shifts[9] = 1j * x[70_000], 1j * x[123]
+    on_grid = replace(flagship, shifts=shifts)
+    with pytest.raises(ApproximationError) as whole_grid:
+        evaluate_pfd(on_grid, 1j * x)
+    with pytest.raises(ApproximationError, match=re.escape(str(shifts[9]))
+                       ) as certificate:
+        sup_error_on_interval(on_grid)
+    assert str(certificate.value) == str(whole_grid.value)
 
 
 def test_sup_error_matches_stored_certificate(flagship):

@@ -687,6 +687,10 @@ def test_cmd_compare_fine_reference(tmp_path, capsys, approx_file):
     # its one step.
     assert 0 < float(fields["build_seconds"]) <= float(fields["seconds"])
     assert rows[0].index("build_seconds=") < rows[0].index(" seconds=")
+    # ref_solver is the reference's solve path, right after its sup_error.
+    assert fields["ref_solver"] == "condensed"
+    assert (rows[0].index("sup_error=") < rows[0].index("ref_solver=")
+            < rows[0].index("build_seconds="))
     # ... and the approximant that ran.
     approx = approx_from_json(open(approx_file).read())
     assert float(fields["R1"]) == 10.0 and int(fields["K"]) == 16

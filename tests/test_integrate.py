@@ -576,28 +576,29 @@ def test_clenshaw_matches_direct_summation():
 
 
 def test_clenshaw_step_is_textbook_recurrence_in_degree_solves(fem):
-    # One B-solve per degree, and the bits of b_k = a_k u + 2 S b_{k+1} -
-    # b_{k+2} from b_{N+1} = b_{N+2} = 0, with S = scale * B^-1 A.
+    # One pencil application (one vertex solve) per degree, and the bits of
+    # b_k = a_k u + 2 S b_{k+1} - b_{k+2} from b_{N+1} = b_{N+2} = 0, with
+    # S = scale * B^-1 A applied by the stepper's own operator.
     sysm, _, u0, sr = fem
     stp = chebyshev_prepare(sysm, 0.02, sr_value=sr)
-    solve = stp.B_factorization.solve
+    apply = stp.operator.apply
     calls = []
 
-    def counting_solve(b, out=None):
+    def counting_apply(b, out=None):
         calls.append(1)
-        return solve(b, out=out)
+        return apply(b, out=out)
 
-    stp.B_factorization.solve = counting_solve
+    stp.operator.apply = counting_apply
     got = stp.step(u0)
     assert len(calls) == stp.degree == 26
 
-    a, a_mat = stp.coeffs, sysm.A.astype(complex)
+    a = stp.coeffs
     scale = -(stp.tau / stp.interval_radius)
     b1 = np.zeros_like(u0)
     b2 = np.zeros_like(u0)
     for k in range(stp.degree, 0, -1):
-        b1, b2 = a[k] * u0 + 2.0 * scale * solve(a_mat @ b1)[0] - b2, b1
-    want = a[0] * u0 + scale * solve(a_mat @ b1)[0] - b2
+        b1, b2 = a[k] * u0 + 2.0 * scale * apply(b1) - b2, b1
+    want = a[0] * u0 + scale * apply(b1) - b2
     assert np.array_equal(got, want)
 
 
@@ -954,12 +955,124 @@ def test_zero_vertex_row_names_its_matrix(flagship):
         rexi_prepare(sys_zero, flagship, 1.0, sr_value=1.0, workers=1)
 
 
+@pytest.mark.parametrize("x0, x1, n_elems, potential", [
+    (-30.0, 30.0, 500, "step"), (-120.0, 120.0, 4000, "step"),
+    (-12.0, 12.0, 64, "zero"), (-3.0, 3.0, 3, "step")])
+def test_pencil_apply_is_product_then_b_solve(x0, x1, n_elems, potential):
+    # Desk and full scale with the benchmark's barrier, a zero-potential
+    # mesh, and the smallest mesh with the P2 pattern (5 DOFs).
+    sysm = assemble_system(build_mesh(x0, x1, n_elems),
+                           PotentialSpec(potential, 15.0, 0.005),
+                           PhysicalConstants())
+    op = solvers.factorize_pencil(sysm.A, sysm.B)
+    assert op.kind == "condensed"
+    b_fac, a_complex = factorize(sysm.B), sysm.A.astype(complex)
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        b = rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(
+            sysm.n_dof)
+        kept = b.copy()
+        want = b_fac.solve(a_complex @ b)[0]
+        got = op.apply(b)
+        assert np.array_equal(b, kept)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        out = np.full(sysm.n_dof, np.nan, dtype=complex)
+        assert op.apply(b, out=out) is out
+        assert out.tobytes() == got.tobytes()
+        assert op.apply(kept, out=kept).tobytes() == got.tobytes()
+
+
+def test_pencil_of_other_systems_is_product_then_solve_bitwise():
+    # No P2 pattern: the product with A in complex storage, then
+    # factorize(B)'s solve, byte for byte.
+    rng = np.random.default_rng(23)
+    for sysm in (scalar_system(3.0),
+                 SystemMatrices(A=diags(np.arange(-2.0, 3.0), format="csr"),
+                                B=identity(5, format="csr")),
+                 random_pencil(rng, 6)[0]):
+        op = solvers.factorize_pencil(sysm.A, sysm.B)
+        assert op.kind == "dense"
+        b = rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(
+            sysm.n_dof)
+        want = factorize(sysm.B).solve(sysm.A.astype(complex) @ b)[0]
+        assert op.apply(b).tobytes() == want.tobytes()
+        out = np.empty_like(b)
+        assert op.apply(b, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+def _with_b(sysm, entries):
+    b_mat = sysm.B.tolil()
+    for (i, j), value in entries.items():
+        b_mat[i, j] = value
+    return SystemMatrices(A=sysm.A, B=b_mat.tocsr())
+
+
+def test_pencil_refuses_singular_b_as_factorize_does():
+    # Five elements give 9 DOFs: midpoints 0, 2, .., 8, vertices 1, 3, 5, 7.
+    sysm, _ = _barrier_pencil(-5.0, 5.0, 5)
+    zero_row = {(3, j): 0.0 for j in range(1, 6)}
+    zero_row.update({(j, 3): 0.0 for j in range(1, 6)})
+    cases = [(_with_b(sysm, {(2, 2): 0.0}), "zero midpoint pivot at index 2"),
+             (_with_b(sysm, zero_row),
+              "Schur complement at index 3")]
+    for bad, message in cases:
+        with pytest.raises(SolverError, match=message) as want:
+            factorize(bad.B)
+        with pytest.raises(SolverError, match=message) as got:
+            solvers.factorize_pencil(bad.A, bad.B)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(SolverError, match=message):
+            chebyshev_prepare(bad, 0.01, sr_value=1.0)
+
+
+def test_pencil_serves_any_nonsingular_p2_b():
+    # B indefinite (a negated midpoint pivot), not symmetric, or complex:
+    # still the product with A, then the solve with B.
+    sysm, _ = _barrier_pencil(-5.0, 5.0, 5)
+    b_mat = sysm.B
+    rng = np.random.default_rng(24)
+    for pencil in (_with_b(sysm, {(4, 4): -b_mat[4, 4]}),
+                   _with_b(sysm, {(3, 4): 2.0 * b_mat[3, 4]}),
+                   SystemMatrices(A=sysm.A, B=(1.0 + 0.5j) * b_mat)):
+        op = solvers.factorize_pencil(pencil.A, pencil.B)
+        assert op.kind == "condensed"
+        b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        want = factorize(pencil.B).solve(pencil.A.astype(complex) @ b)[0]
+        assert np.max(np.abs(op.apply(b) - want)) <= 1e-13 * np.max(
+            np.abs(want))
+
+
+def test_pencil_of_float32_matrices_is_that_of_their_doubles():
+    sysm, _ = _barrier_pencil(-30.0, 30.0, 500)
+    a32, b32 = sysm.A.astype(np.float32), sysm.B.astype(np.float32)
+    op32 = solvers.factorize_pencil(a32, b32)
+    op64 = solvers.factorize_pencil(a32.astype(float), b32.astype(float))
+    b = np.random.default_rng(25).standard_normal(sysm.n_dof) + 0j
+    assert op32.apply(b).tobytes() == op64.apply(b).tobytes()
+
+
+def test_pencil_refuses_a_right_hand_side_of_the_wrong_length(fem):
+    for sysm in (fem[0], scalar_system(2.0)):
+        op = solvers.factorize_pencil(sysm.A, sysm.B)
+        n = sysm.n_dof
+        for wrong in (np.ones(n + 1), np.ones((n, 2))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{wrong.shape} does not match a pencil of shape "
+                    f"{(n, n)}")):
+                op.apply(wrong)
+
+
 def test_prepares_time_the_factorization(flagship, fem):
     sysm, _, _, sr = fem
     with rexi_prepare(sysm, flagship, 0.02, sr_value=sr, workers=1) as stp:
         assert stp.solver == "condensed"
         assert stp.timers["factor"] > 0
-    assert chebyshev_prepare(sysm, 0.02, sr_value=sr).timers["factor"] > 0
+    cheb = chebyshev_prepare(sysm, 0.02, sr_value=sr)
+    assert cheb.solver == "condensed"
+    assert cheb.timers["factor"] > 0
+    assert chebyshev_prepare(scalar_system(1.0), 1.0,
+                             sr_value=1.0).solver == "dense"
 
 
 def test_pooled_step_matches_serial_bitwise(flagship, fem, monkeypatch):
