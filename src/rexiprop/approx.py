@@ -61,9 +61,9 @@ CIRCLE_TOL = 1e-8
 CONDITION_LIMIT = 1e12
 MIN_SHIFT_DISTANCE_REL = 1e-3
 _OVERFLOW_GUARD = 1e280
-# Grid points of the interval certificate, and points per pole sum there:
-# the blocks bound the (points, K) temporaries without changing any
-# point's pole sum.
+# Grid points of the interval certificate, and points per evaluate_pfd
+# call there: the blocks bound the (points, K) temporaries without
+# changing any point's pole sum.
 _SUP_CHECK_SAMPLES = 100_000
 _SUP_CHECK_BLOCK = 4096
 
@@ -250,14 +250,6 @@ def _circle_error(sigma: float, u: np.ndarray, v: np.ndarray,
     return sigma * zc**length * p_vals / q_vals
 
 
-def _circle_product(poles: np.ndarray) -> np.ndarray:
-    """prod_k (z - poles[k]) on the unit circle."""
-    vals = np.ones_like(_UNIT_CIRCLE)
-    for zk in poles:
-        vals *= _UNIT_CIRCLE - zk
-    return vals
-
-
 def cf_approximate(a: Sequence[complex], n: int) -> CFApproximation:
     """Degree-(n-1, n) rational approximant of a power series on the disc.
 
@@ -314,7 +306,8 @@ def cf_approximate(a: Sequence[complex], n: int) -> CFApproximation:
             "singular vector has a root on the sampling grid"
         )
 
-    numer_samples = _circle_product(outside) * (h_vals - err_vals)
+    numer_samples = (npoly.polyvalfromroots(_UNIT_CIRCLE, outside)
+                     * (h_vals - err_vals))
     d = np.fft.fft(numer_samples) / DEFAULT_SAMPLES
     return CFApproximation(
         numerator_coeffs=d[:n].copy(),
@@ -399,7 +392,8 @@ class PartialFractionApproximation:
 
     ``sup_error`` is measured by dense sampling on the interval, not
     estimated.  ``stabilize_factor`` records the total uniform damping of
-    the weights (see :func:`stabilize`), None for undamped weights.
+    the weights (see :func:`stabilize`), None for undamped weights.  The
+    shifts must be distinct: a repeated shift is one pole, not two.
     """
 
     shifts: np.ndarray
@@ -414,6 +408,8 @@ class PartialFractionApproximation:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
         if len(self.shifts) != len(self.weights):
             raise ValueError("shifts and weights must have equal length")
+        if len(np.unique(self.shifts)) != len(self.shifts):
+            raise ValueError("shifts must be distinct")
 
     @property
     def K(self) -> int:
@@ -427,47 +423,41 @@ class PartialFractionApproximation:
 def evaluate_pfd(approx: PartialFractionApproximation, z) -> np.ndarray | complex:
     """Evaluate the weighted pole sum at z (scalar or array).
 
-    Evaluation exactly on a shift is a pole of the rational function and
-    raises rather than returning inf.
+    Each point's sum adds the quotients weights[j] / (z - shifts[j]) in
+    ascending j.  Evaluation exactly on a shift is a pole of the rational
+    function and raises, naming the shift of the first such point in C
+    order, rather than returning inf.  Only a point whose sum is not
+    finite can be on a shift (w/0 is inf or nan), so the points are
+    compared with the shifts only then; a non-finite sum off every shift
+    is returned.
     """
     z_arr = np.asarray(z, dtype=complex)
-    diffs = z_arr[..., None] - approx.shifts
-    if np.any(diffs == 0):
-        hit = approx.shifts[np.nonzero(diffs == 0)[-1][0]]
-        raise ApproximationError(f"evaluation point coincides with the shift {hit}")
-    out = _pole_sum(approx.weights, diffs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotients = z_arr[..., None] - approx.shifts
+        np.divide(approx.weights, quotients, out=quotients)
+        out = np.sum(quotients, axis=-1)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        hits = np.argwhere(z_arr[bad][:, None] - approx.shifts == 0)
+        if hits.size:
+            raise ApproximationError(f"evaluation point coincides with the "
+                                     f"shift {approx.shifts[hits[0, 1]]}")
     return out if z_arr.ndim else complex(out)
-
-
-def _pole_sum(weights: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] / diffs[..., j], of differences z - s_j none of
-    which is zero; the quotients overwrite ``diffs``."""
-    np.divide(weights, diffs, out=diffs)
-    return np.sum(diffs, axis=-1)
 
 
 def sup_error_on_interval(approx: PartialFractionApproximation) -> float:
     """max |exp(ix) - r(ix)| over a dense grid on [-R1, R1].
 
-    A grid point ``1j*x`` equals a shift s exactly when s.real == 0 and
-    s.imag is a grid value, so that is checked once over the shifts, by a
-    binary search of the ascending grid; the lowest such point's shift is
-    named, as ``evaluate_pfd`` would.
+    ``evaluate_pfd`` measures r, one block of the ascending grid at a
+    time, so a grid point on a shift raises its error, naming the lowest
+    such point's shift.
     """
     x = np.linspace(-approx.domain_radius, approx.domain_radius,
                     _SUP_CHECK_SAMPLES)
-    s = approx.shifts
-    pos = np.minimum(np.searchsorted(x, s.imag), x.size - 1)
-    hits = np.flatnonzero((s.real == 0) & (x[pos] == s.imag))
-    if hits.size:
-        hit = s[hits[np.argmin(s.imag[hits])]]
-        raise ApproximationError(
-            f"evaluation point coincides with the shift {hit}")
     blocks = np.split(1j * x, range(_SUP_CHECK_BLOCK, _SUP_CHECK_SAMPLES,
                                     _SUP_CHECK_BLOCK))
-    return max(float(np.max(np.abs(
-        np.exp(z) - _pole_sum(approx.weights, z[:, None] - s))))
-        for z in blocks)
+    return max(float(np.max(np.abs(np.exp(z) - evaluate_pfd(approx, z))))
+               for z in blocks)
 
 
 def stability_indicator(approx: PartialFractionApproximation, z) -> np.ndarray | float:
@@ -556,7 +546,7 @@ def faber_cf(mp: JoukowskiMap, degree: int = 16) -> PartialFractionApproximation
     # Disc expansion of the rational approximant (unit circle suffices: the
     # poles are well outside).
     r_vals = (npoly.polyval(_UNIT_CIRCLE, cf.numerator_coeffs)
-              / _circle_product(cf.poles_outside))
+              / npoly.polyvalfromroots(_UNIT_CIRCLE, cf.poles_outside))
     c_vec = (np.fft.fft(r_vals) / DEFAULT_SAMPLES)[:n_poles]
 
     # Per-pole expansion sequences through the map.  The expansions only
@@ -682,8 +672,6 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
                       ("sup_error", sup_error)):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{key} must be finite")
-    if len(np.unique(shifts)) != len(shifts):
-        raise ValueError("shifts must be distinct")
     stabilized = raw["stabilized"]
     if not isinstance(stabilized, bool):
         raise ValueError(

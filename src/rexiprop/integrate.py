@@ -28,9 +28,9 @@ apply the propagator live here:
   exp on i[-R, R]; each recurrence stage is one application of the pencil
   operator B^-1 A from ``solvers.factorize_pencil``.  On a P2 pencil that
   is one condensed vertex solve, with no sparse product: 180-200 us at
-  7999 DOF on a 2-CPU VM, where an A-multiply and a condensed B-solve took
-  230-265 us.  This is the comparison method and, as one step over a
-  whole run (``chebyshev_reference``), the reference at every system size.
+  7999 DOF on a 2-CPU VM.  This is the comparison method and, as one
+  step over a whole run (``chebyshev_reference``), the reference at
+  every system size.
 * Dense oracle: full eigendecomposition of M through the symmetric
   pencil (A, B), for small systems only; supplies the conditioning
   number used in the a-priori error bound.
@@ -67,6 +67,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.polynomial.chebyshev import chebval
 
 from .approx import PartialFractionApproximation, check_shift_distance
 from .errors import AdmissibilityError, SolverError
@@ -202,8 +203,6 @@ class RexiStepper(Stepper):
                  approx: PartialFractionApproximation, tau: float, *,
                  workers: int | None = None, sr_value: float | None = None,
                  override_admissibility: bool = False):
-        if len(np.unique(approx.shifts)) != approx.K:
-            raise ValueError("approximation shifts must be distinct")
         check_shift_distance(approx.shifts, approx.domain_radius)
         if workers is None:
             workers = approx.K
@@ -314,6 +313,11 @@ class ChebyshevCoeffs(NamedTuple):
     sup_error: float
 
 
+# Grid points per block of the certificate: chebval's recurrence arrays
+# stay cache-sized whatever the degree.
+_CERTIFICATE_BLOCK = 16384
+
+
 def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
     """Coefficients a_0..a_N with sum a_k T_k(x) matching exp(i r x) on
     [-1, 1], equivalently p(z) = sum a_k T_k(-iz/r) matching exp on
@@ -321,8 +325,9 @@ def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
     discrete cosine transform, computed as the FFT of their even extension
     (numpy's FFT: importing scipy.fft would cost about 5 MB of memory).
     The certificate ``sup_error`` is measured, not estimated: the largest
-    |p(x) - exp(i r x)| on 100,001 equispaced points of [-1, 1]
-    (:func:`_sup_error`).
+    |chebval(x, a) - exp(i r x)| on 100,001 equispaced points of [-1, 1],
+    taken one block of the grid at a time so that only a block's arrays
+    are held.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
@@ -332,49 +337,11 @@ def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
     a = np.fft.fft(np.concatenate([f, f[-2:0:-1]]))[: n + 1] / n
     a[0] *= 0.5
     a[-1] *= 0.5
-    return ChebyshevCoeffs(coeffs=a, sup_error=_sup_error(r, a))
-
-
-# Grid points per block of the certificate: its three (2, block) real
-# arrays stay cache-sized (768 KB) whatever the degree.
-_CERTIFICATE_BLOCK = 16384
-
-
-def _sup_error(r: float, a: np.ndarray) -> float:
-    """max |sum a_k T_k(x) - exp(i r x)| over ``linspace(-1, 1, 100_001)``.
-
-    Bitwise ``max(abs(chebval(x, a) - exp(1j*r*x)))``: the same backward
-    recurrence, c0, c1 = a[-i] - c1, c0 + c1*2x, run in place on the real
-    and imaginary parts stacked as (2, block) arrays, one block of the
-    grid at a time.  numpy's complex-times-real product rounds to the two
-    real products, so the parts carry chebval's bits; only the block's
-    arrays are held, not full-grid complex ones.
-    """
     x = np.linspace(-1.0, 1.0, 100_001)
-    parts = np.stack([a.real, a.imag])[:, :, None]   # (2, N+1, 1)
-    bufs = np.empty((3, 2, _CERTIFICATE_BLOCK))
-    sup = 0.0
-    for start in range(0, x.size, _CERTIFICATE_BLOCK):
-        xb = x[start:start + _CERTIFICATE_BLOCK]
-        x2 = 2 * xb
-        c0, c1, tmp = bufs[:, :, :xb.size]
-        c0[...] = parts[:, -2]
-        c1[...] = parts[:, -1]
-        for i in range(3, a.size + 1):
-            np.multiply(c1, x2, out=tmp)
-            tmp += c0
-            np.subtract(parts[:, -i], c1, out=c0)
-            c1, tmp = tmp, c1
-        np.multiply(c1, xb, out=c1)
-        c1 += c0
-        p = np.empty(xb.size, dtype=complex)
-        p.real = c1[0]
-        p.imag = c1[1]
-        err = np.multiply(1j * r, xb)
-        np.exp(err, out=err)
-        np.subtract(p, err, out=err)
-        sup = max(sup, float(np.max(np.abs(err))))
-    return sup
+    sup = max(float(np.max(np.abs(chebval(xb, a) - np.exp(1j * r * xb))))
+              for xb in np.split(x, range(_CERTIFICATE_BLOCK, x.size,
+                                          _CERTIFICATE_BLOCK)))
+    return ChebyshevCoeffs(coeffs=a, sup_error=sup)
 
 
 class ChebyshevStepper(Stepper):

@@ -45,8 +45,7 @@ A Chebyshev stage applies ``B^-1 A`` rather than solving a given system.
   vertex Schur complement (``factorize(B)``'s), and recovers the
   midpoints in five more.  There is no sparse product and no complex
   copy of A.  At 7999 DOF on a 2-CPU VM an application takes about
-  180-200 us, of which ``zgttrs`` is about 100 us; the product with A and
-  the condensed B-solve it replaces took about 60-85 and 170-180 us.
+  180-200 us, of which ``zgttrs`` is about 100 us.
 * :class:`DensePencil` -- every other pencil (scalar and hand-built
   systems): the product with A in complex storage, then ``factorize(B)``'s
   solve.
@@ -139,6 +138,16 @@ def _screen_pivots(pivots: np.ndarray) -> None:
         )
 
 
+def _check_rhs(b: np.ndarray, n: int, pencil: bool = False) -> None:
+    """Refuse a right-hand side ``b`` whose shape is not (n,), naming the
+    system of order n, or with ``pencil`` the pencil, it does not match."""
+    if b.shape != (n,):
+        target = (f"a pencil of shape {(n, n)}" if pencil
+                  else f"a system of order {n}")
+        raise ValueError(f"right-hand side of shape {b.shape} does not "
+                         f"match {target}")
+
+
 class CondensedFactorization:
     """A stack of K P2 pentadiagonal matrices of one order, each solved
     through the tridiagonal Schur complement on its vertices.
@@ -222,11 +231,7 @@ class CondensedFactorization:
         ``zgttrs`` call without holding the GIL and allocates its scratch
         per call, so threads may share one factorization."""
         b = np.asarray(b)
-        if b.shape != (self._n,):
-            raise ValueError(
-                f"right-hand side of shape {b.shape} does not match a "
-                f"system of order {self._n}"
-            )
+        _check_rhs(b, self._n)
         x = np.empty((self.K, self._n), dtype=complex) if out is None else out
         # Midpoints first hold inv(D) b_mid, then the solution.
         x_mid, x_vert = x[:, 0::2], x[:, 1::2]
@@ -277,12 +282,16 @@ class DenseFactorization:
                 warnings.simplefilter("ignore", LinAlgWarning)
                 self._lus.append(lu_factor(dense, check_finite=False))
         _screen_pivots(np.array([np.diagonal(lu) for lu, _ in self._lus]))
+        self._n = len(self._lus[0][0])
 
     def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Row j of the (K, n) result (``out`` when given) solves matrix j."""
-        b = np.asarray(b, dtype=complex)
+        """Row j of the (K, n) result (``out`` when given) solves matrix j
+        for the vector ``b``."""
+        b = np.asarray(b)
+        _check_rhs(b, self._n)
+        b = b.astype(complex, copy=False)
         if out is None:
-            out = np.empty((self.K, len(b)), dtype=complex)
+            out = np.empty((self.K, self._n), dtype=complex)
         for row, lu in zip(out, self._lus):
             row[...] = lu_solve(lu, b, check_finite=False)
         return out
@@ -330,12 +339,6 @@ def factorize_shifted(A, B, tau: float, shifts: np.ndarray):
         np.subtract(tau * A.diagonal(k), diag, out=diag)
         diagonals.append(diag)
     return CondensedFactorization(*diagonals)
-
-
-def _check_rhs(b: np.ndarray, n: int) -> None:
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side of shape {b.shape} does not match "
-                         f"a pencil of shape {(n, n)}")
 
 
 class CondensedPencil:
@@ -391,7 +394,7 @@ class CondensedPencil:
         Runs the one ``zgttrs`` call without holding the GIL and allocates
         its scratch per call, so threads may share one operator."""
         b = np.asarray(b)
-        _check_rhs(b, self._n)
+        _check_rhs(b, self._n, pencil=True)
         y = np.empty(self._n, dtype=complex) if out is None else out
         # Contiguous copies: products read them faster than strided views.
         b_mid = np.ascontiguousarray(b[0::2], dtype=complex)
@@ -427,7 +430,7 @@ class DensePencil:
     def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``B^-1 A b`` into a new complex array, or into ``out``."""
         b = np.asarray(b)
-        _check_rhs(b, self._n)
+        _check_rhs(b, self._n, pencil=True)
         y = np.empty(self._n, dtype=complex) if out is None else out
         self._B.solve(self._A @ b, out=y[None])
         return y

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
-from scipy.special import jv
+from scipy.special import gammaln, jv
 
 from rexiprop import approx as approx_module
 from rexiprop.approx import (
@@ -21,6 +21,8 @@ from rexiprop.approx import (
     approx_to_json,
     cf_approximate,
     _distance_to_interval,
+    _ladder_radii,
+    _series_from_radius_ladder,
     cf_circle_error,
     evaluate_pfd,
     faber_cf,
@@ -155,6 +157,64 @@ def test_coefficients_non_finite_inner_contour_is_an_error():
     with pytest.raises(ApproximationError,
                        match="innermost contour .* not finite"):
         faber_coefficients(mp, lambda w: np.full_like(w, np.nan), 20)
+
+
+def _recording(f):
+    """f, and the list of radii of the circles it is sampled on: each
+    circle's first sample is its radius times 1."""
+    radii = []
+
+    def sampled(z):
+        radii.append(float(z[0].real))
+        return f(z)
+
+    return sampled, radii
+
+
+def test_ladder_refuses_a_radius_at_the_unit_circle():
+    with pytest.raises(ApproximationError, match="no sampling radius fits"):
+        _ladder_radii(1.0001)
+    # Up to 1.3, twelve geometric rungs end at the radius itself.
+    rungs = _ladder_radii(1.2)
+    assert len(rungs) == 12 and rungs[0] == 1.0001 and rungs[-1] == 1.2
+    assert np.all(np.diff(rungs) > 0)
+
+
+def test_ladder_stops_at_the_first_circle_past_the_overflow_guard():
+    # exp(600 z) peaks at 4e260 on the first rung and 3e284 on the third.
+    f, radii = _recording(lambda z: np.exp(600.0 * z))
+    a = _series_from_radius_ladder(f, 700)
+    rungs = _ladder_radii(1e4)
+    assert radii == list(rungs[:3])
+    peaks = [np.max(np.abs(np.exp(600.0 * r * approx_module._UNIT_CIRCLE)))
+             for r in radii]
+    assert peaks[1] < approx_module._OVERFLOW_GUARD < peaks[2] < np.inf
+    # The orders the kept circles resolve are 600^j / j!.
+    j = np.arange(550, 701)
+    exact = np.exp(j * np.log(600.0) - gammaln(j + 1))
+    np.testing.assert_allclose(a[550:], exact, rtol=1e-9, atol=0.0)
+
+
+def test_ladder_stops_once_the_peak_shrinks_past_a_pole():
+    # The pole at 1.4 lies between the rungs 1.3 and 1.68: the peak grows
+    # to 1/0.1 at 1.3, then shrinks to 1/0.28, and that circle is the last.
+    f, radii = _recording(lambda z: 1.0 / (z - 1.4))
+    a = _series_from_radius_ladder(f, 20)
+    rungs = _ladder_radii(1e4)
+    assert rungs[6] == 1.3 and rungs[6] < 1.4 < rungs[7]
+    assert radii == list(rungs[:8])
+    np.testing.assert_allclose(a, -1.4 ** -np.arange(1.0, 22.0),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_ladder_stops_at_non_finite_samples_after_the_first_circle():
+    # A pole exactly on the second circle's first sample.
+    pole = _ladder_radii(1e4)[1]
+    f, radii = _recording(lambda z: 1.0 / (z - pole))
+    a = _series_from_radius_ladder(f, 20)
+    assert radii == list(_ladder_radii(1e4)[:2])
+    np.testing.assert_allclose(a, -pole ** -np.arange(1.0, 22.0),
+                               rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +357,48 @@ def test_pfd_single_pole_value():
 
 
 def test_pfd_pole_hit_is_an_error(flagship):
-    with pytest.raises(ApproximationError, match="coincides with the shift"):
-        evaluate_pfd(flagship, complex(flagship.shifts[3]))
+    # A scalar on a shift, whose quotient is w/0, or 0/0 with a zero weight.
+    weights = flagship.weights.copy()
+    weights[3] = 0.0
+    for ap in (flagship, replace(flagship, weights=weights)):
+        with pytest.raises(ApproximationError, match=re.escape(
+                f"coincides with the shift {flagship.shifts[3]}")):
+            evaluate_pfd(ap, complex(flagship.shifts[3]))
+
+
+def test_pfd_names_the_first_coinciding_point_in_c_order(flagship):
+    s = flagship.shifts
+    z = np.array([[0.5j, s[5]], [s[2], 1.0]])
+    with pytest.raises(ApproximationError) as raised:
+        evaluate_pfd(flagship, z)
+    assert str(raised.value) == f"evaluation point coincides with the shift {s[5]}"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pfd_coincidence_raises_no_runtime_warning(flagship):
+    # A zero weight makes the point's quotient 0/0, a nonzero one w/0.
+    weights = flagship.weights.copy()
+    weights[4] = 0.0
+    zero_weight = replace(flagship, weights=weights)
+    for ap, j in ((flagship, 7), (zero_weight, 4)):
+        z = 1j * np.linspace(-10.0, 10.0, 11)
+        z[3] = ap.shifts[j]
+        with pytest.raises(ApproximationError, match=re.escape(
+                str(ap.shifts[j]))):
+            evaluate_pfd(ap, z)
+
+
+def test_pfd_returns_a_non_finite_sum_off_every_shift():
+    ap = PartialFractionApproximation(
+        shifts=np.array([-1.0 + 0j, 2.0 + 3j]),
+        weights=np.array([1e308 + 0j, 1.0 + 0j]),
+        domain_radius=1.0,
+        sup_error=0.0,
+    )
+    z = np.array([0.0, np.nextafter(-1.0, 0.0)])
+    with np.errstate(over="ignore"):
+        out = evaluate_pfd(ap, z)
+    assert np.isfinite(out[0]) and not np.isfinite(out[1])
 
 
 def test_pfd_mismatched_lengths_rejected():

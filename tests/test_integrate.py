@@ -234,13 +234,14 @@ def test_prepare_records_admissibility(flagship):
 
 
 def test_prepare_rejects_duplicate_shifts():
-    approx = PartialFractionApproximation(
-        shifts=np.array([2.0 + 1.0j, 2.0 + 1.0j]),
-        weights=np.array([1.0 + 0j, 1.0 + 0j]),
-        domain_radius=10.0,
-        sup_error=1.0,
-    )
+    # The approximant itself refuses them, so no stepper can be built.
     with pytest.raises(ValueError, match="distinct"):
+        approx = PartialFractionApproximation(
+            shifts=np.array([2.0 + 1.0j, 2.0 + 1.0j]),
+            weights=np.array([1.0 + 0j, 1.0 + 0j]),
+            domain_radius=10.0,
+            sup_error=1.0,
+        )
         rexi_prepare(scalar_system(1.0), approx, 1.0, sr_value=1.0)
 
 
@@ -895,6 +896,21 @@ def test_condensed_solve_shapes_keep_the_input(flagship, fem):
     for wrong in (np.ones(sysm.n_dof + 1), np.ones((sysm.n_dof, 2))):
         with pytest.raises(ValueError, match="does not match"):
             fac.solve(wrong)
+
+
+def test_factorizations_refuse_a_right_hand_side_of_another_shape(fem):
+    # Too long, a column block, an (n, 1) column and a 0-d array.
+    rng = np.random.default_rng(26)
+    dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+    b_mat = fem[0].B
+    for fac, n in ((factorize(np.array([[2.0]])), 1), (factorize(dense), 6),
+                   (factorize(b_mat), b_mat.shape[0])):
+        for wrong in (np.ones(n + 1), np.ones((n, 2)), np.ones((n, 1)),
+                      np.array(1.0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"right-hand side of shape {wrong.shape} does not match "
+                    f"a system of order {n}")):
+                fac.solve(wrong)
 
 
 def test_condensed_solve_shared_across_threads(flagship):
