@@ -12,8 +12,6 @@ from .approx import (
     cf_circle_error,
     evaluate_pfd,
     faber_cf,
-    faber_coefficients,
-    hankel_matrix,
     joukowski_eval,
     rounding_floor,
     stability_indicator,

@@ -5,8 +5,10 @@ interval i*[-R1, R1] by a Joukowski-type conformal map:
 
 1. sample the transplanted target on a geometric ladder of circles
    outside the unit circle, read off its expansion coefficients by FFT,
-   and keep each order from the circle that resolves it best (adaptive
-   sampling, see _series_from_radius_ladder);
+   and keep each order from the circle that resolves it best, until the
+   three-circle theorem says the ladder has left the annulus of
+   analyticity (_series_from_radius_ladder, the one sampler: the per-pole
+   sequences of step 4 come from it too);
 2. form the Hankel matrix of those coefficients and take its (n+1)-st
    singular triple -- Caratheodory-Fejer / AAK theory says the triple
    encodes a rational function whose deviation from the target on the
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import hankel as _hankel_from_rows
+from scipy.linalg import hankel
 
 from .errors import ApproximationError
 
@@ -89,37 +91,56 @@ def _ladder_radii(max_radius: float) -> np.ndarray:
     ])
 
 
+def _circle_coefficients(vals: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` coefficients c_0 .. c_{count-1} of a series
+    sampled at the DEFAULT_SAMPLES roots of unity, read off by FFT."""
+    return np.fft.fft(vals)[:count] / DEFAULT_SAMPLES
+
+
 def _series_from_radius_ladder(
     f: Callable[[np.ndarray], np.ndarray],
     length: int,
     max_radius: float = 1e4,
 ) -> np.ndarray:
-    """Taylor coefficients a_0 .. a_length of ``f`` with per-order contours.
+    """The non-negative Laurent coefficients a_0 .. a_length of ``f`` on
+    the annulus r0 < |z| < R (r0 < 1 < R) where it is analytic, read with
+    per-order contours.
 
     A single circle |z| = rho recovers every coefficient with roughly the
     same *absolute* error eps * max|f| on the circle, i.e. with a relative
     error that explodes once a_j decays below that level.  Balancing
     max|f(rho)| / rho**j per order (the saddle-point choice) keeps the
     relative error near eps for as long as the coefficient is representable
-    at all.  This walks a geometric ladder of radii, keeps for each order
-    the sample from the circle with the smallest modeled error, and stops
-    once samples stop being finite, overflow the model, or no order
-    improves any more (max|f| is log-convex in log rho, so improvement
-    never resumes once lost).
+    at all.  This walks a geometric ladder of radii in (1, max_radius] and
+    keeps for each order the sample from the circle with the smallest
+    modelled error log max|f| - j log rho.
 
-    ``max_radius`` must keep the whole ladder inside the domain of
-    analyticity of ``f``.
+    The walk stops by Hadamard's three-circle theorem: on an annulus where
+    f is analytic, log max|f| on |z| = rho is convex in log rho, so the
+    secant slope between consecutive rungs never falls.  A rung whose slope
+    falls below the previous one lies past a singularity, reads the
+    coefficients of another annulus, and is not kept.  Once the slope
+    reaches ``length``, every order's modelled error grows from there on,
+    so the walk stops too.  It also stops at a circle whose samples are not
+    finite or whose peak passes the overflow guard; on the innermost circle
+    a sample that is not finite is an error.
+
+    ``length`` must lie in [0, DEFAULT_SAMPLES // 2): higher orders alias
+    with the negative ones on the sampling circle.
     """
+    if not 0 <= length < DEFAULT_SAMPLES // 2:
+        raise ValueError(
+            f"length must be in [0, {DEFAULT_SAMPLES // 2}), got {length}"
+        )
     orders = np.arange(length + 1, dtype=float)
     best = np.zeros(length + 1, dtype=complex)
     best_log = np.full(length + 1, np.inf)
-    sampled = False
-    prev_peak = 0.0
-    for rho in _ladder_radii(max_radius):
+    slope = -math.inf
+    for rung, rho in enumerate(_ladder_radii(max_radius)):
         with np.errstate(all="ignore"):
             vals = np.asarray(f(rho * _UNIT_CIRCLE), dtype=complex)
         if not np.all(np.isfinite(vals)):
-            if sampled:
+            if rung:
                 break
             bad = np.argmax(~np.isfinite(vals))
             raise ApproximationError(
@@ -129,36 +150,22 @@ def _series_from_radius_ladder(
         peak = float(np.max(np.abs(vals)))
         if peak > _OVERFLOW_GUARD:
             break
-        if sampled and peak < 0.999999 * prev_peak:
-            # The circle maximum can only shrink with growing radius after
-            # a singularity has been crossed; later rungs would silently
-            # read coefficients of the wrong Laurent annulus.
-            break
-        prev_peak = peak
-        c = np.fft.fft(vals)[: length + 1] / DEFAULT_SAMPLES
         log_rho = math.log(rho)
-        cand_log = (math.log(peak) if peak > 0.0 else -math.inf) - orders * log_rho
+        log_peak = math.log(peak) if peak > 0.0 else -math.inf
+        if rung:
+            new_slope = (log_peak - prev_log_peak) / (log_rho - prev_log_rho)
+            if not slope <= new_slope < length:  # NaN: f is 0 on both
+                break
+            slope = new_slope
+        prev_log_rho, prev_log_peak = log_rho, log_peak
+        cand_log = log_peak - orders * log_rho
         better = cand_log < best_log
-        if sampled and not np.any(better):
-            break
         with np.errstate(under="ignore"):
-            cand = c * np.exp(-orders * log_rho)
+            cand = (_circle_coefficients(vals, length + 1)
+                    * np.exp(-orders * log_rho))
         best[better] = cand[better]
         best_log[better] = cand_log[better]
-        sampled = True
     return best
-
-
-def hankel_matrix(a: Sequence[complex]) -> np.ndarray:
-    """Hankel matrix H[i, j] = a_{i+j} of the coefficient window a_0 .. a_L.
-
-    The matrix is (L+1) x (L+1) with zeros where i + j > L: the square
-    matrix whose singular triples drive the degree-(n-1, n) construction.
-    """
-    a = np.asarray(a)
-    if a.ndim != 1 or len(a) == 0:
-        raise ValueError("coefficient window must be a non-empty 1-D sequence")
-    return _hankel_from_rows(a)
 
 
 def _singular_triple(h_mat: np.ndarray, index: int):
@@ -221,12 +228,15 @@ def _cf_input(a: Sequence[complex], n: int):
     if n < 1:
         raise ValueError(f"degree n must be >= 1, got {n}")
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 1:
+        raise ValueError(
+            f"coefficient window must be 1-D, got shape {a.shape}")
     if len(a) - 1 < 2 * n:
         raise ValueError(
             f"series too short for degree {n}: need at least {2 * n + 1} "
             f"coefficients, got {len(a)}"
         )
-    sigma, u, v = _singular_triple(hankel_matrix(a), n)
+    sigma, u, v = _singular_triple(hankel(a), n)
     # Exactly-rational targets of lower degree make the (n+1)-st singular
     # value vanish.  Only a true zero (or subnormal) counts as degenerate:
     # legitimate smooth targets reach sigma values like 1e-41, far below
@@ -308,9 +318,8 @@ def cf_approximate(a: Sequence[complex], n: int) -> CFApproximation:
 
     numer_samples = (npoly.polyvalfromroots(_UNIT_CIRCLE, outside)
                      * (h_vals - err_vals))
-    d = np.fft.fft(numer_samples) / DEFAULT_SAMPLES
     return CFApproximation(
-        numerator_coeffs=d[:n].copy(),
+        numerator_coeffs=_circle_coefficients(numer_samples, n),
         poles_outside=outside.copy(),
         sigma=sigma,
         warnings=warnings,
@@ -355,32 +364,6 @@ def joukowski_eval(mp: JoukowskiMap, z) -> np.ndarray | complex:
     return out if z_arr.ndim else complex(out)
 
 
-def faber_coefficients(
-    mp: JoukowskiMap,
-    g: Callable[[np.ndarray], np.ndarray],
-    length: int,
-) -> np.ndarray:
-    """First ``length + 1`` expansion coefficients of g pulled back through
-    the map.
-
-    The coefficients come from an adaptive ladder of sampling circles
-    (see :func:`_series_from_radius_ladder`), which keeps them accurate
-    relative to their own magnitude deep into the decay.  This assumes g
-    composed with the map is analytic out to |z| = 1e4 (any entire g
-    qualifies) and that g accepts an array of points.
-
-    For g = exp these are the Faber coefficients of exp on the segment, and
-    they match the classical Bessel-function values.
-    """
-    if not 0 <= length < DEFAULT_SAMPLES // 2:
-        raise ValueError(
-            f"length must be in [0, {DEFAULT_SAMPLES // 2}), got {length}"
-        )
-    return _series_from_radius_ladder(
-        lambda z: g(joukowski_eval(mp, z)), length
-    )
-
-
 # ---------------------------------------------------------------------------
 # Partial-fraction result type and its evaluation
 # ---------------------------------------------------------------------------
@@ -392,8 +375,11 @@ class PartialFractionApproximation:
 
     ``sup_error`` is measured by dense sampling on the interval, not
     estimated.  ``stabilize_factor`` records the total uniform damping of
-    the weights (see :func:`stabilize`), None for undamped weights.  The
-    shifts must be distinct: a repeated shift is one pole, not two.
+    the weights (see :func:`stabilize`), None for undamped weights.  Values
+    no construction produces are refused: no poles, an R1 that is not
+    finite and positive, shifts, weights or a sup error that are not
+    finite, a damping factor outside (0, 1), and repeated shifts (a
+    repeated shift is one pole, not two).
     """
 
     shifts: np.ndarray
@@ -408,6 +394,18 @@ class PartialFractionApproximation:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
         if len(self.shifts) != len(self.weights):
             raise ValueError("shifts and weights must have equal length")
+        if not self.K:
+            raise ValueError("K must be >= 1, got 0")
+        r1 = self.domain_radius
+        if not (math.isfinite(r1) and r1 > 0):
+            raise ValueError(f"R1 must be finite and positive, got {r1}")
+        for key in ("shifts", "weights", "sup_error"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} must be finite")
+        factor = self.stabilize_factor
+        if factor is not None and not 0.0 < factor < 1.0:
+            raise ValueError(
+                f"stabilize_factor must lie in (0, 1), got {factor}")
         if len(np.unique(self.shifts)) != len(self.shifts):
             raise ValueError("shifts must be distinct")
 
@@ -525,9 +523,9 @@ def faber_cf(mp: JoukowskiMap, degree: int = 16) -> PartialFractionApproximation
     (window a_0 .. a_DEFAULT_TRUNCATION), the disc-side rational
     construction at ``degree``, forward mapping of the poles to shifts, and
     a linear fit of the weights so the first K expansion coefficients of
-    the weighted pole sum match those of the disc rational.  Every expansion involved is
-    sampled on an adaptive ladder of circles (see
-    :func:`faber_coefficients`).
+    the weighted pole sum match those of the disc rational.  The series of
+    exp through the map and the per-pole sequences all come from one
+    adaptive ladder of circles (see :func:`_series_from_radius_ladder`).
 
     The K x K weight system is max-abs row/column equilibrated before the
     dense solve (the raw columns differ in scale by many orders because the
@@ -535,8 +533,8 @@ def faber_cf(mp: JoukowskiMap, degree: int = 16) -> PartialFractionApproximation
     threshold applies to the equilibrated matrix.  The returned sup error
     is measured on a dense grid of the interval.
     """
-    cf = cf_approximate(faber_coefficients(mp, np.exp, DEFAULT_TRUNCATION),
-                        degree)
+    cf = cf_approximate(_series_from_radius_ladder(
+        lambda z: np.exp(joukowski_eval(mp, z)), DEFAULT_TRUNCATION), degree)
     n_poles = cf.n_poles
     warnings = cf.warnings
 
@@ -547,7 +545,7 @@ def faber_cf(mp: JoukowskiMap, degree: int = 16) -> PartialFractionApproximation
     # poles are well outside).
     r_vals = (npoly.polyval(_UNIT_CIRCLE, cf.numerator_coeffs)
               / npoly.polyvalfromroots(_UNIT_CIRCLE, cf.poles_outside))
-    c_vec = (np.fft.fft(r_vals) / DEFAULT_SAMPLES)[:n_poles]
+    c_vec = _circle_coefficients(r_vals, n_poles)
 
     # Per-pole expansion sequences through the map.  The expansions only
     # converge inside the smallest disc-side pole modulus, so the adaptive
@@ -642,10 +640,11 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
     """Inverse of :func:`approx_to_json` (bit-exact for the float fields).
 
     A document without a ``warnings`` key loads with no warnings.  A
-    value of the wrong JSON type, and a document that no construction can
-    produce (no poles, a non-finite or non-positive R1, non-finite numbers,
-    repeated shifts, a damping factor outside (0, 1) or one that disagrees
-    with ``stabilized``), are refused with a message that names the key."""
+    value of the wrong JSON type, a K that disagrees with the lengths of
+    shifts and weights, and a damping factor that disagrees with
+    ``stabilized`` are refused here, with a message that names the key;
+    :class:`PartialFractionApproximation` refuses the values no
+    construction produces."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -662,16 +661,8 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
     weights = _json_complex(raw["weights"], "weights")
     if len(shifts) != k or len(weights) != k:
         raise ValueError("K does not match the length of shifts/weights")
-    if not k:
-        raise ValueError("K must be >= 1, got 0")
     r1 = _json_number(raw["R1"], "R1")
-    if not (math.isfinite(r1) and r1 > 0):
-        raise ValueError(f"R1 must be finite and positive, got {r1}")
     sup_error = _json_number(raw["sup_error"], "sup_error")
-    for key, vals in (("shifts", shifts), ("weights", weights),
-                      ("sup_error", sup_error)):
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"{key} must be finite")
     stabilized = raw["stabilized"]
     if not isinstance(stabilized, bool):
         raise ValueError(
@@ -679,9 +670,6 @@ def approx_from_json(text: str) -> PartialFractionApproximation:
     factor = raw["stabilize_factor"]
     if factor is not None:
         factor = _json_number(factor, "stabilize_factor")
-        if not 0.0 < factor < 1.0:
-            raise ValueError(
-                f"stabilize_factor must lie in (0, 1), got {factor}")
     if stabilized != (factor is not None):
         raise ValueError(f"stabilized is {json.dumps(stabilized)} but "
                          f"stabilize_factor is {json.dumps(factor)}")

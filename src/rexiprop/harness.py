@@ -31,6 +31,7 @@ from .approx import (
     stabilize,
     stability_indicator,
 )
+from . import integrate
 from .errors import ConfigError, NumericalError
 from .integrate import (
     SAFETY_FACTOR,
@@ -339,6 +340,15 @@ def cmd_stability(args) -> int:
     return 0
 
 
+def _blas() -> str:
+    """"<name> <version>" of the BLAS numpy was built with, or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):  # older numpy, or no record
+        return "unknown"
+
+
 def cmd_tunnel(args) -> int:
     """Run the tunneling experiment and write snapshots plus metadata."""
     cfg = parse_config(args.config)
@@ -383,6 +393,8 @@ def cmd_tunnel(args) -> int:
         "K": approx.K,
         "workers": stepper.workers,
         "solving_threads": len(stepper.factorizations),
+        "usable_cpus": integrate._usable_cpus(),
+        "blas": _blas(),
         "sr_method": sr.method,
         "override_admissibility": cfg.override_admissibility,
         "override_used": stepper.override_used,

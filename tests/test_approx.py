@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import hankel
 from scipy.special import gammaln, jv
 
 from rexiprop import approx as approx_module
@@ -26,8 +27,6 @@ from rexiprop.approx import (
     cf_circle_error,
     evaluate_pfd,
     faber_cf,
-    faber_coefficients,
-    hankel_matrix,
     joukowski_eval,
     stability_indicator,
     stabilize,
@@ -40,28 +39,18 @@ from rexiprop.errors import ApproximationError
 # Hankel windows
 # ---------------------------------------------------------------------------
 
-def test_hankel_two_coefficients():
-    h = hankel_matrix([3.0, 7.0])
-    np.testing.assert_allclose(h, [[3.0, 7.0], [7.0, 0.0]])
-
-
-def test_hankel_exp_prefix():
-    h = hankel_matrix([1.0, 1.0, 0.5])
-    np.testing.assert_allclose(
-        h, [[1.0, 1.0, 0.5], [1.0, 0.5, 0.0], [0.5, 0.0, 0.0]]
-    )
-
-
 def test_hankel_rejects_other_shapes():
-    with pytest.raises(ValueError):
-        hankel_matrix([])
-    with pytest.raises(ValueError):
-        hankel_matrix([[1.0, 2.0], [3.0, 4.0]])
+    # The window must be a non-empty 1-D sequence.
+    for build in (cf_approximate, cf_circle_error):
+        with pytest.raises(ValueError, match="too short"):
+            build([], 1)
+        with pytest.raises(ValueError, match=r"1-D, got shape \(2, 2\)"):
+            build([[1.0, 2.0], [3.0, 4.0]], 1)
 
 
 def test_hankel_exp_singular_values_decay_geometrically():
     a = np.array([1.0 / math.factorial(j) for j in range(41)])
-    s = np.linalg.svd(hankel_matrix(a), compute_uv=False)
+    s = np.linalg.svd(hankel(a), compute_uv=False)
     # Smooth symbol: monotone decay with consecutive ratios well below one,
     # steepening rapidly after the first step.
     ratios = s[1:7] / s[:6]
@@ -118,27 +107,34 @@ def test_map_algebraic_identity(z):
 # Expansion coefficients through the map
 # ---------------------------------------------------------------------------
 
+def _ladder_through_map(mp, g, length):
+    """The ladder's coefficients a_0 .. a_length of g pulled back through
+    the map, the way faber_cf samples exp."""
+    return _series_from_radius_ladder(lambda z: g(joukowski_eval(mp, z)),
+                                      length)
+
+
 def test_coefficients_constant_target():
-    a = faber_coefficients(JoukowskiMap(10.0), lambda w: np.ones_like(w), 20)
+    a = _ladder_through_map(JoukowskiMap(10.0), lambda w: np.ones_like(w), 20)
     assert abs(a[0] - 1.0) < 1e-13
     assert np.max(np.abs(a[1:])) < 1e-13
 
 
 def test_coefficients_identity_target():
     # g(w) = w pulls back to 5z - 5/z, whose nonnegative orders keep only a_1.
-    a = faber_coefficients(JoukowskiMap(10.0), lambda w: w, 20)
+    a = _ladder_through_map(JoukowskiMap(10.0), lambda w: w, 20)
     assert abs(a[1] - 5.0) < 1e-12
     assert np.max(np.abs(np.delete(a, 1))) < 1e-12
 
 
 def test_coefficients_exp_match_bessel():
-    a = faber_coefficients(JoukowskiMap(10.0), np.exp, 60)
+    a = _ladder_through_map(JoukowskiMap(10.0), np.exp, 60)
     ref = jv(np.arange(61), 10.0)
     np.testing.assert_allclose(a, ref, rtol=1e-11, atol=0.0)
 
 
 def test_coefficients_exp_decay_below_1e16():
-    a = faber_coefficients(JoukowskiMap(10.0), np.exp, 200)
+    a = _ladder_through_map(JoukowskiMap(10.0), np.exp, 200)
     mags = np.abs(a)
     assert np.any(mags < 1e-16)
     assert int(np.argmax(mags < 1e-16)) < 200
@@ -147,16 +143,16 @@ def test_coefficients_exp_decay_below_1e16():
 def test_coefficients_input_validation():
     mp = JoukowskiMap(10.0)
     with pytest.raises(ValueError, match=r"\[0, 2048\)"):
-        faber_coefficients(mp, np.exp, 3000)
+        _ladder_through_map(mp, np.exp, 3000)
     with pytest.raises(ValueError):
-        faber_coefficients(mp, np.exp, 2048)
+        _ladder_through_map(mp, np.exp, 2048)
 
 
 def test_coefficients_non_finite_inner_contour_is_an_error():
     mp = JoukowskiMap(10.0)
     with pytest.raises(ApproximationError,
                        match="innermost contour .* not finite"):
-        faber_coefficients(mp, lambda w: np.full_like(w, np.nan), 20)
+        _ladder_through_map(mp, lambda w: np.full_like(w, np.nan), 20)
 
 
 def _recording(f):
@@ -215,6 +211,41 @@ def test_ladder_stops_at_non_finite_samples_after_the_first_circle():
     assert radii == list(_ladder_radii(1e4)[:2])
     np.testing.assert_allclose(a, -pole ** -np.arange(1.0, 22.0),
                                rtol=1e-13, atol=0.0)
+
+
+def test_ladder_keeps_no_circle_past_a_pole_whose_peak_still_grows():
+    # Past the pole at 1.5 the peak still grows, 5.0 at 1.3 to 5.3 at 1.69,
+    # but the slope of log peak in log rho falls, so 1.69 is not kept.
+    f, radii = _recording(lambda z: 1.0 / (z - 1.5))
+    a = _series_from_radius_ladder(f, 20)
+    rungs = _ladder_radii(1e4)
+    assert rungs[6] < 1.5 < rungs[7]
+    assert radii == list(rungs[:8])
+    np.testing.assert_allclose(a, -1.5 ** -np.arange(1.0, 22.0),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_ladder_reads_zeros_outside_a_pole_inside_the_unit_circle():
+    # 1/(z - 0.999) is analytic for |z| > 0.999 and has no non-negative
+    # orders there; its peak falls on every circle, with a rising slope.
+    f, radii = _recording(lambda z: 1.0 / (z - 0.999))
+    a = _series_from_radius_ladder(f, 20)
+    assert radii == list(_ladder_radii(1e4))
+    assert np.max(np.abs(a)) <= 1e-15
+    # A function that is 0 on two circles has no slope; the walk stops.
+    f, radii = _recording(lambda z: 0.0 * z)
+    assert not np.any(_series_from_radius_ladder(f, 20))
+    assert radii == list(_ladder_radii(1e4)[:2])
+
+
+def test_ladder_refuses_lengths_that_alias_on_the_circle():
+    # Orders from DEFAULT_SAMPLES // 2 up alias with negative ones.
+    f, radii = _recording(lambda z: 1.0 / (z - 1.01) + 1.0 / (z - 0.99))
+    for length in (2048, 3000):
+        with pytest.raises(ValueError,
+                           match=rf"\[0, 2048\), got {length}"):
+            _series_from_radius_ladder(f, length, max_radius=1.005)
+    assert radii == []
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +364,19 @@ def test_distance_to_interval_matches_geometry():
                                rtol=1e-15, atol=0.0)
 
 
+def test_faber_cf_refuses_more_poles_than_the_degree():
+    with pytest.raises(ApproximationError, match=(
+            "found 26 denominator roots outside the unit circle for "
+            "degree n = 24")):
+        faber_cf(JoukowskiMap(20.0), 24)
+
+
+def test_faber_cf_refuses_an_ill_conditioned_weight_system():
+    with pytest.raises(ApproximationError, match=re.escape(
+            "weight system condition 4.192e+13 exceeds the limit 1.0e+12")):
+        faber_cf(JoukowskiMap(30.0), 40)
+
+
 def test_faber_cf_refuses_shift_near_the_interval(monkeypatch):
     # A disc pole just outside i maps to a shift next to the endpoint 10i:
     # refused by the rule the REXI stepper applies, naming the shift.
@@ -409,6 +453,40 @@ def test_pfd_mismatched_lengths_rejected():
             domain_radius=1.0,
             sup_error=0.0,
         )
+
+
+def test_pfd_refuses_values_no_construction_produces():
+    # The loader's messages, checked in the loader's order.
+    good = dict(shifts=np.array([-1.0 + 2j, -2.0 - 1j]),
+                weights=np.array([1.0 + 0j, 2.0 - 1j]),
+                domain_radius=10.0, sup_error=1e-9)
+    bad_shift = good["shifts"].copy()
+    bad_shift[1] = complex(np.nan, 1.0)
+    bad_weight = good["weights"].copy()
+    bad_weight[0] = np.inf
+    cases = [
+        (dict(shifts=[], weights=[]), "K must be >= 1, got 0"),
+        (dict(domain_radius=0.0), "R1 must be finite and positive, got 0.0"),
+        (dict(domain_radius=-10.0), "R1 must be finite and positive"),
+        (dict(domain_radius=np.inf), "R1 must be finite and positive, got inf"),
+        (dict(domain_radius=np.nan), "R1 must be finite and positive, got nan"),
+        (dict(shifts=bad_shift), "shifts must be finite"),
+        (dict(weights=bad_weight), "weights must be finite"),
+        (dict(sup_error=np.nan), "sup_error must be finite"),
+        (dict(sup_error=np.inf), "sup_error must be finite"),
+        (dict(stabilize_factor=1.0),
+         r"stabilize_factor must lie in \(0, 1\), got 1.0"),
+        (dict(stabilize_factor=0.0), r"stabilize_factor must lie in \(0, 1\)"),
+        (dict(stabilize_factor=np.nan),
+         r"stabilize_factor must lie in \(0, 1\), got nan"),
+        # Two faults: the earlier check in the loader's order names it.
+        (dict(domain_radius=np.nan, sup_error=np.nan), "R1"),
+        (dict(weights=bad_weight, stabilize_factor=2.0), "weights"),
+    ]
+    for bad, match in cases:
+        with pytest.raises(ValueError, match=match):
+            PartialFractionApproximation(**{**good, **bad})
+    PartialFractionApproximation(**good, stabilize_factor=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +739,7 @@ def test_json_round_trip_arbitrary_doubles(entries):
 # ---------------------------------------------------------------------------
 
 def test_weighted_sum_matches_disc_expansion(flagship):
-    series = faber_coefficients(JoukowskiMap(10.0), np.exp, 300)
+    series = _ladder_through_map(JoukowskiMap(10.0), np.exp, 300)
     cf = cf_approximate(series, 16)
     zc = np.exp(2j * np.pi * np.arange(4096) / 4096)
     q = np.ones_like(zc)

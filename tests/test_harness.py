@@ -782,6 +782,21 @@ def test_cmd_tunnel_metadata_records_the_solving_threads(tmp_path, capsys,
     assert list(md)[-2:] == ["sup_error", "rounding_floor"]
 
 
+def test_cmd_tunnel_metadata_records_the_host(tmp_path, capsys, approx_file):
+    cfg = write_config(tmp_path, workers=16, approx_path=approx_file)
+    out_dir = tmp_path / "out"
+    assert main(["tunnel", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    md = json.loads((out_dir / "metadata.json").read_text())
+    keys = list(md)
+    assert keys.index("usable_cpus") == keys.index("solving_threads") + 1
+    assert keys.index("blas") == keys.index("usable_cpus") + 1
+    assert md["usable_cpus"] == integrate._usable_cpus()
+    assert md["usable_cpus"] >= md["solving_threads"]
+    assert isinstance(md["blas"], str) and md["blas"]
+    assert keys[-2:] == ["sup_error", "rounding_floor"]
+
+
 def test_cmd_tunnel_metadata_records_the_factorization(tmp_path, capsys,
                                                        approx_file):
     cfg = write_config(tmp_path, approx_path=approx_file)
