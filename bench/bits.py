@@ -11,9 +11,10 @@ The artifacts are the approximants ``faber_cf`` builds (their JSON and the
 bytes of their shifts and weights), the messages of the two constructions
 it refuses, a damped approximant, the disc-side error profile of the
 Hankel construction, the Chebyshev coefficients and the full-scale
-reference, and the final states of REXI and Chebyshev runs on the
-acceptance suite's tunneling system at desk and full scale.  It takes
-about 8 s on a 2-CPU machine.
+reference, and, on the acceptance suite's tunneling system at desk and
+full scale, the solutions of the flagship's shifted stack for ``iB u0``,
+one application of ``B^-1 A`` to ``u0``, and the final states of REXI and
+Chebyshev runs.  It takes about 8 s on a 2-CPU machine.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from rexiprop import (
     stabilize,
 )
 from rexiprop.errors import ApproximationError
+from rexiprop.solvers import factorize_pencil, factorize_shifted
 
 # The acceptance suite's tunneling system, packet and step.
 BARRIER = PotentialSpec.step_barrier(15.0, 0.005)
@@ -96,6 +98,11 @@ def main() -> None:
         mesh = build_mesh(x0, x1, n_elems)
         system = assemble_system(mesh, BARRIER, consts)
         u0 = project_initial(mesh, PACKET, consts, system.B)
+        emit(f"factorize_shifted[{name}].solve",
+             factorize_shifted(system.A, system.B, DT, flagship.shifts)
+             .solve((1j * system.B).tocsr() @ u0))
+        emit(f"factorize_pencil[{name}].apply",
+             factorize_pencil(system.A, system.B).apply(u0))
         sr = spectral_radius_estimate(system)
         with RexiStepper(system, flagship, DT, workers=workers,
                          sr_value=sr) as rexi:

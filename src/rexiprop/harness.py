@@ -458,6 +458,8 @@ def cmd_compare(args) -> int:
                f"approx_sup_error={approx.sup_error:.6e} "
                f"rounding_floor={rounding_floor(approx):.6e} "
                f"approx_warnings={len(approx.warnings)}; "
+               f"host: usable_cpus={integrate._usable_cpus()} "
+               f"blas={_blas()}; "
                "time_reduce_s is an in-process plain weighted sum, not a "
                "cross-node reduction\n"
                "method,dt,error_inf,error_b,time_total_s,time_rhs_s,"

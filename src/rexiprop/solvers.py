@@ -16,16 +16,20 @@ single matrix is the K = 1 case.
   factored as one tridiagonal system by one ``zgttrf`` call (partial
   pivoting).  A solve reduces the right-hand side onto the vertices, runs
   one ``zgttrs`` call and recovers the midpoints, each numpy step over the
-  whole stack at once.  It is built from the stack's five diagonals,
-  which :func:`factorize_shifted` computes for a P2 pencil directly,
-  ``tau*A.diagonal(k) - 1j*sigma_j*B.diagonal(k)``, with no sparse matrix
-  per shift; it keeps only the contiguous arrays that a solve reads,
-  about 74 bytes per matrix per DOF.  The midpoint elimination does not
-  pivot, which is safe for the matrices it is used on: a REXI shifted matrix
-  ``tau*A - sigma_j*iB`` with real symmetric A, SPD B and Re(sigma_j) != 0
-  has the definite imaginary part ``-Re(sigma_j)*B``.  Its diagonal (the
-  midpoint pivots) then has nonzero imaginary parts, and its Schur
-  complement again has a definite imaginary part, so it is nonsingular
+  whole stack at once.  It is built from the eight half-diagonals the
+  condensation reads (the even or odd entries of the diagonals at offsets
+  0, +-1 and +-2).  :func:`factorize_shifted` computes those of a P2
+  pencil's stack directly, ``tau*A.diagonal(k)[p::2] -
+  1j*sigma_j*B.diagonal(k)[p::2]``, with no sparse matrix per shift.
+  Each half-diagonal is turned in place into an array a solve reads, so
+  a stack keeps about 74 bytes per shift per DOF, and its build holds at
+  most one (K_s, m) temporary beyond that (K_s shifts, m vertices).  The
+  midpoint elimination does not pivot, which is safe for the matrices it
+  is used on: a REXI shifted matrix ``tau*A - sigma_j*iB`` with real
+  symmetric A, SPD B and Re(sigma_j) != 0 has the definite imaginary part
+  ``-Re(sigma_j)*B``.  Its diagonal (the midpoint pivots) then has nonzero
+  imaginary parts, and its Schur complement again has a definite
+  imaginary part, so it is nonsingular
   (Higham, Math. Comp. 1998, on factoring complex symmetric matrices).
   For B itself the pivots are positive and the Schur complement is SPD.
   A zero midpoint pivot raises :class:`SolverError`; the pivot-ratio
@@ -83,8 +87,6 @@ from .errors import SolverError
 DENSE_ORACLE_MAX_DOF = 512
 # Reciprocal condition estimates below this are treated as singular.
 RCOND_FLOOR = 1e-14
-# Diagonal offsets of a P2 matrix, in the order CondensedFactorization takes.
-_OFFSETS = (0, 1, -1, 2, -2)
 
 
 def _lapack_function(name: str, n_args: int):
@@ -122,12 +124,17 @@ def _is_p2(mat) -> bool:
             and not mat.diagonal(-2)[0::2].any())
 
 
-def _screen_pivots(pivots: np.ndarray) -> None:
-    """Raise, naming the first row of the (K, p) array ``pivots`` as the
-    failing matrix of the stack, unless every pivot magnitude of each row
-    is within RCOND_FLOOR of that row's largest one."""
+def _pivot_range(pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and the largest pivot magnitude of each row of the
+    (K, p) array ``pivots``."""
     mags = np.abs(pivots)
-    low, top = mags.min(axis=1, initial=np.inf), mags.max(axis=1, initial=0)
+    return mags.min(axis=1, initial=np.inf), mags.max(axis=1, initial=0)
+
+
+def _screen_pivots(low: np.ndarray, top: np.ndarray) -> None:
+    """Raise, naming the first matrix j of the stack as the failing one,
+    unless its smallest pivot magnitude ``low[j]`` is within RCOND_FLOOR
+    of its largest one ``top[j]``."""
     bad = np.flatnonzero(~(low > 0) | (low < RCOND_FLOOR * top))
     if bad.size:
         j = int(bad[0])
@@ -148,31 +155,66 @@ def _check_rhs(b: np.ndarray, n: int, pencil: bool = False) -> None:
                          f"match {target}")
 
 
+class _HalfDiagonals:
+    """Reader of the half-diagonals of a stack of K P2 matrices of order n.
+
+    :meth:`read` gives slice ``[p::2]`` of the diagonal at offset k of
+    every matrix of the stack, one row per matrix.  The stack is the
+    matrices ``mats`` or, given ``i_shifts``, the shifted matrices
+    ``tau*A - i_shifts[j]*B`` of the pencil ``mats = (A, B)``.  Those are
+    computed with the elementwise operations of the sparse arithmetic, so
+    they are bitwise the diagonals of the built matrices; no matrix is
+    built.
+    """
+
+    def __init__(self, mats, tau: float | None = None,
+                 i_shifts: np.ndarray | None = None):
+        self._mats, self._tau, self._i_shifts = mats, tau, i_shifts
+        self.n = mats[0].shape[0]
+        self.K = len(mats if i_shifts is None else i_shifts)
+
+    def read(self, k: int, p: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """The stack's half-diagonal ``[p::2]`` at offset ``k``, written
+        into ``out`` (a new complex (K, L) array when None) and returned."""
+        if out is None:
+            length = (self.n - abs(k) - p + 1) // 2
+            out = np.empty((self.K, length), dtype=complex)
+        if self._i_shifts is None:
+            for row, mat in zip(out, self._mats):
+                row[...] = mat.diagonal(k)[p::2]
+            return out
+        A, B = self._mats
+        np.multiply(self._i_shifts[:, None], B.diagonal(k)[p::2], out=out)
+        return np.subtract(self._tau * A.diagonal(k)[p::2], out, out=out)
+
+
 class CondensedFactorization:
     """A stack of K P2 pentadiagonal matrices of one order, each solved
     through the tridiagonal Schur complement on its vertices.
 
-    Built from the stack's diagonals at offsets 0, 1, -1, 2 and -2, each a
-    (K, n - |offset|) array.  With m = (n - 1) / 2, vertex k is DOF 2k + 1
+    Built from the stack's half-diagonals, read by a
+    :class:`_HalfDiagonals`.  With m = (n - 1) / 2, vertex k is DOF 2k + 1
     and lies between the midpoints k and k + 1 (DOFs 2k and 2k + 2).  Every
-    coefficient array has a leading axis over the stack.  Matrix j's Schur
-    complement is block j of one tridiagonal system of order K*m.  Zero
-    couplings between blocks keep LAPACK from pivoting or mixing values
-    across a boundary, so every row is bitwise that of a stack of one.
-    ``bandwidth``, ``kl`` and ``ku`` describe each pentadiagonal matrix;
-    perfbench reads them.
+    coefficient array has a leading axis over the stack, and each is a
+    half-diagonal turned into it in place.  Matrix j's Schur complement is
+    block j of one tridiagonal system of order K*m.  Zero couplings between
+    blocks keep LAPACK from pivoting or mixing values across a boundary, so
+    every row is bitwise that of a stack of one.  ``bandwidth``, ``kl`` and
+    ``ku`` describe each pentadiagonal matrix; perfbench reads them.
     """
 
     kind = "condensed"
     kl = ku = 2
     bandwidth = 5
 
-    def __init__(self, diag, upper, lower, upper2, lower2):
-        self.K, n = diag.shape
+    def __init__(self, halves: _HalfDiagonals):
+        self.K, n = halves.K, halves.n
         m = (n - 1) // 2
         size = self.K * m
+        read = halves.read
 
-        mid = diag[:, 0::2]
+        mid = read(0, 0)
         zero = np.argwhere(mid == 0)
         if zero.size:
             j, i = zero[0]
@@ -181,25 +223,35 @@ class CondensedFactorization:
                 "the condensed factorization does not pivot there",
                 index=int(j),
             )
-        inv_mid = 1.0 / mid
+        # The midpoint pivots' magnitudes, for the screen after zgttrf.
+        mid_low, mid_top = _pivot_range(mid)
+        self._inv_mid = inv_mid = np.divide(1.0, mid, out=mid)
         # Vertex k's couplings to midpoints k and k+1 (to_*), and theirs to
-        # it (from_*), the latter stored divided by the midpoint pivot.
-        # Copies, so the factorization holds none of the diagonals.
-        to_left = np.ascontiguousarray(lower[:, 0::2])
-        to_right = np.ascontiguousarray(upper[:, 1::2])
-        self._inv_mid = inv_mid
-        self._to_left, self._to_right = to_left, to_right
-        self._from_left = upper[:, 0::2] * inv_mid[:, :-1]
-        self._from_right = lower[:, 1::2] * inv_mid[:, 1:]
+        # it (from_*), the latter divided by the midpoint pivot.
+        self._to_left = to_left = read(-1, 0)
+        self._to_right = to_right = read(1, 1)
+        self._from_left = from_left = read(1, 0)
+        from_left *= inv_mid[:, :-1]
+        self._from_right = from_right = read(-1, 1)
+        from_right *= inv_mid[:, 1:]
 
         # The stacked Schur complement as LAPACK's dl, d, du (+ du2, ipiv),
         # factored in place by zgttrf.  dl and du end each block with the
         # zero coupling to the next one; LAPACK reads K*m - 1 of them.
+        # Every product goes to one scratch array, freed before du2 is
+        # made, so the build holds no more than one (K, m) temporary.
         dl, d, du = np.zeros((3, self.K, m), dtype=complex)
-        d[...] = (diag[:, 1::2] - to_left * self._from_left
-                  - to_right * self._from_right)
-        du[:, :-1] = upper2[:, 1::2] - to_right[:, :-1] * self._from_left[:, 1:]
-        dl[:, :-1] = lower2[:, 1::2] - to_left[:, 1:] * self._from_right[:, :-1]
+        tmp = np.empty((self.K, m), dtype=complex)
+        read(0, 1, out=d)
+        d -= np.multiply(to_left, from_left, out=tmp)
+        d -= np.multiply(to_right, from_right, out=tmp)
+        read(2, 1, out=du[:, :-1])
+        du[:, :-1] -= np.multiply(to_right[:, :-1], from_left[:, 1:],
+                                  out=tmp[:, :-1])
+        read(-2, 1, out=dl[:, :-1])
+        dl[:, :-1] -= np.multiply(to_left[:, 1:], from_right[:, :-1],
+                                  out=tmp[:, :-1])
+        del tmp
         du2 = np.zeros(max(size - 2, 1), dtype=complex)
         self._tri = (dl, d, du, du2)  # owns the memory behind _factors
         self._ipiv = np.zeros(size, dtype=np.intc)
@@ -212,9 +264,12 @@ class CondensedFactorization:
                 f"tridiagonal factorization failed (argument {-info.value})")
         # zgttrf reports the first zero pivot of U, 1-based over the stack;
         # matrices before its block are screened first, so the lowest
-        # failing j is named.
+        # failing j is named.  Each is screened over its midpoint pivots
+        # and the diagonal of its U.
         j, row = divmod(info.value - 1, m) if info.value else (self.K, 0)
-        _screen_pivots(np.concatenate([mid, d], axis=1)[:j])
+        d_low, d_top = _pivot_range(d[:j])
+        _screen_pivots(np.minimum(mid_low[:j], d_low),
+                       np.maximum(mid_top[:j], d_top))
         if info.value:
             raise SolverError(
                 "matrix is singular: zero pivot in the vertex Schur "
@@ -281,7 +336,8 @@ class DenseFactorization:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinAlgWarning)
                 self._lus.append(lu_factor(dense, check_finite=False))
-        _screen_pivots(np.array([np.diagonal(lu) for lu, _ in self._lus]))
+        _screen_pivots(*_pivot_range(
+            np.array([np.diagonal(lu) for lu, _ in self._lus])))
         self._n = len(self._lus[0][0])
 
     def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -302,11 +358,12 @@ def factorize(*mats):
     condensed when every matrix has the P2 pattern, dense LU otherwise.
     A sparse matrix without the P2 pattern is refused above
     ``DENSE_ORACLE_MAX_DOF``.  A :class:`SolverError` names the failing
-    matrix's position in ``index``."""
+    matrix's position in ``index``; an empty stack raises ValueError."""
+    if not mats:
+        raise ValueError("factorize needs a stack of K >= 1 matrices, "
+                         "got none")
     if all(issparse(mat) and _is_p2(mat) for mat in mats):
-        return CondensedFactorization(*(
-            np.array([mat.diagonal(k) for mat in mats], dtype=complex)
-            for k in _OFFSETS))
+        return CondensedFactorization(_HalfDiagonals(mats))
     n = mats[0].shape[0]
     for j, mat in enumerate(mats):
         if n > DENSE_ORACLE_MAX_DOF and issparse(mat) and not _is_p2(mat):
@@ -322,23 +379,21 @@ def factorize_shifted(A, B, tau: float, shifts: np.ndarray):
     """Factorize the stack ``tau*A - 1j*shifts[j]*B`` of the sparse pencil
     (A, B), j = 0 .. K-1, as :func:`factorize` would factor those matrices.
 
-    When A and B both have the P2 pattern, the stack's diagonals are
+    When A and B both have the P2 pattern, the stack's half-diagonals are
     computed straight from the pencil's, with the elementwise operations
     of the sparse arithmetic, so the factors are bitwise those of the
     built matrices; no matrix is built.  Any other pencil builds the K
     shifted matrices and calls :func:`factorize`.  A :class:`SolverError`
-    names the failing shift's position in ``index``.
+    names the failing shift's position in ``index``; no shifts (K = 0)
+    raise ValueError.
     """
     i_shifts = 1j * np.asarray(shifts)
+    if i_shifts.size == 0:
+        raise ValueError("factorize_shifted needs K >= 1 shifts, got none")
     if not (_is_p2(A) and _is_p2(B)):
         return factorize(*((tau * A - i_sigma * B).tocsr()
                            for i_sigma in i_shifts))
-    diagonals = []
-    for k in _OFFSETS:
-        diag = i_shifts[:, None] * B.diagonal(k)
-        np.subtract(tau * A.diagonal(k), diag, out=diag)
-        diagonals.append(diag)
-    return CondensedFactorization(*diagonals)
+    return CondensedFactorization(_HalfDiagonals((A, B), tau, i_shifts))
 
 
 class CondensedPencil:
@@ -367,26 +422,35 @@ class CondensedPencil:
     def __init__(self, A, B):
         self._n = B.shape[0]
         self._B = fac = factorize(B)
-        a0, a1, am1, a2, am2 = (np.asarray(A.diagonal(k), dtype=complex)
-                                for k in _OFFSETS)
+        # A's half-diagonals, each turned in place into a coefficient array.
+        read = _HalfDiagonals((A,)).read
         inv_mid = fac._inv_mid[0]
         to_left, to_right = fac._to_left[0], fac._to_right[0]
         # B_mm^-1 A_mm, and B_mm^-1 A_mv as midpoint k's coupling to
         # vertex k (a_from_left) and midpoint k + 1's to vertex k
         # (a_from_right); B's own, B_mm^-1 B_mv, are the factorization's.
-        self._a_mid = a0[0::2] * inv_mid
-        self._a_from_left = a1[0::2] * inv_mid[:-1]
-        self._a_from_right = am1[1::2] * inv_mid[1:]
+        self._a_mid = a_mid = read(0, 0)[0]
+        a_mid *= inv_mid
+        self._a_from_left = a_from_left = read(1, 0)[0]
+        a_from_left *= inv_mid[:-1]
+        self._a_from_right = a_from_right = read(-1, 1)[0]
+        a_from_right *= inv_mid[1:]
         self._from_left, self._from_right = (fac._from_left[0],
                                              fac._from_right[0])
         # The vertex operator A_vv - B_vm B_mm^-1 A_mv (tridiagonal), and
         # the coupling A_vm - B_vm B_mm^-1 A_mm to midpoints k and k + 1.
-        self._vert = (a0[1::2] - to_left * self._a_from_left
-                      - to_right * self._a_from_right)
-        self._vert_up = a2[1::2] - to_right[:-1] * self._a_from_left[1:]
-        self._vert_lo = am2[1::2] - to_left[1:] * self._a_from_right[:-1]
-        self._to_mid = am1[0::2] - to_left * self._a_mid[:-1]
-        self._to_next = a1[1::2] - to_right * self._a_mid[1:]
+        self._vert = vert = read(0, 1)[0]
+        tmp = np.empty_like(vert)
+        vert -= np.multiply(to_left, a_from_left, out=tmp)
+        vert -= np.multiply(to_right, a_from_right, out=tmp)
+        self._vert_up = vert_up = read(2, 1)[0]
+        vert_up -= np.multiply(to_right[:-1], a_from_left[1:], out=tmp[:-1])
+        self._vert_lo = vert_lo = read(-2, 1)[0]
+        vert_lo -= np.multiply(to_left[1:], a_from_right[:-1], out=tmp[:-1])
+        self._to_mid = to_mid = read(-1, 0)[0]
+        to_mid -= np.multiply(to_left, a_mid[:-1], out=tmp)
+        self._to_next = to_next = read(1, 1)[0]
+        to_next -= np.multiply(to_right, a_mid[1:], out=tmp)
 
     def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``B^-1 A b`` into a new complex array, or into ``out``.  ``b``

@@ -4,11 +4,12 @@ and exit codes (0 ok, 2 config, 3 numerical, 4 i/o)."""
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from rexiprop import integrate
+from rexiprop import harness, integrate
 from rexiprop.approx import (
     JoukowskiMap,
     PartialFractionApproximation,
@@ -699,6 +700,10 @@ def test_cmd_compare_fine_reference(tmp_path, capsys, approx_file):
     assert float(fields["rounding_floor"]) == pytest.approx(
         rounding_floor(approx), rel=1e-6)
     assert fields["approx_warnings"] == "0"
+    # ... and the host: the CPUs the pool may use and the BLAS, which
+    # ends its section (its value may hold spaces).
+    assert int(fields["usable_cpus"]) == integrate._usable_cpus()
+    assert re.search(r" blas=([^;]*);", rows[0]).group(1) == harness._blas()
     assert rows[1] == ("method,dt,error_inf,error_b,time_total_s,"
                        "time_rhs_s,time_local_s,time_reduce_s,time_factor_s,"
                        "admissibility_ratio,bnorm_drift_rel")

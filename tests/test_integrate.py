@@ -227,6 +227,24 @@ def test_prepare_retains_little_per_shift(flagship, fem):
     assert retained / (flagship.K * sysm.n_dof) <= 100
 
 
+def test_prepare_peak_stays_near_what_it_retains(flagship):
+    # Desk scale, one stack of 16: each half-diagonal is turned in place
+    # into an array the factorization keeps, so building it holds little
+    # beyond what it keeps.
+    sysm, _ = _barrier_pencil(-30.0, 30.0, 500)
+    sr = float(spectral_radius_estimate(sysm))
+    rexi_prepare(sysm, flagship, 2e-4, sr_value=sr, workers=1)  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stp = rexi_prepare(sysm, flagship, 2e-4, sr_value=sr, workers=1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stp.factorizations) == 1 and stp.solver == "condensed"
+    assert peak - before <= 1.3 * (retained - before)
+
+
 def test_prepare_records_admissibility(flagship):
     stp = rexi_prepare(scalar_system(5.0), flagship, 0.1, sr_value=5.0, workers=1)
     assert stp.admissibility_ratio == pytest.approx(SAFETY_FACTOR * 0.1 * 5.0 / 10.0)
@@ -969,6 +987,43 @@ def test_zero_vertex_row_names_its_matrix(flagship):
     assert raised.value.index == 1
     with pytest.raises(SolverError, match=r"j = 1 \(sigma = "):
         rexi_prepare(sys_zero, flagship, 1.0, sr_value=1.0, workers=1)
+
+
+def _five_dof_p2(mids, verts, coupling):
+    """A P2 matrix of order 5 (midpoints 0, 2, 4; vertices 1, 3) with no
+    midpoint-vertex coupling, so its vertex Schur complement is the 2x2
+    block [[verts[0], coupling], [coupling, verts[1]]]."""
+    mat = np.diag([mids[0], verts[0], mids[1], verts[1], mids[2]])
+    mat[1, 3] = mat[3, 1] = coupling
+    return csr_matrix(mat)
+
+
+def test_condensed_pivot_screen_names_the_smallest_pivot_of_either_kind():
+    # The screen compares, per matrix, the smallest and largest magnitude
+    # over its midpoint pivots and the diagonal of its Schur complement's U.
+    # Matrix 1 fails at ratio 2**-62 through a midpoint pivot or through a
+    # Schur pivot (zgttrf makes 2**-59 - 2**-60 exactly), matrix 2 at a
+    # smaller ratio; the first failing matrix is named.
+    tiny, top = 2.0 ** -60, 4.0
+    good = _five_dof_p2((2.0, 3.0, top), (1.0, 1.5), 2.0 ** -30)
+    worse = _five_dof_p2((2.0, 2.0 ** -70, top), (1.0, 1.5), 2.0 ** -30)
+    for bad in (_five_dof_p2((2.0, tiny, top), (1.0, 1.5), 2.0 ** -30),
+                _five_dof_p2((2.0, 3.0, top), (1.0, 2.0 ** -59), 2.0 ** -30)):
+        with pytest.raises(SolverError, match=re.escape(
+                f"pivot ratio = {tiny / top:.3e})")) as raised:
+            factorize(good, bad, worse)
+        assert raised.value.index == 1
+
+
+def test_factorizations_refuse_an_empty_stack(fem):
+    sysm = fem[0]
+    with pytest.raises(ValueError, match="K >= 1"):
+        factorize()
+    scalar = scalar_system(2.0)
+    for a_mat, b_mat in ((sysm.A, sysm.B), (scalar.A, scalar.B)):
+        for shifts in ([], np.array([], dtype=complex)):
+            with pytest.raises(ValueError, match="K >= 1"):
+                solvers.factorize_shifted(a_mat, b_mat, 0.02, shifts)
 
 
 @pytest.mark.parametrize("x0, x1, n_elems, potential", [
