@@ -10,11 +10,14 @@ stores no hashes, because the bits depend on the host's CPU and BLAS.
 The artifacts are the approximants ``faber_cf`` builds (their JSON and the
 bytes of their shifts and weights), the messages of the two constructions
 it refuses, a damped approximant, the disc-side error profile of the
-Hankel construction, the Chebyshev coefficients and the full-scale
-reference, and, on the acceptance suite's tunneling system at desk and
-full scale, the solutions of the flagship's shifted stack for ``iB u0``,
-one application of ``B^-1 A`` to ``u0``, and the final states of REXI and
-Chebyshev runs.  It takes about 8 s on a 2-CPU machine.
+Hankel construction, the Chebyshev coefficients, and, on the acceptance
+suite's tunneling system at desk and full scale, the solutions of the
+flagship's shifted stack for ``iB u0``, one application of ``B^-1 A`` to
+``u0``, the final states of REXI and Chebyshev runs, and a reference
+(its coefficients and its one step; the degrees are 83 and 1881).  Each
+Chebyshev certificate ``sup_error`` has a line of its own, so a change to
+the certificate alone moves those lines only.  It takes about 9 s on a
+2-CPU machine.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ from rexiprop.solvers import factorize_pencil, factorize_shifted
 BARRIER = PotentialSpec.step_barrier(15.0, 0.005)
 PACKET = WavePacketParams(r_bar=-3.0, p_bar=5.0, sigma=4.0)
 DT = 2e-4
-# (name, domain, elements, steps, REXI workers)
-SCALES = (("desk", (-30.0, 30.0), 500, 100, 1),
-          ("full", (-120.0, 120.0), 4000, 300, 2))
+# (name, domain, elements, steps, REXI workers, reference time)
+SCALES = (("desk", (-30.0, 30.0), 500, 100, 1, 0.02),
+          ("full", (-120.0, 120.0), 4000, 300, 2, 0.2))
 BUILT = ((10, 16), (2, 16), (5, 10), (2, 7), (20, 28), (1, 8), (40, 48),
          (3, 12))
 REFUSED = ((20, 24), (30, 40))
@@ -91,10 +94,11 @@ def main() -> None:
     sigma, profile = cf_circle_error(a, 16)
     emit("cf_circle_error[criterion02]", np.float64(sigma), profile)
     cc = chebyshev_coeffs(10.0, 26)
-    emit("chebyshev_coeffs[10,26]", cc.coeffs, np.float64(cc.sup_error))
+    emit("chebyshev_coeffs[10,26]", cc.coeffs)
+    emit("chebyshev_coeffs[10,26].sup_error", np.float64(cc.sup_error))
 
     consts = PhysicalConstants()
-    for name, (x0, x1), n_elems, steps, workers in SCALES:
+    for name, (x0, x1), n_elems, steps, workers, t in SCALES:
         mesh = build_mesh(x0, x1, n_elems)
         system = assemble_system(mesh, BARRIER, consts)
         u0 = project_initial(mesh, PACKET, consts, system.B)
@@ -108,12 +112,14 @@ def main() -> None:
                          sr_value=sr) as rexi:
             emit(f"rexi_state[{name},{steps}]", rexi.run(u0, steps))
         cheb = ChebyshevStepper(system, DT, sr_value=sr)
-        emit(f"chebyshev_state[{name},{steps}]", cheb.run(u0, steps),
+        emit(f"chebyshev_state[{name},{steps}]", cheb.run(u0, steps))
+        emit(f"chebyshev_state[{name},{steps}].sup_error",
              np.float64(cheb.sup_error))
-        if name == "full":
-            ref = chebyshev_reference(system, 0.2, sr_value=sr)
-            emit("chebyshev_reference[full,0.2]", ref.coeffs,
-                 np.float64(ref.sup_error))
+        ref = chebyshev_reference(system, t, sr_value=sr)
+        emit(f"chebyshev_reference[{name},{t:g}]", ref.coeffs,
+             ref.run(u0, 1))
+        emit(f"chebyshev_reference[{name},{t:g}].sup_error",
+             np.float64(ref.sup_error))
 
 
 if __name__ == "__main__":

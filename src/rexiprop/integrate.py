@@ -67,7 +67,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from numpy.polynomial.chebyshev import chebval
 
 from .approx import PartialFractionApproximation, check_shift_distance
 from .errors import AdmissibilityError, SolverError
@@ -313,9 +312,25 @@ class ChebyshevCoeffs(NamedTuple):
     sup_error: float
 
 
-# Grid points per block of the certificate: chebval's recurrence arrays
-# stay cache-sized whatever the degree.
-_CERTIFICATE_BLOCK = 16384
+def _bessel_j(r: float, count: int) -> np.ndarray:
+    """J_0(r) .. J_count(r) for r > 0, by Miller's backward recurrence
+    J_{k-1} = (2k/r) J_k - J_{k+1}, normalised by J_0 + 2 sum J_2k = 1.
+
+    The recurrence starts from 0 and 1 at 32 past the larger of count and
+    2*ceil(r), where J_k(r) <= (e r / 2k)^k is below 1e-29, so the start's
+    error has died out before any value returned.  A run nearing overflow
+    is scaled by 2**-600; a value that then underflows is below 1e-300 of
+    the largest, and reads as 0.
+    """
+    start = max(count, 2 * math.ceil(r)) + 32
+    j = [0.0] * (start + 2)
+    j[start] = 1.0
+    for k in range(start, 0, -1):
+        j[k - 1] = 2 * k / r * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 2.0 ** 600:
+            j = [v * 2.0 ** -600 for v in j]
+    values = np.array(j[:-1])
+    return values[:count + 1] / (values[0] + 2 * values[2::2].sum())
 
 
 def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
@@ -324,10 +339,27 @@ def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
     i[-r, r]; built from samples at the N+1 Chebyshev points by a type-I
     discrete cosine transform, computed as the FFT of their even extension
     (numpy's FFT: importing scipy.fft would cost about 5 MB of memory).
-    The certificate ``sup_error`` is measured, not estimated: the largest
-    |chebval(x, a) - exp(i r x)| on 100,001 equispaced points of [-1, 1],
-    taken one block of the grid at a time so that only a block's arrays
-    are held.
+
+    The certificate ``sup_error`` bounds max |p(x) - exp(i r x)| on [-1, 1]
+    for the float64 coefficients, as the sum of two terms:
+
+    * truncation: exp(i r x) = J_0(r) + 2 sum_k i^k J_k(r) T_k(x), so the
+      exact interpolant errs by at most 4 sum_{k>N} |J_k(r)| (Trefethen,
+      Approximation Theory and Approximation Practice, Thm 4.2);
+    * rounding: eps (1 + r) (2/pi log(N+1) + 1) + eps sum |a_k|.  A
+      sample's argument r cos(theta) carries a relative rounding of about
+      eps, which moves the sample by about eps r, and exp adds eps; the
+      interpolant multiplies sample errors by at most the Lebesgue
+      constant of the Chebyshev points, 2/pi log(N+1) + 1; and the FFT
+      adds about eps per unit of coefficient mass.  This is a first-order
+      model of the rounding, not a worst case; the tests hold it above
+      the error that float64 and extended-precision evaluations read.
+
+    Once N is well past r the error is the coefficients' own rounding:
+    an extended-precision evaluation reads 1.4e-14 at r = 44, N = 83 (the
+    desk reference), where the truncation term is 2.9e-16.  The Bessel
+    values come from ``_bessel_j`` up to the index max(N, 2*ceil(r)) + 32;
+    the J_k(r) past it sum to less than 1e-28.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
@@ -337,11 +369,12 @@ def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
     a = np.fft.fft(np.concatenate([f, f[-2:0:-1]]))[: n + 1] / n
     a[0] *= 0.5
     a[-1] *= 0.5
-    x = np.linspace(-1.0, 1.0, 100_001)
-    sup = max(float(np.max(np.abs(chebval(xb, a) - np.exp(1j * r * xb))))
-              for xb in np.split(x, range(_CERTIFICATE_BLOCK, x.size,
-                                          _CERTIFICATE_BLOCK)))
-    return ChebyshevCoeffs(coeffs=a, sup_error=sup)
+    bessel = _bessel_j(r, max(n, 2 * math.ceil(r)) + 32)
+    eps = np.finfo(float).eps
+    truncation = 4.0 * float(np.abs(bessel[n + 1:]).sum())
+    rounding = eps * ((1.0 + r) * (2.0 / math.pi * math.log(n + 1) + 1.0)
+                      + float(np.abs(a).sum()))
+    return ChebyshevCoeffs(coeffs=a, sup_error=float(truncation + rounding))
 
 
 class ChebyshevStepper(Stepper):
@@ -420,13 +453,10 @@ def chebyshev_reference(
     81, 3967, 1984): R = SAFETY_FACTOR * t * sr(M), computed in the order
     the admissibility gate computes it, so the ratio is exactly 1.  The
     degree is the smallest d >= ceil(R) whose first dropped coefficient
-    2|J_{d+1}(R)| is below machine epsilon; the stepper's measured
+    2|J_{d+1}(R)| is below machine epsilon, read from the Bessel values
+    ``chebyshev_coeffs`` bounds its truncation with; the stepper's
     ``sup_error`` is the certificate.
     """
-    # Imported here: scipy.special adds about 3 MB to every process that
-    # imports rexiprop, and only this function needs it.
-    from scipy.special import jv
-
     if sr_value is None:
         sr_value = spectral_radius_estimate(sys)
     radius = SAFETY_FACTOR * t * float(sr_value)
@@ -435,7 +465,8 @@ def chebyshev_reference(
                          f"t = {t}, sr = {float(sr_value)}")
     eps = np.finfo(float).eps
     degree = math.ceil(radius)
-    while not 2.0 * abs(jv(degree + 1, radius)) < eps:
+    bessel = _bessel_j(radius, 2 * degree + 32)
+    while not 2.0 * abs(bessel[degree + 1]) < eps:
         degree += 1
     return ChebyshevStepper(sys, t, degree=degree, radius=radius,
                             sr_value=sr_value)

@@ -164,7 +164,9 @@ class _HalfDiagonals:
     ``tau*A - i_shifts[j]*B`` of the pencil ``mats = (A, B)``.  Those are
     computed with the elementwise operations of the sparse arithmetic, so
     they are bitwise the diagonals of the built matrices; no matrix is
-    built.
+    built.  A matrix's diagonal at offset k is extracted once when its
+    halves are read in the order p = 0, then p = 1: the first read keeps
+    it and the second takes it.
     """
 
     def __init__(self, mats, tau: float | None = None,
@@ -172,21 +174,27 @@ class _HalfDiagonals:
         self._mats, self._tau, self._i_shifts = mats, tau, i_shifts
         self.n = mats[0].shape[0]
         self.K = len(mats if i_shifts is None else i_shifts)
+        self._kept = {}  # offset -> its matrices' diagonals, kept at p = 0
 
     def read(self, k: int, p: int,
              out: np.ndarray | None = None) -> np.ndarray:
         """The stack's half-diagonal ``[p::2]`` at offset ``k``, written
         into ``out`` (a new complex (K, L) array when None) and returned."""
+        diags = self._kept.pop(k, None) if p else None
+        if diags is None:
+            diags = [mat.diagonal(k) for mat in self._mats]
+            if not p:
+                self._kept[k] = diags
         if out is None:
             length = (self.n - abs(k) - p + 1) // 2
             out = np.empty((self.K, length), dtype=complex)
         if self._i_shifts is None:
-            for row, mat in zip(out, self._mats):
-                row[...] = mat.diagonal(k)[p::2]
+            for row, diag in zip(out, diags):
+                row[...] = diag[p::2]
             return out
-        A, B = self._mats
-        np.multiply(self._i_shifts[:, None], B.diagonal(k)[p::2], out=out)
-        return np.subtract(self._tau * A.diagonal(k)[p::2], out, out=out)
+        a_diag, b_diag = diags
+        np.multiply(self._i_shifts[:, None], b_diag[p::2], out=out)
+        return np.subtract(self._tau * a_diag[p::2], out, out=out)
 
 
 class CondensedFactorization:
@@ -227,11 +235,12 @@ class CondensedFactorization:
         mid_low, mid_top = _pivot_range(mid)
         self._inv_mid = inv_mid = np.divide(1.0, mid, out=mid)
         # Vertex k's couplings to midpoints k and k+1 (to_*), and theirs to
-        # it (from_*), the latter divided by the midpoint pivot.
+        # it (from_*), the latter divided by the midpoint pivot; each
+        # offset is read at p = 0 before p = 1.
         self._to_left = to_left = read(-1, 0)
-        self._to_right = to_right = read(1, 1)
         self._from_left = from_left = read(1, 0)
         from_left *= inv_mid[:, :-1]
+        self._to_right = to_right = read(1, 1)
         self._from_right = from_right = read(-1, 1)
         from_right *= inv_mid[:, 1:]
 
@@ -433,24 +442,25 @@ class CondensedPencil:
         a_mid *= inv_mid
         self._a_from_left = a_from_left = read(1, 0)[0]
         a_from_left *= inv_mid[:-1]
+        # The coupling A_vm - B_vm B_mm^-1 A_mm of vertex k to midpoints k
+        # and k + 1; each offset is read at p = 0 before p = 1.
+        self._to_mid = to_mid = read(-1, 0)[0]
+        tmp = np.empty_like(to_mid)
+        to_mid -= np.multiply(to_left, a_mid[:-1], out=tmp)
+        self._to_next = to_next = read(1, 1)[0]
+        to_next -= np.multiply(to_right, a_mid[1:], out=tmp)
         self._a_from_right = a_from_right = read(-1, 1)[0]
         a_from_right *= inv_mid[1:]
         self._from_left, self._from_right = (fac._from_left[0],
                                              fac._from_right[0])
-        # The vertex operator A_vv - B_vm B_mm^-1 A_mv (tridiagonal), and
-        # the coupling A_vm - B_vm B_mm^-1 A_mm to midpoints k and k + 1.
+        # The vertex operator A_vv - B_vm B_mm^-1 A_mv (tridiagonal).
         self._vert = vert = read(0, 1)[0]
-        tmp = np.empty_like(vert)
         vert -= np.multiply(to_left, a_from_left, out=tmp)
         vert -= np.multiply(to_right, a_from_right, out=tmp)
         self._vert_up = vert_up = read(2, 1)[0]
         vert_up -= np.multiply(to_right[:-1], a_from_left[1:], out=tmp[:-1])
         self._vert_lo = vert_lo = read(-2, 1)[0]
         vert_lo -= np.multiply(to_left[1:], a_from_right[:-1], out=tmp[:-1])
-        self._to_mid = to_mid = read(-1, 0)[0]
-        to_mid -= np.multiply(to_left, a_mid[:-1], out=tmp)
-        self._to_next = to_next = read(1, 1)[0]
-        to_next -= np.multiply(to_right, a_mid[1:], out=tmp)
 
     def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``B^-1 A b`` into a new complex array, or into ``out``.  ``b``

@@ -1,5 +1,6 @@
 """Tests for time stepping: REXI, Chebyshev/Clenshaw, and the dense oracle."""
 
+import math
 import os
 import re
 import subprocess
@@ -518,32 +519,83 @@ def test_chebyshev_certificate_flagship_degree():
     assert 1e-10 <= cc.sup_error <= 1e-7
 
 
-def _chebval_sup_error(r, coeffs):
-    x = np.linspace(-1.0, 1.0, 100_001)
-    return float(np.max(np.abs(chebval(x, coeffs) - np.exp(1j * r * x))))
+def _chebval_sup_error(r, coeffs, points=100_001, dtype=float):
+    """Largest |chebval(x, coeffs) - exp(i r x)| on ``points`` equispaced
+    x in [-1, 1], evaluated in ``dtype`` (float or np.longdouble) from the
+    float64 coefficients, 2**14 points at a time."""
+    x = np.linspace(-1.0, 1.0, points).astype(dtype)
+    c = coeffs.astype(np.result_type(dtype, 1j))
+    r = dtype(r)
+    return max(float(np.max(np.abs(chebval(xb, c) - np.exp(1j * r * xb))))
+               for xb in np.split(x, range(2 ** 14, points, 2 ** 14)))
 
 
-def test_chebyshev_certificate_is_chebvals_bits():
-    # n = 1, 2: chebval's short branches; 26: the comparison method; then
-    # seeded random (r, n) and the degree the reference picks on the desk
-    # system.
+def _certificate_cases():
+    """(r, coefficients, sup_error) of chebyshev_coeffs at n = 1, 2
+    (chebval's short branches), 26 (the comparison method), 40 at r = 20,
+    seeded random (r, n), and of the reference on the desk system."""
     rng = np.random.default_rng(21)
-    cases = [(10.0, 1), (10.0, 2), (10.0, 26)]
+    cases = [(10.0, 1), (10.0, 2), (10.0, 26), (20.0, 40)]
     cases += [(float(rng.uniform(0.1, 60.0)), int(rng.integers(1, 120)))
               for _ in range(8)]
+    out = []
     for r, n in cases:
         cc = chebyshev_coeffs(r, n)
-        assert cc.sup_error == _chebval_sup_error(r, cc.coeffs), (r, n)
+        out.append((r, cc.coeffs, cc.sup_error))
     sysm, _ = _barrier_pencil(-30.0, 30.0, 500)
     ref = chebyshev_reference(sysm, 0.02)
     assert ref.degree == 83
-    assert ref.sup_error == _chebval_sup_error(ref.interval_radius,
-                                               ref.coeffs)
+    out.append((ref.interval_radius, ref.coeffs, ref.sup_error))
+    return out
+
+
+def test_chebyshev_certificate_is_a_bound():
+    # Above what float64 evaluation reads on 1,000,001 points, and within
+    # 1.3x of a 100,001-point grid where the truncation dominates (1.19x
+    # and 1.25x).
+    for r, coeffs, sup in _certificate_cases():
+        assert sup >= _chebval_sup_error(r, coeffs, 1_000_001), (
+            r, coeffs.size)
+    for r, n in ((10.0, 26), (20.0, 40)):
+        cc = chebyshev_coeffs(r, n)
+        assert cc.sup_error <= 1.3 * _chebval_sup_error(r, cc.coeffs)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == EPS,
+                    reason="np.longdouble is float64 here, so an evaluation "
+                    "in it would not separate the coefficients' error from "
+                    "the evaluation's rounding")
+def test_chebyshev_certificate_bounds_the_coefficients_own_error():
+    # Evaluated in extended precision, the float64 coefficients' error is
+    # their own: past the truncation, the rounding of the samples (1.4e-14
+    # on the desk reference, whose truncation term is 2.9e-16).
+    for r, coeffs, sup in _certificate_cases():
+        assert sup >= _chebval_sup_error(r, coeffs, dtype=np.longdouble), (
+            r, coeffs.size)
+
+
+def test_bessel_j_matches_scipy():
+    from scipy.special import jv
+
+    rng = np.random.default_rng(26)
+    radii = np.concatenate([[0.05, 10.0, 44.06, 1753.15, 6000.0],
+                            np.exp(rng.uniform(np.log(0.05), np.log(6000.0),
+                                               10))])
+    for r in radii:
+        count = 2 * math.ceil(r) + 40
+        got = integrate._bessel_j(float(r), count)
+        k = np.arange(count + 1)
+        want = jv(k, r)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13, r
+        tail = (np.abs(want) > 1e-290) & (k >= r)
+        assert np.all(np.abs(got[tail] - want[tail])
+                      <= 1e-11 * np.abs(want[tail])), r
 
 
 def test_chebyshev_certificate_peak_memory():
-    # Evaluated in cache-sized blocks: about 2.6 MB traced, where full-grid
-    # complex arrays took 7.8 MB.
+    # The certificate holds the coefficients and the Bessel values only:
+    # about 4 kB traced at degree 26.
     chebyshev_coeffs(10.0, 26)  # warm-up
     tracemalloc.start()
     try:
@@ -689,12 +741,29 @@ def test_chebyshev_reference_matches_dense_oracle(fem, n_elems):
 
 
 def test_import_does_not_load_scipy_special():
-    # chebyshev_reference imports scipy.special when called: loading it at
-    # import time would add about 3 MB to every process using the package.
+    # Neither importing the package nor building a Chebyshev stepper or a
+    # reference loads scipy.special: it costs about 30 ms and 2.4 MB, inside
+    # a stepper's timed construction.
     src = os.path.dirname(os.path.dirname(integrate.__file__))
-    code = "import sys, rexiprop; sys.exit('scipy.special' in sys.modules)"
+    code = (
+        "import sys, rexiprop\n"
+        "loaded = ['scipy.special' in sys.modules]\n"
+        "from rexiprop import (ChebyshevStepper, PhysicalConstants,\n"
+        "                      PotentialSpec, assemble_system, build_mesh,\n"
+        "                      chebyshev_reference)\n"
+        "sysm = assemble_system(build_mesh(-12.0, 12.0, 64),\n"
+        "                       PotentialSpec(kind='step', v_max=1.0,\n"
+        "                                     c_barr=2.0),\n"
+        "                       PhysicalConstants())\n"
+        "ChebyshevStepper(sysm, 1e-3, degree=26)\n"
+        "chebyshev_reference(sysm, 0.02)\n"
+        "loaded.append('scipy.special' in sys.modules)\n"
+        "sys.exit(str(loaded) if any(loaded) else 0)\n"
+    )
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_chebyshev_reference_validates_t(fem):
