@@ -460,8 +460,8 @@ def cmd_compare(args) -> int:
                f"approx_warnings={len(approx.warnings)}; "
                f"host: usable_cpus={integrate._usable_cpus()} "
                f"blas={_blas()}; "
-               "time_reduce_s is an in-process plain weighted sum, not a "
-               "cross-node reduction\n"
+               "time_reduce_s is the in-process weighted sum left after the "
+               "solves and the interleave, not a cross-node reduction\n"
                "method,dt,error_inf,error_b,time_total_s,time_rhs_s,"
                "time_local_s,time_reduce_s,time_factor_s,admissibility_ratio,"
                "bnorm_drift_rel", rows)

@@ -7,8 +7,10 @@ apply the propagator live here:
 * REXI stepping: exp(tau*M) u ~ sum_j beta_j (tau*A - sigma_j*iB)^-1 (iB) u.
   The K shifted systems are factored once per (system, approx, tau), as one
   stack of consecutive shifts per solving thread.  Each step is one product
-  iB u and one (K, n) solution block, each stack solving into its rows on a
-  thread pool, then weighted in place and summed over axis 0.
+  iB u, split into its contiguous parts (midpoints and vertices on the
+  condensed path), and one solution block per part; each stack solves into
+  its rows and weights them on its own thread, the calling thread sums the
+  rows in ascending j, and one interleave writes the result.
   ``solvers.factorize_shifted`` picks the solve path from the pencil's
   structure: the P2 pencils of ``spatial.assemble_system`` take the
   condensed path, built straight from the pencil's diagonals (midpoints
@@ -22,8 +24,9 @@ apply the propagator live here:
   ``lu_solve``, which holds the GIL.  The pool never starts more solving
   threads than the CPUs the process may run on: extra threads add only GIL
   handoffs.  Zero couplings between a stack's blocks make each row bitwise
-  the same whatever stack holds it, so with one block and one reduction the
-  results do not depend on the worker count.
+  the same whatever stack holds it, and every element is weighted and added
+  as (weights[:, None] * X).sum(axis=0) would over the natural-order block
+  X, so the results do not depend on the worker count.
 * Chebyshev/Clenshaw stepping: p(tau*M) u for a Chebyshev expansion of
   exp on i[-R, R]; each recurrence stage is one application of the pencil
   operator B^-1 A from ``solvers.factorize_pencil``.  On a P2 pencil that
@@ -42,8 +45,8 @@ constructor call, ``RexiStepper(sys, approx, tau)`` or
 ``interval_radius`` R of the approximant's interval i[-R, R].  They step
 only through their ``step(u)`` method, with one ``run`` loop, one
 admissibility record, per-phase ``timers`` (``factor`` at construction;
-``rhs``, ``local`` and ``reduce`` per step), and ``close()``/``with``
-support.
+``rhs``, ``local`` and ``reduce`` per step, as each stepper's docstring
+says), and ``close()``/``with`` support.
 ``run`` flushes subnormal parts of the state to zero, on its copy of u0
 and after every step: the Gaussian tails of a wave packet otherwise decay
 into subnormal numbers, whose arithmetic made each step several times
@@ -113,6 +116,13 @@ class Stepper:
     propagator once, and the ``kind`` named in errors.  When ``sr_value``
     is None it is taken from ``spectral_radius_estimate``: the system's P2
     bound, or dense ``eigh`` for a hand-built pencil.
+
+    ``timers`` holds seconds: ``factor`` at construction, and per step
+    ``rhs``, ``local`` and ``reduce``, summed over the steps.  For REXI,
+    ``rhs`` is the product iB u and its split into parts; ``local`` the
+    solves, the weighting and the first stack's share of the sum; and
+    ``reduce`` the rest of the sum and the interleave.  For Chebyshev,
+    ``local`` is the whole step.
     """
 
     kind: str
@@ -190,7 +200,10 @@ class RexiStepper(Stepper):
     calling thread included; it defaults to K.  No more than K threads, and
     no more than the CPUs this process may run on, are started, and the
     shifts are split into that many stacks.  ``timers["factor"]`` records
-    the seconds spent building and factoring the shifted systems.  A shift
+    the seconds spent building and factoring the shifted systems; per step,
+    ``timers["local"]`` the solves, the weighting and the first stack's
+    share of the sum, and ``timers["reduce"]`` the rest of the sum and the
+    interleave (:class:`Stepper`).  A shift
     too near the interval i[-R1, R1] (``approx.check_shift_distance``, the
     rule ``faber_cf`` holds its own shifts to) is refused with an
     ApproximationError before anything is factored.
@@ -245,30 +258,48 @@ class RexiStepper(Stepper):
         return self.factorizations[0].kind
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        """One REXI step: rhs = iBu, then one (K, n) block X whose row j
-        solves shifted system j, each stack solving into its rows (the first
-        on the calling thread, the others on the pool).  The calling thread
-        then weights X in place and sums it over axis 0, adding whole rows
-        in ascending j, so any worker count gives identical results.
+        """One REXI step: rhs = iBu, split into its contiguous parts
+        (midpoints and vertices on the condensed path, the whole vector on
+        the dense one), then one block per part whose row j holds shifted
+        system j's solution.  Each stack solves into its rows and weights
+        them on its own thread (the first stack on the calling thread, the
+        others on the pool); the calling thread sums the first stack's rows
+        while the pool still solves, then adds the other stacks' rows, all
+        in ascending j, and interleaves the parts into the result.  Every
+        row is bitwise the same whatever stack holds it, so any worker
+        count gives identical results.
         """
         timers, starts, facs = self.timers, self._starts, self.factorizations
+        weights = self.approx.weights
 
         t0 = time.perf_counter()
-        rhs = self._iB @ u
+        parts = facs[0].split(self._iB @ u)
         t1 = time.perf_counter()
-        # Per step: kept on the stepper, the block would only add to memory.
-        X = np.empty((starts[-1], rhs.size), dtype=complex)
+        # Per step: kept on the stepper, the blocks would only add to memory.
+        blocks = [np.empty((starts[-1], part.size), dtype=complex)
+                  for part in parts]
 
         def solve(c):
+            rows = slice(starts[c], starts[c + 1])
+            x_parts = [block[rows] for block in blocks]
             try:
-                facs[c].solve(rhs, out=X[starts[c]:starts[c + 1]])
+                facs[c].solve_parts(parts, x_parts)
             except SolverError as exc:
                 raise SolverError(f"solve failed for shifts j = {starts[c]}.."
                                   f"{starts[c + 1] - 1}: {exc}") from exc
+            # Weight times solution, in this operand order: numpy's complex
+            # product can round differently with the operands swapped.  No
+            # BLAS call (such as weights @ X): OpenBLAS's own threads would
+            # compete with the pool.
+            for x in x_parts:
+                np.multiply(weights[rows, None], x, out=x)
 
         helpers = [self._pool.submit(solve, c) for c in range(1, len(facs))]
         try:
             solve(0)
+            # numpy sums a C-contiguous block over axis 0 by adding whole
+            # rows in ascending j.
+            totals = [block[:starts[1]].sum(axis=0) for block in blocks]
         finally:
             # Retrieve every outcome; the lowest failing stack is raised.
             for future in helpers:
@@ -276,16 +307,14 @@ class RexiStepper(Stepper):
         for future in helpers:
             future.result()
         t2 = time.perf_counter()
-        # Weight times solution, in this operand order: numpy's complex
-        # product can round differently with the operands swapped.  No BLAS
-        # call (such as weights @ X): OpenBLAS's own threads would compete
-        # with the pool.
-        np.multiply(self.approx.weights[:, None], X, out=X)
-        total = X.sum(axis=0)
+        for j in range(starts[1], starts[-1]):
+            for total, block in zip(totals, blocks):
+                total += block[j]
+        result = facs[0].join(totals)
         timers["rhs"] += t1 - t0
         timers["local"] += t2 - t1
         timers["reduce"] += time.perf_counter() - t2
-        return total
+        return result
 
     def close(self):
         # A closed pool refuses new work, so a later pooled step raises.

@@ -5,8 +5,12 @@ Two solve paths behind one interface, picked from the matrix structure by
 (the REXI stack ``tau*A - 1j*sigma_j*B`` of one pencil).  Each factors a
 stack of K >= 1 matrices of one order, and ``solve(b, out=None)`` solves
 every one of them for the vector ``b`` into a new (K, n) array, or into
-``out``: a REXI step passes each stack its rows of one solution block.  A
-single matrix is the K = 1 case.
+``out``.  That is a thin wrapper of the core solve ``solve_parts(b_parts,
+x_parts)``, which reads the contiguous parts ``split(b)`` gives and writes
+each matrix's solution as one row of a C-contiguous complex block per
+part; ``join`` interleaves the blocks in natural order.  A REXI step
+splits its right-hand side once and passes each stack its rows of the
+step's blocks.  A single matrix is the K = 1 case.
 
 * :class:`CondensedFactorization` -- the P2 pentadiagonal systems of
   ``spatial.assemble_system``.  Every midpoint DOF (the even indices)
@@ -14,13 +18,16 @@ single matrix is the K = 1 case.
   midpoints element by element leaves a tridiagonal Schur complement of
   order n_elems - 1 on the vertices; the stack's K complements are
   factored as one tridiagonal system by one ``zgttrf`` call (partial
-  pivoting).  A solve reduces the right-hand side onto the vertices, runs
-  one ``zgttrs`` call and recovers the midpoints, each numpy step over the
-  whole stack at once.  It is built from the eight half-diagonals the
-  condensation reads (the even or odd entries of the diagonals at offsets
-  0, +-1 and +-2).  :func:`factorize_shifted` computes those of a P2
-  pencil's stack directly, ``tau*A.diagonal(k)[p::2] -
-  1j*sigma_j*B.diagonal(k)[p::2]``, with no sparse matrix per shift.
+  pivoting).  Its parts are the midpoints and the vertices: a (K, m + 1)
+  midpoint block and a (K, m) vertex block.  A solve reduces the
+  right-hand side onto the vertex block, runs one ``zgttrs`` call on it in
+  place and recovers the midpoints, each numpy step over the whole stack
+  at once and on contiguous rows.  It is built from the eight
+  half-diagonals the condensation reads (the even or odd entries of the
+  diagonals at offsets 0, +-1 and +-2).  :func:`factorize_shifted`
+  computes those of a P2 pencil's stack directly,
+  ``tau*A.diagonal(k)[p::2] - 1j*sigma_j*B.diagonal(k)[p::2]``, with no
+  sparse matrix per shift.
   Each half-diagonal is turned in place into an array a solve reads, so
   a stack keeps about 74 bytes per shift per DOF, and its build holds at
   most one (K_s, m) temporary beyond that (K_s shifts, m vertices).  The
@@ -35,8 +42,9 @@ single matrix is the K = 1 case.
   A zero midpoint pivot raises :class:`SolverError`; the pivot-ratio
   screen covers the rest.
 * :class:`DenseFactorization` -- plain dense LU for everything else (the
-  small oracle systems, scalar systems, random test matrices).  Its solve
-  goes through scipy's ``lu_solve`` and holds the GIL.
+  small oracle systems, scalar systems, random test matrices).  Its one
+  part is the whole vector.  Its solve goes through scipy's ``lu_solve``
+  and holds the GIL.
 
 A Chebyshev stage applies ``B^-1 A`` rather than solving a given system.
 :func:`factorize_pencil` returns an operator for it, whose
@@ -197,7 +205,51 @@ class _HalfDiagonals:
         return np.subtract(self._tau * a_diag[p::2], out, out=out)
 
 
-class CondensedFactorization:
+class _Factorization:
+    """What both factorizations share: a stack of K matrices of order n
+    whose core solve, ``solve_parts``, reads a vector as contiguous parts
+    (``split``) and writes the solutions as one block of rows per part
+    (``join`` interleaves them); ``_sizes`` holds the parts' lengths."""
+
+    K: int
+    _n: int
+    _sizes: tuple[int, ...]
+
+    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Solve every matrix of the stack for the vector ``b``, which is
+        left unmodified; row j of the (K, n) result (``out`` when given)
+        solves matrix j.  Splits ``b``, solves its parts into blocks of
+        their own, and interleaves those into the result."""
+        b = np.asarray(b)
+        _check_rhs(b, self._n)
+        x_parts = tuple(np.empty((self.K, size), dtype=complex)
+                        for size in self._sizes)
+        self.solve_parts(self.split(b), x_parts)
+        if out is None:
+            out = np.empty((self.K, self._n), dtype=complex)
+        return self.join(x_parts, out)
+
+    def _check_parts(self, b_parts, x_parts) -> None:
+        """Refuse, before any solve, parts that are not vectors of the
+        lengths ``_sizes`` and solution blocks that are not C-contiguous
+        complex (K, size) arrays, naming the system's order."""
+        sizes = self._sizes
+        try:
+            fits = (len(b_parts) == len(x_parts) == len(sizes)
+                    and all(b.shape == (size,) and x.shape == (self.K, size)
+                            and x.dtype == complex and x.flags.c_contiguous
+                            for b, x, size in zip(b_parts, x_parts, sizes)))
+        except (AttributeError, TypeError):  # not sequences of arrays
+            fits = False
+        if not fits:
+            raise ValueError(
+                f"parts do not match a stack of {self.K} systems of order "
+                f"{self._n}: it solves parts of shapes "
+                f"{[(size,) for size in sizes]} into C-contiguous complex "
+                f"blocks of shapes {[(self.K, size) for size in sizes]}")
+
+
+class CondensedFactorization(_Factorization):
     """A stack of K P2 pentadiagonal matrices of one order, each solved
     through the tridiagonal Schur complement on its vertices.
 
@@ -284,37 +336,52 @@ class CondensedFactorization:
                 "matrix is singular: zero pivot in the vertex Schur "
                 f"complement at index {2 * row + 1}", index=j)
 
-        self._n = n
+        self._n, self._sizes = n, (m + 1, m)
         self._trans = ctypes.c_char(b"N")
         self._nrhs = ctypes.c_int(1)
 
-    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Solve every matrix of the stack for the vector ``b``, which is
-        left unmodified; row j of the (K, n) result (``out`` when given, a
-        C-contiguous complex array) solves matrix j.  Runs the one
-        ``zgttrs`` call without holding the GIL and allocates its scratch
-        per call, so threads may share one factorization."""
-        b = np.asarray(b)
-        _check_rhs(b, self._n)
-        x = np.empty((self.K, self._n), dtype=complex) if out is None else out
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The midpoints and the vertices of the vector ``v``, as two
+        C-contiguous complex copies: the parts :meth:`solve_parts` reads."""
+        return (np.ascontiguousarray(v[0::2], dtype=complex),
+                np.ascontiguousarray(v[1::2], dtype=complex))
+
+    def join(self, parts, out: np.ndarray | None = None) -> np.ndarray:
+        """Interleave the midpoint and vertex ``parts`` (vectors, or blocks
+        of rows) along the last axis into ``out``, a new complex array when
+        None, and return it: the inverse of :meth:`split`."""
+        mid, vert = parts
+        if out is None:
+            out = np.empty(mid.shape[:-1] + (self._n,), dtype=complex)
+        out[..., 0::2] = mid
+        out[..., 1::2] = vert
+        return out
+
+    def solve_parts(self, b_parts, x_parts) -> None:
+        """Solve every matrix of the stack for the vector whose midpoint
+        and vertex parts are ``b_parts`` (lengths m + 1 and m), which are
+        left unmodified.  Row j of ``x_parts``, a C-contiguous complex
+        (K, m + 1) midpoint block and (K, m) vertex block, receives matrix
+        j's solution.  Every product reads and writes contiguous rows, and
+        the vertex block is the right-hand side ``zgttrs`` solves in place.
+        Runs the one ``zgttrs`` call without holding the GIL and allocates
+        its scratch per call, so threads may share one factorization."""
+        self._check_parts(b_parts, x_parts)
+        b_mid, b_vert = b_parts
+        x_mid, x_vert = x_parts
         # Midpoints first hold inv(D) b_mid, then the solution.
-        x_mid, x_vert = x[:, 0::2], x[:, 1::2]
-        np.multiply(self._inv_mid, b[0::2], out=x_mid)
-        # Vertex rhs b_v - C inv(D) b_mid, the blocks one after the other,
-        # which zgttrs solves in place.
-        rhs = np.empty(self._to_left.shape, dtype=complex)
-        tmp = np.empty_like(rhs)
-        np.multiply(self._to_left, x_mid[:, :-1], out=rhs)
-        np.subtract(b[1::2], rhs, out=rhs)
+        np.multiply(self._inv_mid, b_mid, out=x_mid)
+        # Vertex rhs b_v - C inv(D) b_mid, the blocks one after the other.
+        tmp = np.empty_like(x_vert)
+        np.multiply(self._to_left, x_mid[:, :-1], out=x_vert)
+        np.subtract(b_vert, x_vert, out=x_vert)
         np.multiply(self._to_right, x_mid[:, 1:], out=tmp)
-        rhs -= tmp
-        self._solve_vertices(rhs)
-        x_vert[...] = rhs
-        np.multiply(self._from_left, rhs, out=tmp)
+        x_vert -= tmp
+        self._solve_vertices(x_vert)
+        np.multiply(self._from_left, x_vert, out=tmp)
         x_mid[:, :-1] -= tmp
-        np.multiply(self._from_right, rhs, out=tmp)
+        np.multiply(self._from_right, x_vert, out=tmp)
         x_mid[:, 1:] -= tmp
-        return x
 
     def _solve_vertices(self, rhs: np.ndarray) -> None:
         """Overwrite the C-contiguous complex vertex right-hand sides
@@ -329,7 +396,7 @@ class CondensedFactorization:
                 f"tridiagonal back-substitution failed (info={info.value})")
 
 
-class DenseFactorization:
+class DenseFactorization(_Factorization):
     """Dense LU with partial pivoting, one per matrix of the stack."""
 
     kind = "dense"
@@ -348,18 +415,29 @@ class DenseFactorization:
         _screen_pivots(*_pivot_range(
             np.array([np.diagonal(lu) for lu, _ in self._lus])))
         self._n = len(self._lus[0][0])
+        self._sizes = (self._n,)
 
-    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Row j of the (K, n) result (``out`` when given) solves matrix j
-        for the vector ``b``."""
-        b = np.asarray(b)
-        _check_rhs(b, self._n)
-        b = b.astype(complex, copy=False)
+    def split(self, v: np.ndarray) -> tuple[np.ndarray]:
+        """The one part :meth:`solve_parts` reads: ``v`` in complex
+        storage."""
+        return (np.asarray(v, dtype=complex),)
+
+    def join(self, parts, out: np.ndarray | None = None) -> np.ndarray:
+        """The one part of ``parts`` copied into ``out`` (a new array when
+        None) and returned."""
         if out is None:
-            out = np.empty((self.K, self._n), dtype=complex)
-        for row, lu in zip(out, self._lus):
-            row[...] = lu_solve(lu, b, check_finite=False)
+            return np.array(parts[0])
+        out[...] = parts[0]
         return out
+
+    def solve_parts(self, b_parts, x_parts) -> None:
+        """Row j of the one block of ``x_parts``, C-contiguous complex
+        (K, n), receives matrix j's solution for the one vector of
+        ``b_parts``."""
+        self._check_parts(b_parts, x_parts)
+        b = np.asarray(b_parts[0], dtype=complex)
+        for row, lu in zip(x_parts[0], self._lus):
+            row[...] = lu_solve(lu, b, check_finite=False)
 
 
 def factorize(*mats):

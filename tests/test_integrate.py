@@ -369,6 +369,28 @@ def test_step_is_the_plain_ascending_sum(flagship, workers, monkeypatch):
         assert stp.step(u0).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_full_scale_step_is_the_plain_ascending_sum(flagship, workers,
+                                                    monkeypatch):
+    # Full scale (7999 DOF, the pooled path at two workers): the step is
+    # w_0*X_0 + w_1*X_1 + ... over the rows of the stacked natural-order
+    # solve, added in ascending j, byte for byte, though each stack solves
+    # into contiguous midpoint and vertex blocks and weights its own rows.
+    sysm, mesh = _barrier_pencil(-120.0, 120.0, 4000)
+    u0 = project_initial(mesh, WavePacketParams(r_bar=-3.0, p_bar=5.0, sigma=4.0),
+                         PhysicalConstants(), sysm.B)
+    shifted = [(2e-4 * sysm.A - (1j * sigma) * sysm.B).tocsr()
+               for sigma in flagship.shifts]
+    rows = factorize(*shifted).solve((1j * sysm.B).tocsr() @ u0)
+    expected = flagship.weights[0] * rows[0]
+    for weight, row in zip(flagship.weights[1:], rows[1:]):
+        expected = expected + weight * row
+    monkeypatch.setattr(integrate, "_usable_cpus", lambda: 2)
+    with rexi_prepare(sysm, flagship, 2e-4, workers=workers) as stp:
+        assert len(stp.factorizations) == workers
+        assert stp.step(u0).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_failed_shift_solve_is_reported(flagship, fem, workers, monkeypatch):
     sysm, _, u0, sr = fem
@@ -983,6 +1005,87 @@ def test_condensed_solve_shapes_keep_the_input(flagship, fem):
     for wrong in (np.ones(sysm.n_dof + 1), np.ones((sysm.n_dof, 2))):
         with pytest.raises(ValueError, match="does not match"):
             fac.solve(wrong)
+
+
+def _stacks_of_one_and_three(flagship):
+    """Stacks of 1 and 3 flagship shifts, condensed on the 5-DOF (smallest)
+    P2 mesh and at desk scale, and dense on a 6x6 pencil."""
+    rng = np.random.default_rng(27)
+    dense = rng.standard_normal((6, 6))
+    pencils = (_barrier_pencil(-3.0, 3.0, 3)[0],
+               _barrier_pencil(-30.0, 30.0, 500)[0],
+               SystemMatrices(A=csr_matrix(dense + dense.T),
+                              B=csr_matrix(np.eye(6) * 2.0)))
+    for sysm in pencils:
+        for size in (1, 3):
+            yield solvers.factorize_shifted(sysm.A, sysm.B, 2e-4,
+                                            flagship.shifts[5:5 + size])
+
+
+def test_solve_is_the_core_solve_interleaved(flagship):
+    # The natural-order solve splits b into the parts the core solve
+    # reads (contiguous copies of its midpoints and vertices, or of the
+    # whole vector), and interleaves the core solve's blocks, byte for byte.
+    kinds = []
+    for fac in _stacks_of_one_and_three(flagship):
+        kinds.append((fac.kind, fac._n, fac.K))
+        b = [1, 1j] @ np.random.default_rng(fac._n).standard_normal((2, fac._n))
+        parts = fac.split(b)
+        expected = ((b[0::2], b[1::2]) if fac.kind == "condensed" else (b,))
+        assert len(parts) == len(expected)
+        for part, want in zip(parts, expected):
+            assert part.flags.c_contiguous and part.dtype == complex
+            assert part.tobytes() == np.ascontiguousarray(want).tobytes()
+        blocks = tuple(np.empty((fac.K, part.size), dtype=complex)
+                       for part in parts)
+        assert fac.solve_parts(parts, blocks) is None
+        natural = fac.solve(b)
+        assert natural.shape == (fac.K, fac._n)
+        assert fac.join(blocks).tobytes() == natural.tobytes()
+        if fac.kind == "condensed":
+            assert natural[:, 0::2].tobytes() == blocks[0].tobytes()
+            assert natural[:, 1::2].tobytes() == blocks[1].tobytes()
+        else:
+            assert natural.tobytes() == blocks[0].tobytes()
+    assert kinds == [("condensed", 5, 1), ("condensed", 5, 3),
+                     ("condensed", 999, 1), ("condensed", 999, 3),
+                     ("dense", 6, 1), ("dense", 6, 3)]
+
+
+def test_core_solve_refuses_parts_of_another_shape_or_layout(flagship,
+                                                             monkeypatch):
+    # Wrong parts raise a ValueError naming the system's order before any
+    # LAPACK call, and leave the solution blocks unwritten.
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(solvers, "_ZGTTRS", no_lapack)
+    monkeypatch.setattr(solvers, "lu_solve", no_lapack)
+    for fac in _stacks_of_one_and_three(flagship):
+        n, k = fac._n, fac.K
+        parts = fac.split(np.ones(n))
+        blocks = [np.full((k, part.size), np.nan, dtype=complex)
+                  for part in parts]
+        long = [np.ones(part.size + 1, dtype=complex) for part in parts]
+        strided = [np.full((k, 2 * part.size), np.nan, dtype=complex)[:, ::2]
+                   for part in parts]
+        wrong = [
+            (parts[:-1], blocks[:-1] if len(blocks) > 1 else []),  # a part short
+            (long, blocks),
+            (parts, [block[:, :-1] for block in blocks]),
+            (parts, [np.full((k + 1, part.size), np.nan, dtype=complex)
+                     for part in parts]),
+            (parts, strided),  # each row strided
+            (parts, [block.real.copy() for block in blocks]),
+            (parts, [block.tolist() for block in blocks]),
+        ]
+        if k > 1:  # a one-row block in column order is also C-contiguous
+            wrong.append((parts, [np.asfortranarray(block)
+                                  for block in blocks]))
+        for b_parts, x_parts in wrong:
+            with pytest.raises(ValueError, match=rf"\bof order {n}\b"):
+                fac.solve_parts(b_parts, x_parts)
+        assert all(np.isnan(block).all() for block in blocks + strided)
 
 
 def test_factorizations_refuse_a_right_hand_side_of_another_shape(fem):
