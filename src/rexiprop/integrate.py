@@ -62,6 +62,7 @@ inadmissible steps unless explicitly overridden.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -151,10 +152,13 @@ class Stepper:
 
         Subnormal real and imaginary parts are set to zero in the copy of
         ``u0`` and in every step's result, before the observer sees it.
-        The admissibility gate applies only when at least one step runs.
+        The admissibility gate applies only when at least one step runs;
+        a ``u0`` whose shape is not (n_dof,) is refused whatever the
+        number of steps.
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+        self._check_state(u0)
         if n_steps > 0 and not self.admissible:
             if not self.override_admissibility:
                 largest = (max_step_size(self.interval_radius, self.sr_value)
@@ -175,6 +179,14 @@ class Stepper:
             if observer is not None:
                 observer(k, k * self.tau, u)
         return u
+
+    def _check_state(self, u) -> None:
+        """Refuse a state ``u`` whose shape is not (n_dof,), naming the
+        order of the system it does not match."""
+        n = self.system.n_dof
+        if np.shape(u) != (n,):
+            raise ValueError(f"{self.kind} state of shape {np.shape(u)} does "
+                             f"not match a system of order {n}")
 
     def close(self):
         """Release held resources; a no-op unless a subclass holds any."""
@@ -197,7 +209,8 @@ class RexiStepper(Stepper):
 
     ``sr_value`` may be supplied when the caller already has sr(M) or a
     bound on it.  ``workers`` is the number of threads that solve, the
-    calling thread included; it defaults to K.  No more than K threads, and
+    calling thread included: an integer >= 1 (not a bool), K by default,
+    refused with ValueError otherwise.  No more than K threads, and
     no more than the CPUs this process may run on, are started, and the
     shifts are split into that many stacks.  ``timers["factor"]`` records
     the seconds spent building and factoring the shifted systems; per step,
@@ -218,12 +231,15 @@ class RexiStepper(Stepper):
         check_shift_distance(approx.shifts, approx.domain_radius)
         if workers is None:
             workers = approx.K
+        if isinstance(workers, bool) or not isinstance(workers,
+                                                       numbers.Integral):
+            raise ValueError(f"workers must be an integer, got {workers!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         super().__init__(system, tau, approx.domain_radius, sr_value,
                          override_admissibility)
         self.approx = approx
-        self.workers = workers
+        self.workers = int(workers)
 
         t0 = time.perf_counter()
         threads = min(workers, approx.K, _usable_cpus())
@@ -267,10 +283,12 @@ class RexiStepper(Stepper):
         while the pool still solves, then adds the other stacks' rows, all
         in ascending j, and interleaves the parts into the result.  Every
         row is bitwise the same whatever stack holds it, so any worker
-        count gives identical results.
+        count gives identical results.  A ``u`` whose shape is not
+        (n_dof,) is refused before the product.
         """
         timers, starts, facs = self.timers, self._starts, self.factorizations
         weights = self.approx.weights
+        self._check_state(u)
 
         t0 = time.perf_counter()
         parts = facs[0].split(self._iB @ u)

@@ -24,7 +24,10 @@ step's blocks.  A single matrix is the K = 1 case.
   place and recovers the midpoints, each numpy step over the whole stack
   at once and on contiguous rows.  It is built from the eight
   half-diagonals the condensation reads (the even or odd entries of the
-  diagonals at offsets 0, +-1 and +-2).  :func:`factorize_shifted`
+  diagonals at offsets 0, +-1 and +-2), by one condensation step that
+  turns an operand's half-diagonals into its condensed coefficients
+  against the stack; applied to the stack itself, it gives the Schur
+  complements.  :func:`factorize_shifted`
   computes those of a P2 pencil's stack directly,
   ``tau*A.diagonal(k)[p::2] - 1j*sigma_j*B.diagonal(k)[p::2]``, with no
   sparse matrix per shift.
@@ -52,12 +55,15 @@ A Chebyshev stage applies ``B^-1 A`` rather than solving a given system.
 
 * :class:`CondensedPencil` -- a P2 pencil.  A's and B's midpoint blocks
   are both diagonal, so the product with A and the solve with B condense
-  together onto the vertices: an application builds the vertex
-  right-hand side in five products, makes one ``zgttrs`` call on B's
-  vertex Schur complement (``factorize(B)``'s), and recovers the
-  midpoints in five more.  There is no sparse product and no complex
-  copy of A.  At 7999 DOF on a 2-CPU VM an application takes about
-  180-200 us, of which ``zgttrs`` is about 100 us.
+  together onto the vertices.  The operator is B's
+  :class:`CondensedFactorization` plus A's coefficients, condensed
+  against it by the same step that gave it B's Schur complement.  An
+  application splits the vector through the factorization, builds the
+  vertex right-hand side from A's coefficients, and solves, recovers the
+  midpoints and joins through the factorization.  There is no sparse
+  product and no complex copy of A.  At 7999 DOF on a 2-CPU VM an
+  application takes about 150-200 us, of which ``zgttrs`` is about
+  100 us.
 * :class:`DensePencil` -- every other pencil (scalar and hand-built
   systems): the product with A in complex storage, then ``factorize(B)``'s
   solve.
@@ -65,6 +71,8 @@ A Chebyshev stage applies ``B^-1 A`` rather than solving a given system.
 A sparse matrix without the P2 pattern is refused with :class:`SolverError`
 when its order exceeds ``DENSE_ORACLE_MAX_DOF``, rather than factored by
 O(n^3) dense LU unnoticed.  Dense ndarray inputs are always factored.  A
+stack whose matrices are not square of one order is refused with
+ValueError before any work.  A
 factor-time :class:`SolverError` names the failing matrix of the stack in
 ``index``; a failed solve names none (``index`` None).
 
@@ -285,34 +293,16 @@ class CondensedFactorization(_Factorization):
             )
         # The midpoint pivots' magnitudes, for the screen after zgttrf.
         mid_low, mid_top = _pivot_range(mid)
-        self._inv_mid = inv_mid = np.divide(1.0, mid, out=mid)
+        self._inv_mid = np.divide(1.0, mid, out=mid)
         # Vertex k's couplings to midpoints k and k+1 (to_*), and theirs to
-        # it (from_*), the latter divided by the midpoint pivot; each
-        # offset is read at p = 0 before p = 1.
-        self._to_left = to_left = read(-1, 0)
-        self._from_left = from_left = read(1, 0)
-        from_left *= inv_mid[:, :-1]
-        self._to_right = to_right = read(1, 1)
-        self._from_right = from_right = read(-1, 1)
-        from_right *= inv_mid[:, 1:]
-
+        # it (from_*); each offset is read at p = 0 before p = 1.
+        self._to_left = read(-1, 0)
+        self._from_left = read(1, 0)
+        self._to_right = read(1, 1)
+        self._from_right = read(-1, 1)
         # The stacked Schur complement as LAPACK's dl, d, du (+ du2, ipiv),
-        # factored in place by zgttrf.  dl and du end each block with the
-        # zero coupling to the next one; LAPACK reads K*m - 1 of them.
-        # Every product goes to one scratch array, freed before du2 is
-        # made, so the build holds no more than one (K, m) temporary.
-        dl, d, du = np.zeros((3, self.K, m), dtype=complex)
-        tmp = np.empty((self.K, m), dtype=complex)
-        read(0, 1, out=d)
-        d -= np.multiply(to_left, from_left, out=tmp)
-        d -= np.multiply(to_right, from_right, out=tmp)
-        read(2, 1, out=du[:, :-1])
-        du[:, :-1] -= np.multiply(to_right[:, :-1], from_left[:, 1:],
-                                  out=tmp[:, :-1])
-        read(-2, 1, out=dl[:, :-1])
-        dl[:, :-1] -= np.multiply(to_left[:, 1:], from_right[:, :-1],
-                                  out=tmp[:, :-1])
-        del tmp
+        # factored in place by zgttrf; LAPACK reads K*m - 1 of dl and du.
+        dl, d, du = self._condense(read, self._from_left, self._from_right)
         du2 = np.zeros(max(size - 2, 1), dtype=complex)
         self._tri = (dl, d, du, du2)  # owns the memory behind _factors
         self._ipiv = np.zeros(size, dtype=np.intc)
@@ -339,6 +329,44 @@ class CondensedFactorization(_Factorization):
         self._n, self._sizes = n, (m + 1, m)
         self._trans = ctypes.c_char(b"N")
         self._nrhs = ctypes.c_int(1)
+
+    def _condense(self, read, from_left, from_right, midpoint=()):
+        """Condense an operand X against the stack's matrices M.
+
+        ``from_left`` and ``from_right`` hold X's couplings of midpoints k
+        and k + 1 to vertex k (X_mv) and become M_mm^-1 X_mv in place.
+        Given ``midpoint`` = (mid, to_left, to_right), X's midpoint diagonal
+        and its couplings of vertex k to midpoints k and k + 1 (X_vm)
+        become M_mm^-1 X_mm and X_vm - M_vm M_mm^-1 X_mm in place.  Returns
+        the lower, main and upper diagonals of X_vv - M_vm M_mm^-1 X_mv as
+        one complex (3, K, m) array, read from X's half-diagonals by
+        ``read`` and condensed in place; each off-diagonal ends in a zero,
+        the coupling to the next block.  With X = M (the constructor, no
+        ``midpoint``) they are M's Schur complements.  Every product goes
+        to one scratch array, so the step holds no more than one (K, m)
+        temporary.
+        """
+        inv_mid, to_left, to_right = (self._inv_mid, self._to_left,
+                                      self._to_right)
+        vertex = dl, d, du = np.zeros((3,) + to_left.shape, dtype=complex)
+        read(0, 1, out=d)
+        read(2, 1, out=du[:, :-1])
+        read(-2, 1, out=dl[:, :-1])
+        tmp = np.empty_like(to_left)
+        if midpoint:
+            mid, x_to_left, x_to_right = midpoint
+            mid *= inv_mid
+            x_to_left -= np.multiply(to_left, mid[:, :-1], out=tmp)
+            x_to_right -= np.multiply(to_right, mid[:, 1:], out=tmp)
+        from_left *= inv_mid[:, :-1]
+        from_right *= inv_mid[:, 1:]
+        d -= np.multiply(to_left, from_left, out=tmp)
+        d -= np.multiply(to_right, from_right, out=tmp)
+        du[:, :-1] -= np.multiply(to_right[:, :-1], from_left[:, 1:],
+                                  out=tmp[:, :-1])
+        dl[:, :-1] -= np.multiply(to_left[:, 1:], from_right[:, :-1],
+                                  out=tmp[:, :-1])
+        return vertex
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The midpoints and the vertices of the vector ``v``, as two
@@ -378,10 +406,7 @@ class CondensedFactorization(_Factorization):
         np.multiply(self._to_right, x_mid[:, 1:], out=tmp)
         x_vert -= tmp
         self._solve_vertices(x_vert)
-        np.multiply(self._from_left, x_vert, out=tmp)
-        x_mid[:, :-1] -= tmp
-        np.multiply(self._from_right, x_vert, out=tmp)
-        x_mid[:, 1:] -= tmp
+        self._recover_midpoints(x_mid, x_vert, tmp)
 
     def _solve_vertices(self, rhs: np.ndarray) -> None:
         """Overwrite the C-contiguous complex vertex right-hand sides
@@ -394,6 +419,13 @@ class CondensedFactorization(_Factorization):
         if info.value != 0:
             raise SolverError(
                 f"tridiagonal back-substitution failed (info={info.value})")
+
+    def _recover_midpoints(self, x_mid, x_vert, tmp) -> None:
+        """Subtract M_mm^-1 M_mv times the solved (K, m) vertex block
+        ``x_vert`` from the (K, m + 1) midpoint block ``x_mid``, through
+        the scratch ``tmp`` of ``x_vert``'s shape."""
+        x_mid[:, :-1] -= np.multiply(self._from_left, x_vert, out=tmp)
+        x_mid[:, 1:] -= np.multiply(self._from_right, x_vert, out=tmp)
 
 
 class DenseFactorization(_Factorization):
@@ -445,20 +477,27 @@ def factorize(*mats):
     condensed when every matrix has the P2 pattern, dense LU otherwise.
     A sparse matrix without the P2 pattern is refused above
     ``DENSE_ORACLE_MAX_DOF``.  A :class:`SolverError` names the failing
-    matrix's position in ``index``; an empty stack raises ValueError."""
+    matrix's position in ``index``.  An empty stack, or one whose matrices
+    are not square of one order, raises ValueError before any work."""
     if not mats:
         raise ValueError("factorize needs a stack of K >= 1 matrices, "
                          "got none")
-    if all(issparse(mat) and _is_p2(mat) for mat in mats):
-        return CondensedFactorization(_HalfDiagonals(mats))
-    n = mats[0].shape[0]
+    square = np.shape(mats[0])[:1] * 2
     for j, mat in enumerate(mats):
-        if n > DENSE_ORACLE_MAX_DOF and issparse(mat) and not _is_p2(mat):
+        if not square or np.shape(mat) != square:
+            raise ValueError(
+                f"factorize needs square matrices of one order: matrix "
+                f"j = {j} has shape {np.shape(mat)}, matrix 0 has shape "
+                f"{np.shape(mats[0])}")
+    p2 = [issparse(mat) and _is_p2(mat) for mat in mats]
+    if all(p2):
+        return CondensedFactorization(_HalfDiagonals(mats))
+    for j, mat in enumerate(mats):
+        if issparse(mat) and not p2[j] and square[0] > DENSE_ORACLE_MAX_DOF:
             raise SolverError(
-                f"sparse matrix of order {n} lacks the P2 pattern, and dense "
-                f"LU is limited to DENSE_ORACLE_MAX_DOF = {DENSE_ORACLE_MAX_DOF}",
-                index=j,
-            )
+                f"sparse matrix of order {square[0]} lacks the P2 pattern, "
+                f"and dense LU is limited to DENSE_ORACLE_MAX_DOF = "
+                f"{DENSE_ORACLE_MAX_DOF}", index=j)
     return DenseFactorization(*mats)
 
 
@@ -484,7 +523,8 @@ def factorize_shifted(A, B, tau: float, shifts: np.ndarray):
 
 
 class CondensedPencil:
-    """``B^-1 A`` of a P2 pencil (A, B), applied on the vertices.
+    """``B^-1 A`` of a P2 pencil (A, B): B's condensed factorization plus
+    A's coefficients, condensed against it by the same step.
 
     Both matrices have the P2 pattern, and both midpoint blocks are
     diagonal, so ``B y = A b`` condenses as one solve with B does: with
@@ -494,51 +534,34 @@ class CondensedPencil:
                   + (A_vm - B_vm B_mm^-1 A_mm) b_m,
         y_m = B_mm^-1 A_mm b_m + B_mm^-1 A_mv b_v - B_mm^-1 B_mv y_v,
 
-    where S_B = B_vv - B_vm B_mm^-1 B_mv is B's vertex Schur complement,
-    factored once by ``factorize(B)`` (a :class:`CondensedFactorization`,
-    whose numbering this follows).  The vertex operator is tridiagonal and
-    the midpoint-to-vertex coupling has two bands, so building the vertex
-    right-hand side takes five products of coefficient arrays and ``b``,
-    and recovering the midpoints five more; :meth:`apply` makes one
-    ``zgttrs`` call between them.  B is refused as ``factorize(B)``
+    where S_B = B_vv - B_vm B_mm^-1 B_mv is B's vertex Schur complement.
+    B's :class:`CondensedFactorization` (a stack of one) factors S_B, and
+    its condensation step, which gave it S_B from B's half-diagonals, turns
+    A's into the coefficients above.  :meth:`apply` splits ``b`` through
+    the factorization, builds the vertex right-hand side from A's
+    coefficients, solves it and recovers the midpoints through the
+    factorization, and joins the parts.  B is refused as ``factorize(B)``
     refuses it.
     """
 
     kind = "condensed"
 
     def __init__(self, A, B):
-        self._n = B.shape[0]
-        self._B = fac = factorize(B)
-        # A's half-diagonals, each turned in place into a coefficient array.
+        self._B = CondensedFactorization(_HalfDiagonals((B,)))
+        # A's half-diagonals as rows of one, each condensed in place into a
+        # coefficient array (each offset read at p = 0 before p = 1): mids
+        # holds B_mm^-1 A_mm and A_vm - B_vm B_mm^-1 A_mm (vertex k's
+        # couplings to midpoints k and k + 1), froms B_mm^-1 A_mv (the
+        # couplings of midpoints k and k + 1 to vertex k), and vertex the
+        # lower, main and upper diagonals of A_vv - B_vm B_mm^-1 A_mv.
         read = _HalfDiagonals((A,)).read
-        inv_mid = fac._inv_mid[0]
-        to_left, to_right = fac._to_left[0], fac._to_right[0]
-        # B_mm^-1 A_mm, and B_mm^-1 A_mv as midpoint k's coupling to
-        # vertex k (a_from_left) and midpoint k + 1's to vertex k
-        # (a_from_right); B's own, B_mm^-1 B_mv, are the factorization's.
-        self._a_mid = a_mid = read(0, 0)[0]
-        a_mid *= inv_mid
-        self._a_from_left = a_from_left = read(1, 0)[0]
-        a_from_left *= inv_mid[:-1]
-        # The coupling A_vm - B_vm B_mm^-1 A_mm of vertex k to midpoints k
-        # and k + 1; each offset is read at p = 0 before p = 1.
-        self._to_mid = to_mid = read(-1, 0)[0]
-        tmp = np.empty_like(to_mid)
-        to_mid -= np.multiply(to_left, a_mid[:-1], out=tmp)
-        self._to_next = to_next = read(1, 1)[0]
-        to_next -= np.multiply(to_right, a_mid[1:], out=tmp)
-        self._a_from_right = a_from_right = read(-1, 1)[0]
-        a_from_right *= inv_mid[1:]
-        self._from_left, self._from_right = (fac._from_left[0],
-                                             fac._from_right[0])
-        # The vertex operator A_vv - B_vm B_mm^-1 A_mv (tridiagonal).
-        self._vert = vert = read(0, 1)[0]
-        vert -= np.multiply(to_left, a_from_left, out=tmp)
-        vert -= np.multiply(to_right, a_from_right, out=tmp)
-        self._vert_up = vert_up = read(2, 1)[0]
-        vert_up -= np.multiply(to_right[:-1], a_from_left[1:], out=tmp[:-1])
-        self._vert_lo = vert_lo = read(-2, 1)[0]
-        vert_lo -= np.multiply(to_left[1:], a_from_right[:-1], out=tmp[:-1])
+        mid, to_mid, from_left = read(0, 0), read(-1, 0), read(1, 0)
+        mids, froms = (mid, to_mid, read(1, 1)), (from_left, read(-1, 1))
+        vertex = self._B._condense(read, *froms, mids)
+        # Kept as vectors, row 0 of each: numpy sets up products of
+        # vectors faster than of blocks of one row.
+        self._mid, self._from, self._vertex = (
+            [x[0] for x in xs] for xs in (mids, froms, vertex))
 
     def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``B^-1 A b`` into a new complex array, or into ``out``.  ``b``
@@ -546,26 +569,24 @@ class CondensedPencil:
         Runs the one ``zgttrs`` call without holding the GIL and allocates
         its scratch per call, so threads may share one operator."""
         b = np.asarray(b)
-        _check_rhs(b, self._n, pencil=True)
-        y = np.empty(self._n, dtype=complex) if out is None else out
-        # Contiguous copies: products read them faster than strided views.
-        b_mid = np.ascontiguousarray(b[0::2], dtype=complex)
-        b_vert = np.ascontiguousarray(b[1::2], dtype=complex)
-        rhs = self._vert * b_vert
+        a_mid, to_mid, to_next = self._mid
+        from_left, from_right = self._from
+        lower, diag, upper = self._vertex
+        _check_rhs(b, 2 * diag.size + 1, pencil=True)
+        b_mid, b_vert = self._B.split(b)
+        rhs = diag * b_vert
         tmp = np.empty_like(rhs)
-        rhs[:-1] += np.multiply(self._vert_up, b_vert[1:], out=tmp[:-1])
-        rhs[1:] += np.multiply(self._vert_lo, b_vert[:-1], out=tmp[1:])
-        rhs += np.multiply(self._to_mid, b_mid[:-1], out=tmp)
-        rhs += np.multiply(self._to_next, b_mid[1:], out=tmp)
+        rhs[:-1] += np.multiply(upper[:-1], b_vert[1:], out=tmp[:-1])
+        rhs[1:] += np.multiply(lower[:-1], b_vert[:-1], out=tmp[1:])
+        rhs += np.multiply(to_mid, b_mid[:-1], out=tmp)
+        rhs += np.multiply(to_next, b_mid[1:], out=tmp)
+        b_mid *= a_mid
+        b_mid[:-1] += np.multiply(from_left, b_vert, out=tmp)
+        b_mid[1:] += np.multiply(from_right, b_vert, out=tmp)
         self._B._solve_vertices(rhs)
-        y[1::2] = rhs
-        b_mid *= self._a_mid
-        b_mid[:-1] += np.multiply(self._a_from_left, b_vert, out=tmp)
-        b_mid[1:] += np.multiply(self._a_from_right, b_vert, out=tmp)
-        b_mid[:-1] -= np.multiply(self._from_left, rhs, out=tmp)
-        b_mid[1:] -= np.multiply(self._from_right, rhs, out=tmp)
-        y[0::2] = b_mid
-        return y
+        # B's stack is of one: the vectors as its blocks of one row.
+        self._B._recover_midpoints(b_mid[None], rhs[None], tmp[None])
+        return self._B.join((b_mid, rhs), out)
 
 
 class DensePencil:

@@ -298,6 +298,41 @@ def test_prepare_validates_inputs(flagship):
         rexi_prepare(scalar_system(1.0), flagship, 1.0, sr_value=1.0, workers=0)
 
 
+def test_prepare_refuses_workers_that_are_not_integers(flagship):
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"workers must be an integer, got {bad!r}")):
+            rexi_prepare(scalar_system(1.0), flagship, 1.0, sr_value=1.0,
+                         workers=bad)
+    with rexi_prepare(scalar_system(1.0), flagship, 1.0, sr_value=1.0,
+                      workers=np.int64(2)) as stp:
+        assert stp.workers == 2 and type(stp.workers) is int
+
+
+def test_steppers_refuse_a_state_of_another_length(flagship):
+    # 9 DOFs: a state of 7 entries or a (9, 2) block is refused by run,
+    # for any number of steps, and by step, naming the system's order;
+    # REXI refuses before its product with iB, and Chebyshev's step
+    # through its pencil.
+    sysm, _ = _barrier_pencil(-5.0, 5.0, 5)
+    rexi = rexi_prepare(sysm, flagship, 1e-4, sr_value=1.0, workers=1)
+    rexi._iB = None  # a product would raise TypeError, not ValueError
+    cheb = chebyshev_prepare(sysm, 1e-4, sr_value=1.0)
+    for wrong in (np.ones(7), np.ones((9, 2))):
+        for stp in (rexi, cheb):
+            message = re.escape(f"{stp.kind} state of shape {wrong.shape} "
+                                f"does not match a system of order 9")
+            for n_steps in (0, 1, 3):
+                with pytest.raises(ValueError, match=message):
+                    stp.run(wrong, n_steps)
+            if stp is rexi:
+                with pytest.raises(ValueError, match=message):
+                    stp.step(wrong)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{wrong.shape} does not match a pencil of shape (9, 9)")):
+            cheb.step(wrong)
+
+
 # ---------------------------------------------------------------------------
 # REXI stepping
 # ---------------------------------------------------------------------------
@@ -1198,6 +1233,29 @@ def test_factorizations_refuse_an_empty_stack(fem):
                 solvers.factorize_shifted(a_mat, b_mat, 0.02, shifts)
 
 
+def test_factorize_refuses_matrices_not_square_of_one_order(monkeypatch):
+    # Sparse P2 matrices of 9 and 11 DOFs, dense arrays of orders 3 and 4,
+    # mixed stacks and arrays that are not square: refused before any
+    # work, naming the position j and both shapes.
+    def no_work(*args, **kwargs):
+        raise AssertionError("factorize did work")
+
+    b9, b11 = (_barrier_pencil(-5.0, 5.0, n)[0].B for n in (5, 6))
+    for name in ("_is_p2", "CondensedFactorization", "DenseFactorization"):
+        monkeypatch.setattr(solvers, name, no_work)
+    cases = [((b9, b11), 1, (11, 11), (9, 9)),
+             ((np.eye(3), np.eye(4)), 1, (4, 4), (3, 3)),
+             ((b9, np.eye(9), np.eye(8)), 2, (8, 8), (9, 9)),
+             ((b9, b9.toarray()[:, :-1]), 1, (9, 8), (9, 9)),
+             ((np.ones((3, 4)),), 0, (3, 4), (3, 4)),
+             ((np.ones(3),), 0, (3,), (3,))]
+    for mats, j, shape, first in cases:
+        with pytest.raises(ValueError, match=re.escape(
+                f"one order: matrix j = {j} has shape {shape}, matrix 0 "
+                f"has shape {first}")):
+            factorize(*mats)
+
+
 @pytest.mark.parametrize("x0, x1, n_elems, potential", [
     (-30.0, 30.0, 500, "step"), (-120.0, 120.0, 4000, "step"),
     (-12.0, 12.0, 64, "zero"), (-3.0, 3.0, 3, "step")])
@@ -1293,6 +1351,122 @@ def test_pencil_of_float32_matrices_is_that_of_their_doubles():
     op64 = solvers.factorize_pencil(a32.astype(float), b32.astype(float))
     b = np.random.default_rng(25).standard_normal(sysm.n_dof) + 0j
     assert op32.apply(b).tobytes() == op64.apply(b).tobytes()
+
+
+class _ReferenceCondensation:
+    """The condensation of one P2 matrix M, written from its half-diagonals
+    ``M.diagonal(k)[p::2]`` with scipy's f2py ``zgttrf`` and ``zgttrs``:
+    every product and subtraction with the operands and in the order that
+    ``solvers`` documents, so its results are those of ``solvers`` byte
+    for byte."""
+
+    def __init__(self, mat):
+        half = _half_diagonals(mat)
+        self.inv_mid = 1.0 / half(0, 0)
+        self.to_left, self.to_right = half(-1, 0), half(1, 1)
+        self.from_left = half(1, 0) * self.inv_mid[:-1]
+        self.from_right = half(-1, 1) * self.inv_mid[1:]
+        # M_vv - M_vm M_mm^-1 M_mv, as zgttrf's dl, d, du.
+        d, du, dl = self.vertex_diagonals(half, self.from_left,
+                                          self.from_right)
+        *self.factors, info = sla.lapack.zgttrf(dl, d, du)
+        assert info == 0
+
+    def vertex_diagonals(self, half, from_left, from_right):
+        """The diagonal, upper and lower diagonals of X_vv - M_vm M_mm^-1
+        X_mv for the operand X of half-diagonals ``half``, whose scaled
+        couplings M_mm^-1 X_mv are ``from_left`` and ``from_right``."""
+        return (half(0, 1) - self.to_left * from_left
+                - self.to_right * from_right,
+                half(2, 1) - self.to_right[:-1] * from_left[1:],
+                half(-2, 1) - self.to_left[1:] * from_right[:-1])
+
+    def solve_vertices(self, rhs):
+        x, info = sla.lapack.zgttrs(*self.factors, rhs)
+        assert info == 0
+        return x
+
+    def recover(self, x_mid, x_vert):
+        x_mid[:-1] -= self.from_left * x_vert
+        x_mid[1:] -= self.from_right * x_vert
+        return _interleave(x_mid, x_vert)
+
+    def solve(self, b):
+        b_mid, b_vert = b[0::2], b[1::2]
+        x_mid = self.inv_mid * b_mid
+        rhs = b_vert - self.to_left * x_mid[:-1] - self.to_right * x_mid[1:]
+        return self.recover(x_mid, self.solve_vertices(rhs))
+
+
+def _half_diagonals(mat):
+    """The reader ``(k, p) -> mat.diagonal(k)[p::2]`` in complex storage."""
+    return lambda k, p: mat.diagonal(k)[p::2].astype(complex)
+
+
+def _interleave(mid, vert):
+    out = np.empty(mid.size + vert.size, dtype=complex)
+    out[0::2], out[1::2] = mid, vert
+    return out
+
+
+def _reference_pencil_apply(a_mat, b_mat, b):
+    """B^-1 A b by the documented pencil condensation: A condensed against
+    B's factorization, then one vertex solve and the midpoint recovery."""
+    fac = _ReferenceCondensation(b_mat)
+    half = _half_diagonals(a_mat)
+    a_mid = half(0, 0) * fac.inv_mid
+    a_from_left = half(1, 0) * fac.inv_mid[:-1]
+    a_from_right = half(-1, 1) * fac.inv_mid[1:]
+    to_mid = half(-1, 0) - fac.to_left * a_mid[:-1]
+    to_next = half(1, 1) - fac.to_right * a_mid[1:]
+    vert, vert_up, vert_lo = fac.vertex_diagonals(half, a_from_left,
+                                                  a_from_right)
+    b_mid, b_vert = b[0::2].astype(complex), b[1::2].astype(complex)
+    rhs = vert * b_vert
+    rhs[:-1] += vert_up * b_vert[1:]
+    rhs[1:] += vert_lo * b_vert[:-1]
+    rhs += to_mid * b_mid[:-1]
+    rhs += to_next * b_mid[1:]
+    y_mid = b_mid * a_mid
+    y_mid[:-1] += a_from_left * b_vert
+    y_mid[1:] += a_from_right * b_vert
+    return fac.recover(y_mid, fac.solve_vertices(rhs))
+
+
+_REFERENCE_MESHES = [(-12.0, 12.0, 64), (-30.0, 30.0, 500),
+                     (-120.0, 120.0, 4000)]
+
+
+@pytest.mark.parametrize("x0, x1, n_elems", _REFERENCE_MESHES)
+def test_condensed_solves_are_the_reference_bitwise(flagship, x0, x1,
+                                                     n_elems):
+    # 127, 999 and 7999 DOFs: every flagship shift's solve, from the
+    # pencil's stack and from the built matrix, is the reference's.
+    sysm, _ = _barrier_pencil(x0, x1, n_elems)
+    rng = np.random.default_rng(29)
+    b = rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(sysm.n_dof)
+    stacked = solvers.factorize_shifted(sysm.A, sysm.B, 2e-4,
+                                        flagship.shifts).solve(b)
+    for j, sigma in enumerate(flagship.shifts):
+        mat = (2e-4 * sysm.A - (1j * sigma) * sysm.B).tocsr()
+        want = _ReferenceCondensation(mat).solve(b).tobytes()
+        assert stacked[j].tobytes() == want
+        assert factorize(mat).solve(b)[0].tobytes() == want
+
+
+@pytest.mark.parametrize("x0, x1, n_elems",
+                         [(-5.0, 5.0, 5)] + _REFERENCE_MESHES)
+def test_pencil_apply_is_the_reference_bitwise(x0, x1, n_elems):
+    # 9, 127, 999 and 7999 DOFs; f2py's zgttrf refuses the order-2
+    # complement of the smallest (5-DOF) P2 mesh.
+    sysm, _ = _barrier_pencil(x0, x1, n_elems)
+    op = solvers.factorize_pencil(sysm.A, sysm.B)
+    rng = np.random.default_rng(30)
+    for b in (rng.standard_normal(sysm.n_dof),
+              rng.standard_normal(sysm.n_dof)
+              + 1j * rng.standard_normal(sysm.n_dof)):
+        want = _reference_pencil_apply(sysm.A, sysm.B, b)
+        assert op.apply(b).tobytes() == want.tobytes()
 
 
 def test_pencil_refuses_a_right_hand_side_of_the_wrong_length(fem):
