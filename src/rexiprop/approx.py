@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import hankel
 
-from .errors import ApproximationError
+from .errors import ApproximationError, check_integer
 
 # Default knobs for the flagship construction (degree 16 on i*[-10, 10]).
 # The truncation length is deliberately generous: the expansion coefficients
@@ -225,7 +225,7 @@ class CFApproximation:
 def _cf_input(a: Sequence[complex], n: int):
     """(a, sigma, u, v): the window as a complex array and the (n+1)-st
     singular triple of its Hankel matrix, with degeneracy guard."""
-    if n < 1:
+    if check_integer("degree n", n) < 1:
         raise ValueError(f"degree n must be >= 1, got {n}")
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1:

@@ -1,10 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one check of
+integer arguments.
 
 The CLI maps these onto process exit codes, so the split matters:
 configuration problems are user-fixable without touching any math, while
 NumericalError subclasses mean a requested computation is ill-posed or
 outside the method's validity region.
 """
+
+import numbers
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as a Python int, or a ValueError naming ``name`` and the
+    value unless it is an integer (a numpy integer counts, a bool does
+    not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class ConfigError(ValueError):

@@ -18,12 +18,12 @@ apply the propagator live here:
   -Re(sigma_j)*B of every shifted matrix makes safe, then one pivoted
   ``zgttrs`` call on the vertices); everything else builds the shifted
   matrices and takes dense LU, refused for a sparse matrix larger than
-  DENSE_ORACLE_MAX_DOF.  The condensed solves call LAPACK as ctypes foreign
-  calls that drop the GIL, and numpy drops it inside its array loops, so the
-  stacks are solved concurrently; dense solves go through scipy's
-  ``lu_solve``, which holds the GIL.  The pool never starts more solving
-  threads than the CPUs the process may run on: extra threads add only GIL
-  handoffs.  Zero couplings between a stack's blocks make each row bitwise
+  DENSE_ORACLE_MAX_DOF.  The condensed solves call LAPACK through scipy's
+  ``zgttrs`` wrapper, which releases the GIL, and numpy drops it inside its
+  array loops, so the stacks are solved concurrently; dense solves go
+  through scipy's ``lu_solve``, which holds the GIL.  The pool never starts
+  more solving threads than the CPUs the process may run on: extra threads
+  add only GIL handoffs.  Zero couplings between a stack's blocks make each row bitwise
   the same whatever stack holds it, and every element is weighted and added
   as (weights[:, None] * X).sum(axis=0) would over the natural-order block
   X, so the results do not depend on the worker count.
@@ -62,7 +62,6 @@ inadmissible steps unless explicitly overridden.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -73,7 +72,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .approx import PartialFractionApproximation, check_shift_distance
-from .errors import AdmissibilityError, SolverError
+from .errors import AdmissibilityError, SolverError, check_integer
 from .solvers import DENSE_ORACLE_MAX_DOF, factorize_pencil, factorize_shifted
 from .spatial import SystemMatrices, spectral_radius_estimate
 
@@ -133,8 +132,13 @@ class Stepper:
                  override_admissibility: bool):
         if not tau > 0:
             raise ValueError(f"tau must be positive, got {tau}")
+        if not math.isfinite(tau):
+            raise ValueError(f"tau must be finite, got {tau}")
         if sr_value is None:
             sr_value = spectral_radius_estimate(system)
+        if not (sr_value >= 0 and math.isfinite(sr_value)):
+            raise ValueError(
+                f"sr_value must be finite and >= 0, got {sr_value}")
         self.system = system
         self.tau = tau
         self.interval_radius = interval_radius
@@ -156,7 +160,7 @@ class Stepper:
         a ``u0`` whose shape is not (n_dof,) is refused whatever the
         number of steps.
         """
-        if n_steps < 0:
+        if check_integer("n_steps", n_steps) < 0:
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
         self._check_state(u0)
         if n_steps > 0 and not self.admissible:
@@ -231,15 +235,13 @@ class RexiStepper(Stepper):
         check_shift_distance(approx.shifts, approx.domain_radius)
         if workers is None:
             workers = approx.K
-        if isinstance(workers, bool) or not isinstance(workers,
-                                                       numbers.Integral):
-            raise ValueError(f"workers must be an integer, got {workers!r}")
+        workers = check_integer("workers", workers)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         super().__init__(system, tau, approx.domain_radius, sr_value,
                          override_admissibility)
         self.approx = approx
-        self.workers = int(workers)
+        self.workers = workers
 
         t0 = time.perf_counter()
         threads = min(workers, approx.K, _usable_cpus())
@@ -408,10 +410,12 @@ def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
     values come from ``_bessel_j`` up to the index max(N, 2*ceil(r)) + 32;
     the J_k(r) past it sum to less than 1e-28.
     """
-    if n < 1:
+    if check_integer("degree", n) < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     if not r > 0:
         raise ValueError(f"interval radius must be positive, got {r}")
+    if not math.isfinite(r):
+        raise ValueError(f"interval radius must be finite, got {r}")
     f = np.exp(1j * r * np.cos(np.pi * np.arange(n + 1) / n))
     a = np.fft.fft(np.concatenate([f, f[-2:0:-1]]))[: n + 1] / n
     a[0] *= 0.5
@@ -442,7 +446,7 @@ class ChebyshevStepper(Stepper):
                          override_admissibility)
         self.coeffs = cc.coeffs
         self.sup_error = cc.sup_error
-        self.degree = degree
+        self.degree = int(degree)
         t0 = time.perf_counter()
         self.operator = factorize_pencil(system.A, system.B)
         self.timers["factor"] = time.perf_counter() - t0

@@ -76,11 +76,15 @@ ValueError before any work.  A
 factor-time :class:`SolverError` names the failing matrix of the stack in
 ``index``; a failed solve names none (``index`` None).
 
-The condensed paths call LAPACK through the function pointers exported by
-:mod:`scipy.linalg.cython_lapack`, as ctypes foreign calls, which drop the
-GIL while the routine runs; that, and numpy dropping the GIL inside its
-array loops, is what lets a thread pool solve stacks concurrently.
-(scipy's f2py wrapper for ``zgttrf`` holds the GIL and rejects order 1.)
+The condensed paths call LAPACK through scipy's own wrappers,
+``scipy.linalg.lapack.zgttrf`` at build and ``zgttrs`` per solve, both in
+place on the arrays the factorization keeps.  On scipy 1.17.1 the
+``zgttrs`` wrapper releases the GIL while the routine runs: on a 2-CPU
+VM, two threads each making 300 solves of order 63984 took 0.44-0.47 s,
+and one thread making 300 took 0.42-0.47 s.  That, and numpy dropping
+the GIL inside its array loops, is what lets a thread pool solve stacks
+concurrently.  Both wrappers refuse orders 1 and 2; a complement of order
+2 (one 5-DOF matrix) is padded with a decoupled unit row.
 
 Every factorization and pencil operator exposes ``kind``
 (``"condensed"`` or ``"dense"``); the factorizations also expose the stack
@@ -89,11 +93,11 @@ size ``K``, and neither keeps the matrices it factored.
 
 from __future__ import annotations
 
-import ctypes
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, cython_lapack, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse import issparse
 
 from .errors import SolverError
@@ -105,39 +109,33 @@ DENSE_ORACLE_MAX_DOF = 512
 RCOND_FLOOR = 1e-14
 
 
-def _lapack_function(name: str, n_args: int):
-    """ctypes handle on the LAPACK routine ``name`` exported by
-    scipy.linalg.cython_lapack, taking ``n_args`` pointer arguments.
-
-    A CFUNCTYPE foreign call releases the GIL while the routine runs.
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(
-        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
-    )(("PyCapsule_GetPointer", api))
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
-
-
-# zgttrf(n, dl, d, du, du2, ipiv, info)
-_ZGTTRF = _lapack_function("zgttrf", 7)
-# zgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info)
-_ZGTTRS = _lapack_function("zgttrs", 11)
-
-
 def _is_p2(mat) -> bool:
-    """True for the P2 pattern: odd order, pentadiagonal with both outer
-    diagonals in use, and no coupling between the midpoints (even indices)
-    two apart."""
+    """True for a sparse matrix with the P2 pattern: odd order,
+    pentadiagonal with both outer diagonals in use, and no coupling between
+    the midpoints (even indices) two apart."""
+    if not issparse(mat):
+        return False
     coo = mat.tocoo()
     offsets = coo.col - coo.row
     return (mat.shape[0] % 2 == 1 and coo.nnz > 0
             and offsets.min() == -2 and offsets.max() == 2
             and not mat.diagonal(2)[0::2].any()
             and not mat.diagonal(-2)[0::2].any())
+
+
+def _check_square(caller: str, mats, names, first: str) -> int:
+    """The order of the matrices ``mats``, refused unless they are square
+    of one order by a ValueError naming ``caller``, the first misfit (by
+    its entry of ``names``) and its shape, and the shape of ``mats[0]``
+    (called ``first``)."""
+    square = np.shape(mats[0])[:1] * 2
+    for name, mat in zip(names, mats):
+        if not square or np.shape(mat) != square:
+            raise ValueError(
+                f"{caller} needs square matrices of one order: {name} has "
+                f"shape {np.shape(mat)}, {first} has shape "
+                f"{np.shape(mats[0])}")
+    return square[0]
 
 
 def _pivot_range(pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,35 +298,39 @@ class CondensedFactorization(_Factorization):
         self._from_left = read(1, 0)
         self._to_right = read(1, 1)
         self._from_right = read(-1, 1)
-        # The stacked Schur complement as LAPACK's dl, d, du (+ du2, ipiv),
-        # factored in place by zgttrf; LAPACK reads K*m - 1 of dl and du.
-        dl, d, du = self._condense(read, self._from_left, self._from_right)
-        du2 = np.zeros(max(size - 2, 1), dtype=complex)
-        self._tri = (dl, d, du, du2)  # owns the memory behind _factors
-        self._ipiv = np.zeros(size, dtype=np.intc)
-        self._order = ctypes.c_int(size)
-        self._factors = tuple(x.ctypes.data for x in self._tri + (self._ipiv,))
-        info = ctypes.c_int(0)
-        _ZGTTRF(ctypes.byref(self._order), *self._factors, ctypes.byref(info))
-        if info.value < 0:
+        # The stacked Schur complement as LAPACK's dl, d, du, factored in
+        # place by zgttrf, which reads K*m - 1 of dl and du: the last entry
+        # of each is a block's zero coupling to the next block.  Both
+        # wrappers refuse order 2, which only a stack of one 5-DOF matrix
+        # has; its complement gets a third, decoupled unit row, tied to it
+        # by those zero couplings.
+        dl, d, du = (x.reshape(-1) for x in
+                     self._condense(read, self._from_left, self._from_right))
+        self._pad = size == 2
+        if self._pad:
+            d = np.append(d, 1)
+        else:
+            dl, du = dl[:-1], du[:-1]
+        *self._factors, info = zgttrf(dl, d, du, overwrite_dl=1,
+                                      overwrite_d=1, overwrite_du=1)
+        if info < 0:
             raise SolverError(
-                f"tridiagonal factorization failed (argument {-info.value})")
+                f"tridiagonal factorization failed (argument {-info})")
         # zgttrf reports the first zero pivot of U, 1-based over the stack;
         # matrices before its block are screened first, so the lowest
         # failing j is named.  Each is screened over its midpoint pivots
         # and the diagonal of its U.
-        j, row = divmod(info.value - 1, m) if info.value else (self.K, 0)
-        d_low, d_top = _pivot_range(d[:j])
+        j, row = divmod(info - 1, m) if info else (self.K, 0)
+        u_diag = self._factors[1][:size].reshape(self.K, m)
+        d_low, d_top = _pivot_range(u_diag[:j])
         _screen_pivots(np.minimum(mid_low[:j], d_low),
                        np.maximum(mid_top[:j], d_top))
-        if info.value:
+        if info:
             raise SolverError(
                 "matrix is singular: zero pivot in the vertex Schur "
                 f"complement at index {2 * row + 1}", index=j)
 
         self._n, self._sizes = n, (m + 1, m)
-        self._trans = ctypes.c_char(b"N")
-        self._nrhs = ctypes.c_int(1)
 
     def _condense(self, read, from_left, from_right, midpoint=()):
         """Condense an operand X against the stack's matrices M.
@@ -392,8 +394,9 @@ class CondensedFactorization(_Factorization):
         (K, m + 1) midpoint block and (K, m) vertex block, receives matrix
         j's solution.  Every product reads and writes contiguous rows, and
         the vertex block is the right-hand side ``zgttrs`` solves in place.
-        Runs the one ``zgttrs`` call without holding the GIL and allocates
-        its scratch per call, so threads may share one factorization."""
+        The one ``zgttrs`` call, through scipy's wrapper, runs without the
+        GIL, and the scratch is allocated per call, so threads may share
+        one factorization."""
         self._check_parts(b_parts, x_parts)
         b_mid, b_vert = b_parts
         x_mid, x_vert = x_parts
@@ -411,14 +414,17 @@ class CondensedFactorization(_Factorization):
     def _solve_vertices(self, rhs: np.ndarray) -> None:
         """Overwrite the C-contiguous complex vertex right-hand sides
         ``rhs``, (K, m) or, for a stack of one, (m,), with the solutions of
-        the Schur complements, by one ``zgttrs`` call."""
-        info = ctypes.c_int(0)
-        _ZGTTRS(ctypes.byref(self._trans), ctypes.byref(self._order),
-                ctypes.byref(self._nrhs), *self._factors, rhs.ctypes.data,
-                ctypes.byref(self._order), ctypes.byref(info))
-        if info.value != 0:
+        the Schur complements, by one ``zgttrs`` call: in place, but for
+        the padded order-2 complement, solved in a three-entry copy."""
+        b = rhs.reshape(-1, 1)
+        if self._pad:
+            b = np.append(b, [[0]], axis=0)
+        x, info = zgttrs(*self._factors, b, overwrite_b=1)
+        if info != 0:
             raise SolverError(
-                f"tridiagonal back-substitution failed (info={info.value})")
+                f"tridiagonal back-substitution failed (info={info})")
+        if self._pad:
+            rhs[...] = x[:-1].reshape(rhs.shape)
 
     def _recover_midpoints(self, x_mid, x_vert, tmp) -> None:
         """Subtract M_mm^-1 M_mv times the solved (K, m) vertex block
@@ -482,43 +488,40 @@ def factorize(*mats):
     if not mats:
         raise ValueError("factorize needs a stack of K >= 1 matrices, "
                          "got none")
-    square = np.shape(mats[0])[:1] * 2
-    for j, mat in enumerate(mats):
-        if not square or np.shape(mat) != square:
-            raise ValueError(
-                f"factorize needs square matrices of one order: matrix "
-                f"j = {j} has shape {np.shape(mat)}, matrix 0 has shape "
-                f"{np.shape(mats[0])}")
-    p2 = [issparse(mat) and _is_p2(mat) for mat in mats]
+    n = _check_square("factorize", mats,
+                      [f"matrix j = {j}" for j in range(len(mats))],
+                      "matrix 0")
+    p2 = [_is_p2(mat) for mat in mats]
     if all(p2):
         return CondensedFactorization(_HalfDiagonals(mats))
     for j, mat in enumerate(mats):
-        if issparse(mat) and not p2[j] and square[0] > DENSE_ORACLE_MAX_DOF:
+        if issparse(mat) and not p2[j] and n > DENSE_ORACLE_MAX_DOF:
             raise SolverError(
-                f"sparse matrix of order {square[0]} lacks the P2 pattern, "
+                f"sparse matrix of order {n} lacks the P2 pattern, "
                 f"and dense LU is limited to DENSE_ORACLE_MAX_DOF = "
                 f"{DENSE_ORACLE_MAX_DOF}", index=j)
     return DenseFactorization(*mats)
 
 
 def factorize_shifted(A, B, tau: float, shifts: np.ndarray):
-    """Factorize the stack ``tau*A - 1j*shifts[j]*B`` of the sparse pencil
-    (A, B), j = 0 .. K-1, as :func:`factorize` would factor those matrices.
+    """Factorize the stack ``tau*A - 1j*shifts[j]*B`` of the sparse or
+    dense pencil (A, B), j = 0 .. K-1, as :func:`factorize` would factor
+    those matrices.
 
     When A and B both have the P2 pattern, the stack's half-diagonals are
     computed straight from the pencil's, with the elementwise operations
     of the sparse arithmetic, so the factors are bitwise those of the
     built matrices; no matrix is built.  Any other pencil builds the K
     shifted matrices and calls :func:`factorize`.  A :class:`SolverError`
-    names the failing shift's position in ``index``; no shifts (K = 0)
-    raise ValueError.
+    names the failing shift's position in ``index``; no shifts (K = 0),
+    or A and B not square of one order, raise ValueError before any work.
     """
     i_shifts = 1j * np.asarray(shifts)
     if i_shifts.size == 0:
         raise ValueError("factorize_shifted needs K >= 1 shifts, got none")
+    _check_square("factorize_shifted", (A, B), "AB", "A")
     if not (_is_p2(A) and _is_p2(B)):
-        return factorize(*((tau * A - i_sigma * B).tocsr()
-                           for i_sigma in i_shifts))
+        return factorize(*(tau * A - i_sigma * B for i_sigma in i_shifts))
     return CondensedFactorization(_HalfDiagonals((A, B), tau, i_shifts))
 
 
@@ -566,8 +569,9 @@ class CondensedPencil:
     def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``B^-1 A b`` into a new complex array, or into ``out``.  ``b``
         is read only into copies made first, so ``out`` may be ``b``.
-        Runs the one ``zgttrs`` call without holding the GIL and allocates
-        its scratch per call, so threads may share one operator."""
+        The one ``zgttrs`` call, through scipy's wrapper, runs without the
+        GIL, and the scratch is allocated per call, so threads may share
+        one operator."""
         b = np.asarray(b)
         a_mid, to_mid, to_next = self._mid
         from_left, from_right = self._from
@@ -613,7 +617,9 @@ def factorize_pencil(A, B):
     """An operator whose ``apply(b, out=None)`` computes ``B^-1 A b``:
     :class:`CondensedPencil` when A and B are sparse with the P2 pattern,
     :class:`DensePencil` otherwise.  Both expose ``kind``, and both
-    refuse B as ``factorize(B)`` does."""
-    if issparse(A) and issparse(B) and _is_p2(A) and _is_p2(B):
+    refuse B as ``factorize(B)`` does; A and B not square of one order
+    raise ValueError before any work."""
+    _check_square("factorize_pencil", (A, B), "AB", "A")
+    if _is_p2(A) and _is_p2(B):
         return CondensedPencil(A, B)
     return DensePencil(A, B)

@@ -25,7 +25,7 @@ import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .errors import SpatialError
+from .errors import SpatialError, check_integer
 from .solvers import DENSE_ORACLE_MAX_DOF
 
 # Quadrature on the reference element [0, 1].
@@ -162,7 +162,7 @@ def build_mesh(x0: float, x1: float, n_elems: int) -> Mesh1D:
         raise ValueError(f"x0 and x1 must be finite, got ({x0}, {x1})")
     if not x0 < x1:
         raise ValueError(f"x0 must be < x1, got ({x0}, {x1})")
-    if n_elems < 1:
+    if check_integer("n_elems", n_elems) < 1:
         raise ValueError(f"n_elems must be >= 1, got {n_elems}")
     nodes = np.linspace(x0, x1, 2 * n_elems + 1)
     return Mesh1D(x0=float(x0), x1=float(x1), n_elems=int(n_elems), nodes=nodes)
@@ -307,11 +307,12 @@ def project_initial(
 
 
 def b_norm(u: np.ndarray, b_mat) -> float:
-    """sqrt(Re(uᴴBu)), guarding against a non-real quadratic form."""
+    """sqrt(Re(uᴴBu)), guarding against a non-real quadratic form; a ``u``
+    whose shape is not (n,) for B of order n is refused."""
     u = np.asarray(u)
-    if b_mat.shape[1] != u.shape[0]:
+    if u.shape != b_mat.shape[1:]:
         raise ValueError(
-            f"dimension mismatch: B is {b_mat.shape}, u has length {u.shape[0]}"
+            f"dimension mismatch: B is {b_mat.shape}, u has shape {u.shape}"
         )
     quad = complex(np.vdot(u, b_mat @ u))
     if quad == 0:
@@ -372,7 +373,12 @@ def spectral_radius_estimate(sys: SystemMatrices) -> SpectralRadiusEstimate:
 # ---------------------------------------------------------------------------
 
 def evaluate_state(u: np.ndarray, mesh: Mesh1D, xs) -> np.ndarray:
-    """P2 interpolant of the interior coefficient vector at points xs."""
+    """P2 interpolant of the interior coefficient vector u, of shape
+    (2*n_elems - 1,), at points xs."""
+    n = 2 * mesh.n_elems - 1
+    if np.shape(u) != (n,):
+        raise ValueError(f"state of shape {np.shape(u)} does not match the "
+                         f"mesh's interior coefficients, shape {(n,)}")
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     tol = 1e-12 * (mesh.x1 - mesh.x0)
     outside = (xs_arr < mesh.x0 - tol) | (xs_arr > mesh.x1 + tol)

@@ -291,6 +291,23 @@ def test_cf_degree_below_one_is_refused():
         cf_approximate([1.0, 0.5, 0.25], 0)
 
 
+def test_cf_degree_that_is_not_an_integer_is_refused():
+    # faber_cf used to raise numpy's IndexError at 16.0.
+    a = np.array([1.0 / math.factorial(j) for j in range(41)])
+    for bad in (2.5, 16.0, True):
+        for build in (cf_approximate, cf_circle_error):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"degree n must be an integer, got {bad!r}")):
+                build(a, bad)
+    with pytest.raises(ValueError, match="degree n must be an integer, "
+                       "got 16.0"):
+        faber_cf(JoukowskiMap(10.0), 16.0)
+    at_int64, at_int = cf_approximate(a, np.int64(4)), cf_approximate(a, 4)
+    assert at_int64.poles_outside.tobytes() == at_int.poles_outside.tobytes()
+    assert (at_int64.numerator_coeffs.tobytes()
+            == at_int.numerator_coeffs.tobytes())
+
+
 def test_cf_complex_window_is_refused():
     # Only real Hankel matrices are supported; exp through the map has the
     # real Bessel coefficients J_k(r1).

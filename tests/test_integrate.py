@@ -309,6 +309,58 @@ def test_prepare_refuses_workers_that_are_not_integers(flagship):
         assert stp.workers == 2 and type(stp.workers) is int
 
 
+def test_steppers_refuse_a_spectral_radius_or_step_not_finite(flagship,
+                                                              monkeypatch):
+    # A negative or non-finite sr_value, or an infinite tau, is refused by
+    # both steppers before anything is factored.  With sr_value = -1 the
+    # admissibility ratio was negative, so any tau ran ungated; tau = inf
+    # ran a Chebyshev step to a NaN state with override.
+    def no_work(*args, **kwargs):
+        raise AssertionError("factored")
+
+    monkeypatch.setattr(integrate, "factorize_shifted", no_work)
+    monkeypatch.setattr(integrate, "factorize_pencil", no_work)
+    sysm = scalar_system(1.0)
+    build = (lambda tau, sr: rexi_prepare(sysm, flagship, tau, sr_value=sr,
+                                          workers=1),
+             lambda tau, sr: chebyshev_prepare(sysm, tau, sr_value=sr,
+                                               override_admissibility=True))
+    for prepare in build:
+        for sr in (-1.0, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sr_value must be finite and >= 0, got {sr}")):
+                prepare(1.0, sr)
+        with pytest.raises(ValueError, match="tau must be finite, got inf"):
+            prepare(math.inf, 1.0)
+
+
+def test_integer_arguments_are_refused_unless_integers(flagship):
+    # Degrees and step counts: a float or a bool is refused naming the
+    # value; a numpy integer is taken as the int it holds.
+    sysm = scalar_system(1.0)
+    u0 = np.array([1.0 + 0.0j])
+    for bad in (26.0, 2.5, True):
+        message = re.escape(f"degree must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            chebyshev_coeffs(10.0, bad)
+        with pytest.raises(ValueError, match=message):
+            chebyshev_prepare(sysm, 0.1, degree=bad, sr_value=1.0)
+    with pytest.raises(ValueError, match="interval radius must be finite, "
+                       "got inf"):
+        chebyshev_coeffs(math.inf, 26)
+    cheb = chebyshev_prepare(sysm, 0.1, degree=np.int64(26), sr_value=1.0)
+    assert cheb.degree == 26 and type(cheb.degree) is int
+    assert cheb.coeffs.tobytes() == chebyshev_coeffs(10.0, 26).coeffs.tobytes()
+    rexi = rexi_prepare(sysm, flagship, 0.1, sr_value=1.0, workers=1)
+    for stp in (rexi, cheb):
+        for bad in (2.0, 2.5, True):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n_steps must be an integer, got {bad!r}")):
+                stp.run(u0, bad)
+        assert (stp.run(u0, np.int64(2)).tobytes()
+                == stp.run(u0, 2).tobytes())
+
+
 def test_steppers_refuse_a_state_of_another_length(flagship):
     # 9 DOFs: a state of 7 entries or a (9, 2) block is refused by run,
     # for any number of steps, and by step, naming the system's order;
@@ -433,22 +485,21 @@ def test_failed_shift_solve_is_reported(flagship, fem, workers, monkeypatch):
     # pool thread solves the other stack at two); at four it is in the
     # second stack of four, solved by a pool thread.
     monkeypatch.setattr(integrate, "_usable_cpus", lambda: 4)
-    zgttrs = solvers._ZGTTRS
+    zgttrs = solvers.zgttrs
     with rexi_prepare(sysm, flagship, 0.02, sr_value=sr,
                       workers=workers) as stp:
-        # The stack holding shift 5, found by its pivot array's address:
-        # the stacks hold the shifts in order, one zgttrs call apiece.
+        # The stack holding shift 5, found by its pivot array: the stacks
+        # hold the shifts in order, one zgttrs call apiece.
         sizes = [fac.K for fac in stp.factorizations]
         c = int(np.searchsorted(np.cumsum(sizes), 5, side="right"))
-        ipiv = stp.factorizations[c]._ipiv.ctypes.data
+        ipiv = stp.factorizations[c]._factors[4]
         first = sum(sizes[:c])
 
-        def stack_fails(*args):
-            zgttrs(*args)
-            if args[7] == ipiv:
-                args[-1]._obj.value = -3  # info, passed by reference
+        def stack_fails(*args, **kwargs):
+            x, info = zgttrs(*args, **kwargs)
+            return x, (-3 if args[4] is ipiv else info)
 
-        monkeypatch.setattr(solvers, "_ZGTTRS", stack_fails)
+        monkeypatch.setattr(solvers, "zgttrs", stack_fails)
         with pytest.raises(SolverError, match=r"info=-3") as raised:
             stp.step(u0)
     # An argument error belongs to the whole call, so the message names
@@ -1087,6 +1138,22 @@ def test_solve_is_the_core_solve_interleaved(flagship):
                      ("dense", 6, 1), ("dense", 6, 3)]
 
 
+def test_smallest_p2_solve_is_a_row_of_a_stack_of_two(flagship):
+    # One 5-DOF matrix has a vertex complement of order 2, which LAPACK's
+    # wrappers refuse; it is padded with a decoupled unit row.  Its solve
+    # is byte for byte each row of the same matrix stacked twice (order 4,
+    # no pad), for every flagship shift.
+    sysm = _barrier_pencil(-3.0, 3.0, 3)[0]
+    b = [1, 1j] @ np.random.default_rng(5).standard_normal((2, 5))
+    for sigma in flagship.shifts:
+        mat = (2e-4 * sysm.A - (1j * sigma) * sysm.B).tocsr()
+        one, two = factorize(mat), factorize(mat, mat)
+        assert (one.kind, one.K, two.K) == ("condensed", 1, 2)
+        row = one.solve(b)[0]
+        for twin in two.solve(b):
+            assert twin.tobytes() == row.tobytes()
+
+
 def test_core_solve_refuses_parts_of_another_shape_or_layout(flagship,
                                                              monkeypatch):
     # Wrong parts raise a ValueError naming the system's order before any
@@ -1094,7 +1161,7 @@ def test_core_solve_refuses_parts_of_another_shape_or_layout(flagship,
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK called")
 
-    monkeypatch.setattr(solvers, "_ZGTTRS", no_lapack)
+    monkeypatch.setattr(solvers, "zgttrs", no_lapack)
     monkeypatch.setattr(solvers, "lu_solve", no_lapack)
     for fac in _stacks_of_one_and_three(flagship):
         n, k = fac._n, fac.K
@@ -1254,6 +1321,51 @@ def test_factorize_refuses_matrices_not_square_of_one_order(monkeypatch):
                 f"one order: matrix j = {j} has shape {shape}, matrix 0 "
                 f"has shape {first}")):
             factorize(*mats)
+
+
+def test_pencil_factorizations_refuse_matrices_not_square_of_one_order(
+        monkeypatch):
+    # A 9-DOF P2 A with an 11-DOF P2 B, dense pencils of orders 3 and 4,
+    # and a non-square A: refused before any work by factorize_shifted
+    # and factorize_pencil, naming the function and both shapes.
+    def no_work(*args, **kwargs):
+        raise AssertionError("did work")
+
+    (a9, b9), (a11, b11) = ((sysm.A, sysm.B) for sysm, _ in
+                            (_barrier_pencil(-5.0, 5.0, n) for n in (5, 6)))
+    for name in ("_is_p2", "_HalfDiagonals", "CondensedFactorization",
+                 "DenseFactorization", "CondensedPencil", "DensePencil"):
+        monkeypatch.setattr(solvers, name, no_work)
+    cases = [((a9, b11), "B has shape (11, 11), A has shape (9, 9)"),
+             ((a11, b9), "B has shape (9, 9), A has shape (11, 11)"),
+             ((np.eye(3), np.eye(4)), "B has shape (4, 4), A has shape (3, 3)"),
+             ((np.ones((3, 4)), np.eye(3)),
+              "A has shape (3, 4), A has shape (3, 4)")]
+    for (a_mat, b_mat), shapes in cases:
+        for name, build in (
+                ("factorize_shifted", lambda a_mat, b_mat:
+                 solvers.factorize_shifted(a_mat, b_mat, 0.02, [1.0, 2.0])),
+                ("factorize_pencil", solvers.factorize_pencil)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} needs square matrices of one order: {shapes}")):
+                build(a_mat, b_mat)
+
+
+def test_dense_pencil_takes_dense_lu_as_its_built_matrices(flagship):
+    # A 6x6 dense pencil: factorize_shifted solves byte for byte as
+    # factorize of the built shifted matrices (it used to call .tocoo on
+    # an ndarray), and factorize_pencil takes the dense path.
+    rng = np.random.default_rng(30)
+    a_mat = rng.standard_normal((6, 6))
+    a_mat, b_mat = a_mat + a_mat.T, 2.0 * np.eye(6)
+    b = [1, 1j] @ rng.standard_normal((2, 6))
+    shifts = flagship.shifts[3:7]
+    assert not solvers._is_p2(a_mat) and not solvers._is_p2(np.eye(5))
+    fac = solvers.factorize_shifted(a_mat, b_mat, 2e-4, shifts)
+    built = [2e-4 * a_mat - (1j * sigma) * b_mat for sigma in shifts]
+    assert (fac.kind, fac.K) == ("dense", 4)
+    assert fac.solve(b).tobytes() == factorize(*built).solve(b).tobytes()
+    assert solvers.factorize_pencil(a_mat, b_mat).kind == "dense"
 
 
 @pytest.mark.parametrize("x0, x1, n_elems, potential", [

@@ -1,5 +1,7 @@
 """Tests for meshing, assembly, wave packets, and spectral estimates."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -224,6 +226,16 @@ def test_spatial_types_refuse_bad_values(make, args, match):
         make(*args)
 
 
+def test_build_mesh_refuses_an_element_count_that_is_not_an_integer():
+    for bad in (4.0, 2.5, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_elems must be an integer, got {bad!r}")):
+            build_mesh(-1.0, 1.0, bad)
+    mesh = build_mesh(-1.0, 1.0, np.int64(4))
+    assert mesh.n_elems == 4 and type(mesh.n_elems) is int
+    assert mesh.nodes.tobytes() == build_mesh(-1.0, 1.0, 4).nodes.tobytes()
+
+
 def test_system_matrices_n_dof_is_the_pencil_order():
     import scipy.sparse as sp
 
@@ -401,6 +413,18 @@ def test_b_norm_rejects_wrong_length():
         b_norm(np.ones(3), sys_m.B)
 
 
+def test_b_norm_refuses_a_state_of_another_shape():
+    # 15 DOFs: a (15, 2) block used to be flattened by vdot into 6.16.
+    sys_m = assemble_system(build_mesh(-1.0, 1.0, 8), PotentialSpec.zero(),
+                            CONSTS)
+    assert sys_m.n_dof == 15
+    for wrong in (np.ones((15, 2)), np.ones(14), np.ones((1, 15)),
+                  np.array(1.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"B is (15, 15), u has shape {wrong.shape}")):
+            b_norm(wrong, sys_m.B)
+
+
 def test_b_norm_rejects_indefinite_form():
     import scipy.sparse as sp
 
@@ -530,6 +554,19 @@ def test_evaluate_state_rejects_out_of_domain():
     with pytest.raises(SpatialError, match=r"x = 1\.5 lies outside"):
         evaluate_state(np.zeros(5, dtype=complex), mesh,
                        np.array([-1.0 - 1e-14, 0.0, 1.5]))
+
+
+def test_evaluate_state_refuses_a_state_of_another_shape():
+    # 4 elements: 7 interior coefficients.  A scalar, 2 or 1 entries, or a
+    # (7, 2) block used to be broadcast over every node.
+    mesh = build_mesh(0.0, 1.0, 4)
+    for wrong in (5.0, [0.0, 1.0], np.ones(1), np.ones((7, 2))):
+        message = re.escape(f"state of shape {np.shape(wrong)} does not "
+                            "match the mesh's interior coefficients, "
+                            "shape (7,)")
+        for evaluate in (evaluate_state, probability_density):
+            with pytest.raises(ValueError, match=message):
+                evaluate(wrong, mesh, [0.0, 1.0])
 
 
 def test_density_nonnegative_normalized_and_zero_at_walls():
