@@ -12,8 +12,9 @@ bytes of their shifts and weights), the messages of the two constructions
 it refuses, a damped approximant, the disc-side error profile of the
 Hankel construction, the Chebyshev coefficients, and, on the acceptance
 suite's tunneling system at desk and full scale, the solutions of the
-flagship's shifted stack for ``iB u0``, one application of ``B^-1 A`` to
-``u0``, the final states of REXI and Chebyshev runs, and a reference
+flagship's shifted stack for ``iB u0``, one solve with the mass matrix B
+for ``u0`` (so a change to the mass solve alone moves a line of its own),
+one application of ``B^-1 A`` to ``u0``, the final states of REXI and Chebyshev runs, and a reference
 (its coefficients and its one step; the degrees are 83 and 1881).  Each
 Chebyshev certificate ``sup_error`` has a line of its own, so a change to
 the certificate alone moves those lines only.  It takes about 9 s on a
@@ -46,7 +47,7 @@ from rexiprop import (
     stabilize,
 )
 from rexiprop.errors import ApproximationError
-from rexiprop.solvers import factorize_pencil, factorize_shifted
+from rexiprop.solvers import factorize, factorize_pencil, factorize_shifted
 
 # The acceptance suite's tunneling system, packet and step.
 BARRIER = PotentialSpec.step_barrier(15.0, 0.005)
@@ -105,6 +106,8 @@ def main() -> None:
         emit(f"factorize_shifted[{name}].solve",
              factorize_shifted(system.A, system.B, DT, flagship.shifts)
              .solve((1j * system.B).tocsr() @ u0))
+        emit(f"factorize[{name}](B).solve(u0)",
+             factorize(system.B).solve(u0))
         emit(f"factorize_pencil[{name}].apply",
              factorize_pencil(system.A, system.B).apply(u0))
         sr = spectral_radius_estimate(system)

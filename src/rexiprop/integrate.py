@@ -29,11 +29,14 @@ apply the propagator live here:
   X, so the results do not depend on the worker count.
 * Chebyshev/Clenshaw stepping: p(tau*M) u for a Chebyshev expansion of
   exp on i[-R, R]; each recurrence stage is one application of the pencil
-  operator B^-1 A from ``solvers.factorize_pencil``.  On a P2 pencil that
-  is one condensed vertex solve, with no sparse product: 180-200 us at
-  7999 DOF on a 2-CPU VM.  This is the comparison method and, as one
-  step over a whole run (``chebyshev_reference``), the reference at
-  every system size.
+  operator B^-1 A from ``solvers.factorize_pencil``, in the operator's own
+  order of the entries (``apply_parts``), into which a step splits its
+  state once and from which it joins the result once.  On a P2 pencil a
+  stage is one condensed vertex solve, by LDL^T since B's vertex
+  complement is real SPD, with no sparse product: about 150 us at 7999
+  DOF on a 2-CPU VM.  This is the comparison method and, as one step
+  over a whole run (``chebyshev_reference``), the reference at every
+  system size.
 * Dense oracle: full eigendecomposition of M through the symmetric
   pencil (A, B), for small systems only; supplies the conditioning
   number used in the a-priori error bound.
@@ -467,26 +470,31 @@ class ChebyshevStepper(Stepper):
         k = N-1 .. 1 compute
         b_k = (2 * scale) * B^-1 A b_{k+1} + a_k u - b_{k+2}, in that order,
         and the last gives b_0 = scale * B^-1 A b_1 + a_0 u - b_2, the
-        result; all in place, rotating three buffers.
+        result; all in place, rotating three buffers.  Every stage runs in
+        the operator's own order of the entries (``apply_parts``): ``u`` is
+        split into it once, and the result joined back once.
         """
         a = self.coeffs
         scale = -(self.tau / self.interval_radius)
-        apply = self.operator.apply
+        op = self.operator
+        apply_parts = op.apply_parts
 
         t0 = time.perf_counter()
-        u = np.asarray(u, dtype=complex)
+        u = op.split(u)
         au = np.empty_like(u)
         b1 = a[-1] * u
         b2 = np.zeros_like(u)
         free = np.empty_like(u)
         for k in range(self.degree - 1, -1, -1):
-            apply(b1, out=free)
+            apply_parts(b1, free)
             np.multiply(2.0 * scale if k else scale, free, out=free)
             free += np.multiply(a[k], u, out=au)
             free -= b2
             b1, b2, free = free, b1, b2
+        # b2 is free after the last stage: the result is joined into it.
+        result = op.join(b1, b2)
         self.timers["local"] += time.perf_counter() - t0
-        return b1
+        return result
 
 
 chebyshev_prepare = ChebyshevStepper

@@ -17,12 +17,18 @@ step's blocks.  A single matrix is the K = 1 case.
   couples only to its own element's two vertices, so eliminating the
   midpoints element by element leaves a tridiagonal Schur complement of
   order n_elems - 1 on the vertices; the stack's K complements are
-  factored as one tridiagonal system by one ``zgttrf`` call (partial
-  pivoting).  Its parts are the midpoints and the vertices: a (K, m + 1)
-  midpoint block and a (K, m) vertex block.  A solve reduces the
-  right-hand side onto the vertex block, runs one ``zgttrs`` call on it in
-  place and recovers the midpoints, each numpy step over the whole stack
-  at once and on contiguous rows.  It is built from the eight
+  factored as one tridiagonal system.  Its kernel is picked from the
+  structure of that system alone: when it is real, its lower and upper
+  diagonals are equal and ``dpttrf`` finds it positive definite (the mass
+  matrix B of every mesh), LDL^T by one ``dpttrf`` call, solved by
+  ``zpttrs``; otherwise (every REXI stack, whose definite imaginary part
+  makes it complex, and any B that is not symmetric positive definite on
+  its vertices) LU with partial pivoting by one ``zgttrf`` call, solved
+  by ``zgttrs``.  Its parts are the midpoints and the vertices: a
+  (K, m + 1) midpoint block and a (K, m) vertex block.  A solve reduces
+  the right-hand side onto the vertex block, runs one kernel solve on it
+  in place and recovers the midpoints, each numpy step over the whole
+  stack at once and on contiguous rows.  It is built from the eight
   half-diagonals the condensation reads (the even or odd entries of the
   diagonals at offsets 0, +-1 and +-2), by one condensation step that
   turns an operand's half-diagonals into its condensed coefficients
@@ -43,7 +49,8 @@ step's blocks.  A single matrix is the K = 1 case.
   (Higham, Math. Comp. 1998, on factoring complex symmetric matrices).
   For B itself the pivots are positive and the Schur complement is SPD.
   A zero midpoint pivot raises :class:`SolverError`; the pivot-ratio
-  screen covers the rest.
+  screen, over the midpoint pivots and the complement's (U's diagonal, or
+  LDL^T's D), covers the rest.
 * :class:`DenseFactorization` -- plain dense LU for everything else (the
   small oracle systems, scalar systems, random test matrices).  Its one
   part is the whole vector.  Its solve goes through scipy's ``lu_solve``
@@ -51,40 +58,53 @@ step's blocks.  A single matrix is the K = 1 case.
 
 A Chebyshev stage applies ``B^-1 A`` rather than solving a given system.
 :func:`factorize_pencil` returns an operator for it, whose
-``apply(b, out=None)`` computes ``B^-1 A b`` into a new vector or ``out``:
+``apply(b, out=None)`` computes ``B^-1 A b`` into a new vector or ``out``.
+Like the factorizations, it has a core, ``apply_parts(src, out=None)``,
+which reads and writes one contiguous vector in the operator's own order
+of the entries; ``split`` gives that order and ``join`` undoes it, and
+``apply`` is ``join(apply_parts(split(b)), out)``.  A Chebyshev step
+splits its state once, runs every stage in that order, and joins once:
 
 * :class:`CondensedPencil` -- a P2 pencil.  A's and B's midpoint blocks
   are both diagonal, so the product with A and the solve with B condense
   together onto the vertices.  The operator is B's
   :class:`CondensedFactorization` plus A's coefficients, condensed
-  against it by the same step that gave it B's Schur complement.  An
-  application splits the vector through the factorization, builds the
-  vertex right-hand side from A's coefficients, and solves, recovers the
-  midpoints and joins through the factorization.  There is no sparse
-  product and no complex copy of A.  At 7999 DOF on a 2-CPU VM an
-  application takes about 150-200 us, of which ``zgttrs`` is about
-  100 us.
+  against it by the same step that gave it B's Schur complement.  Its
+  order is the m + 1 midpoints, then the m vertices.  An application
+  builds the vertex right-hand side from A's coefficients in the result's
+  vertex part, solves it there with B's kernel (LDL^T for the mass matrix
+  of ``spatial.assemble_system``), and recovers the midpoints.  There is
+  no sparse product and no complex copy of A.  At 7999 DOF on a 2-CPU VM
+  ``apply_parts`` takes about 150 us, of which ``zpttrs`` is about 65-70
+  us (``zgttrs`` took 83-88 us on the same complement).
 * :class:`DensePencil` -- every other pencil (scalar and hand-built
   systems): the product with A in complex storage, then ``factorize(B)``'s
-  solve.
+  solve, in natural order.
 
 A sparse matrix without the P2 pattern is refused with :class:`SolverError`
 when its order exceeds ``DENSE_ORACLE_MAX_DOF``, rather than factored by
 O(n^3) dense LU unnoticed.  Dense ndarray inputs are always factored.  A
 stack whose matrices are not square of one order is refused with
-ValueError before any work.  A
+ValueError before any work, and so is an ``out`` that is not a complex
+array of the result's shape (C-contiguous, and sharing no memory with
+``src``, for ``apply_parts``).  A
 factor-time :class:`SolverError` names the failing matrix of the stack in
 ``index``; a failed solve names none (``index`` None).
 
-The condensed paths call LAPACK through scipy's own wrappers,
-``scipy.linalg.lapack.zgttrf`` at build and ``zgttrs`` per solve, both in
-place on the arrays the factorization keeps.  On scipy 1.17.1 the
-``zgttrs`` wrapper releases the GIL while the routine runs: on a 2-CPU
-VM, two threads each making 300 solves of order 63984 took 0.44-0.47 s,
-and one thread making 300 took 0.42-0.47 s.  That, and numpy dropping
-the GIL inside its array loops, is what lets a thread pool solve stacks
-concurrently.  Both wrappers refuse orders 1 and 2; a complement of order
-2 (one 5-DOF matrix) is padded with a decoupled unit row.
+The condensed paths call LAPACK through scipy's own wrappers:
+``scipy.linalg.lapack.zgttrf`` or ``dpttrf`` at build, and ``zgttrs`` or
+``zpttrs`` per solve, in place on the right-hand side.  On scipy 1.17.1
+the ``zgttrs`` wrapper releases the GIL while the routine runs: on a
+2-CPU VM, two threads each making 300 solves of order 63984 took
+0.44-0.47 s, and one thread making 300 took 0.42-0.47 s.  That, and numpy
+dropping the GIL inside its array loops, is what lets a thread pool solve
+the REXI stacks concurrently.  The ``zpttrs`` wrapper holds the GIL: two
+threads each making 200 solves of order 64000 took 0.44-0.45 s, and the
+400 made serially 0.42-0.45 s.  Threads may still share an LDL^T
+factorization, but its solves do not overlap; no pooled path solves one.
+The LU wrappers refuse orders 1 and 2, so an LU complement of order 2
+(one 5-DOF matrix) is padded with a decoupled unit row; the LDL^T
+wrappers refuse order 1 only, which no P2 complement has.
 
 Every factorization and pencil operator exposes ``kind``
 (``"condensed"`` or ``"dense"``); the factorizations also expose the stack
@@ -97,7 +117,7 @@ import warnings
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import dpttrf, zgttrf, zgttrs, zpttrs
 from scipy.sparse import issparse
 
 from .errors import SolverError
@@ -162,11 +182,24 @@ def _screen_pivots(low: np.ndarray, top: np.ndarray) -> None:
 def _check_rhs(b: np.ndarray, n: int, pencil: bool = False) -> None:
     """Refuse a right-hand side ``b`` whose shape is not (n,), naming the
     system of order n, or with ``pencil`` the pencil, it does not match."""
-    if b.shape != (n,):
+    if np.shape(b) != (n,):
         target = (f"a pencil of shape {(n, n)}" if pencil
                   else f"a system of order {n}")
-        raise ValueError(f"right-hand side of shape {b.shape} does not "
+        raise ValueError(f"right-hand side of shape {np.shape(b)} does not "
                          f"match {target}")
+
+
+def _check_out(out, shape: tuple, contiguous: bool = False) -> None:
+    """Refuse an ``out`` that is not a complex array of ``shape`` (and,
+    with ``contiguous``, C-contiguous), naming the shape expected."""
+    if not (isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == complex
+            and (out.flags.c_contiguous or not contiguous)):
+        layout = "C-contiguous " if contiguous else ""
+        got = (f"{out.dtype} array of shape {out.shape}"
+               if isinstance(out, np.ndarray) else type(out).__name__)
+        raise ValueError(f"out must be a {layout}complex array of shape "
+                         f"{shape}, got {got}")
 
 
 class _HalfDiagonals:
@@ -223,11 +256,14 @@ class _Factorization:
 
     def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Solve every matrix of the stack for the vector ``b``, which is
-        left unmodified; row j of the (K, n) result (``out`` when given)
-        solves matrix j.  Splits ``b``, solves its parts into blocks of
-        their own, and interleaves those into the result."""
+        left unmodified; row j of the (K, n) result (``out`` when given, a
+        complex (K, n) array) solves matrix j.  Splits ``b``, solves its
+        parts into blocks of their own, and interleaves those into the
+        result."""
         b = np.asarray(b)
         _check_rhs(b, self._n)
+        if out is not None:
+            _check_out(out, (self.K, self._n))
         x_parts = tuple(np.empty((self.K, size), dtype=complex)
                         for size in self._sizes)
         self.solve_parts(self.split(b), x_parts)
@@ -264,10 +300,14 @@ class CondensedFactorization(_Factorization):
     and lies between the midpoints k and k + 1 (DOFs 2k and 2k + 2).  Every
     coefficient array has a leading axis over the stack, and each is a
     half-diagonal turned into it in place.  Matrix j's Schur complement is
-    block j of one tridiagonal system of order K*m.  Zero couplings between
-    blocks keep LAPACK from pivoting or mixing values across a boundary, so
-    every row is bitwise that of a stack of one.  ``bandwidth``, ``kl`` and
-    ``ku`` describe each pentadiagonal matrix; perfbench reads them.
+    block j of one tridiagonal system of order K*m.  That system is
+    factored by LDL^T (``dpttrf``, solved by ``zpttrs``) when it is real
+    with equal lower and upper diagonals and ``dpttrf`` finds it positive
+    definite, and by LU (``zgttrf``, solved by ``zgttrs``) otherwise: the
+    kernel comes from the matrices alone.  Zero couplings between blocks
+    keep either kernel from pivoting or mixing values across a boundary,
+    so every row is bitwise that of a stack of one.  ``bandwidth``, ``kl``
+    and ``ku`` describe each pentadiagonal matrix; perfbench reads them.
     """
 
     kind = "condensed"
@@ -298,31 +338,36 @@ class CondensedFactorization(_Factorization):
         self._from_left = read(1, 0)
         self._to_right = read(1, 1)
         self._from_right = read(-1, 1)
-        # The stacked Schur complement as LAPACK's dl, d, du, factored in
-        # place by zgttrf, which reads K*m - 1 of dl and du: the last entry
-        # of each is a block's zero coupling to the next block.  Both
-        # wrappers refuse order 2, which only a stack of one 5-DOF matrix
-        # has; its complement gets a third, decoupled unit row, tied to it
-        # by those zero couplings.
+        # The stacked Schur complement as LAPACK's dl, d, du; the last entry
+        # of each off-diagonal is a block's zero coupling to the next block,
+        # which keeps either kernel from mixing values across a boundary.
         dl, d, du = (x.reshape(-1) for x in
                      self._condense(read, self._from_left, self._from_right))
-        self._pad = size == 2
-        if self._pad:
-            d = np.append(d, 1)
+        self._ldlt = self._factor_ldlt(dl, d, du)
+        # zgttrf and zgttrs refuse order 2, which only a stack of one 5-DOF
+        # matrix has; for LU its complement gets a third, decoupled unit
+        # row, tied to it by those zero couplings.
+        self._pad = self._ldlt is None and size == 2
+        if self._ldlt is not None:
+            pivots, info = self._ldlt[0], 0
         else:
-            dl, du = dl[:-1], du[:-1]
-        *self._factors, info = zgttrf(dl, d, du, overwrite_dl=1,
-                                      overwrite_d=1, overwrite_du=1)
-        if info < 0:
-            raise SolverError(
-                f"tridiagonal factorization failed (argument {-info})")
+            # zgttrf factors in place and reads K*m - 1 of dl and du.
+            if self._pad:
+                d = np.append(d, 1)
+            else:
+                dl, du = dl[:-1], du[:-1]
+            *self._factors, info = zgttrf(dl, d, du, overwrite_dl=1,
+                                          overwrite_d=1, overwrite_du=1)
+            if info < 0:
+                raise SolverError(
+                    f"tridiagonal factorization failed (argument {-info})")
+            pivots = self._factors[1]
         # zgttrf reports the first zero pivot of U, 1-based over the stack;
         # matrices before its block are screened first, so the lowest
         # failing j is named.  Each is screened over its midpoint pivots
-        # and the diagonal of its U.
+        # and the complement's pivots: the diagonal of U, or LDL^T's D.
         j, row = divmod(info - 1, m) if info else (self.K, 0)
-        u_diag = self._factors[1][:size].reshape(self.K, m)
-        d_low, d_top = _pivot_range(u_diag[:j])
+        d_low, d_top = _pivot_range(pivots[:size].reshape(self.K, m)[:j])
         _screen_pivots(np.minimum(mid_low[:j], d_low),
                        np.maximum(mid_top[:j], d_top))
         if info:
@@ -393,10 +438,11 @@ class CondensedFactorization(_Factorization):
         left unmodified.  Row j of ``x_parts``, a C-contiguous complex
         (K, m + 1) midpoint block and (K, m) vertex block, receives matrix
         j's solution.  Every product reads and writes contiguous rows, and
-        the vertex block is the right-hand side ``zgttrs`` solves in place.
-        The one ``zgttrs`` call, through scipy's wrapper, runs without the
-        GIL, and the scratch is allocated per call, so threads may share
-        one factorization."""
+        the vertex block is the right-hand side the kernel solves in place.
+        The scratch is allocated per call, so threads may share one
+        factorization.  An LU stack's one ``zgttrs`` call, through scipy's
+        wrapper, runs without the GIL, so such solves overlap; an LDL^T
+        stack's ``zpttrs`` call holds it."""
         self._check_parts(b_parts, x_parts)
         b_mid, b_vert = b_parts
         x_mid, x_vert = x_parts
@@ -411,15 +457,35 @@ class CondensedFactorization(_Factorization):
         self._solve_vertices(x_vert)
         self._recover_midpoints(x_mid, x_vert, tmp)
 
+    @staticmethod
+    def _factor_ldlt(dl, d, du):
+        """LDL^T's ``(D, L's subdiagonal)`` of the stacked complement with
+        diagonals ``dl``, ``d``, ``du``, in the real and complex storage
+        ``zpttrs`` reads, when it is real with ``dl == du`` and ``dpttrf``
+        finds it positive definite; None otherwise, and the arrays are left
+        as they were, for LU."""
+        if not (np.array_equal(dl, du) and not d.imag.any()
+                and not dl.imag.any()):
+            return None
+        pivots, lower, info = dpttrf(d.real, dl.real[:-1])
+        if info < 0:
+            raise SolverError(
+                f"tridiagonal factorization failed (argument {-info})")
+        return (pivots, lower.astype(complex)) if info == 0 else None
+
     def _solve_vertices(self, rhs: np.ndarray) -> None:
         """Overwrite the C-contiguous complex vertex right-hand sides
         ``rhs``, (K, m) or, for a stack of one, (m,), with the solutions of
-        the Schur complements, by one ``zgttrs`` call: in place, but for
-        the padded order-2 complement, solved in a three-entry copy."""
+        the Schur complements, by one ``zpttrs`` or ``zgttrs`` call: in
+        place, but for the padded order-2 complement, solved in a
+        three-entry copy."""
         b = rhs.reshape(-1, 1)
         if self._pad:
             b = np.append(b, [[0]], axis=0)
-        x, info = zgttrs(*self._factors, b, overwrite_b=1)
+        if self._ldlt is not None:
+            x, info = zpttrs(*self._ldlt, b, overwrite_b=1)
+        else:
+            x, info = zgttrs(*self._factors, b, overwrite_b=1)
         if info != 0:
             raise SolverError(
                 f"tridiagonal back-substitution failed (info={info})")
@@ -525,7 +591,37 @@ def factorize_shifted(A, B, tau: float, shifts: np.ndarray):
     return CondensedFactorization(_HalfDiagonals((A, B), tau, i_shifts))
 
 
-class CondensedPencil:
+class _Pencil:
+    """What both pencil operators share: ``apply`` in natural order, as
+    ``join(apply_parts(split(b)), out)``, and the checks of the core
+    application ``apply_parts``, which reads and writes the operator's own
+    order of the entries (``split``'s)."""
+
+    _n: int
+
+    def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``B^-1 A b`` into a new complex array, or into ``out``, a complex
+        array of shape (n,).  ``b`` is read only into the copy ``split``
+        makes first, so ``out`` may be ``b``."""
+        if out is not None:
+            _check_out(out, (self._n,))
+        return self.join(self.apply_parts(self.split(b)), out)
+
+    def _parts_out(self, src: np.ndarray, out) -> np.ndarray:
+        """The array ``apply_parts`` writes: ``out``, refused unless it is
+        a C-contiguous complex (n,) array that shares no memory with
+        ``src``, or a new one when None; ``src`` is refused unless of
+        shape (n,)."""
+        _check_rhs(src, self._n, pencil=True)
+        if out is None:
+            return np.empty(self._n, dtype=complex)
+        _check_out(out, (self._n,), contiguous=True)
+        if np.may_share_memory(src, out):
+            raise ValueError("out must not share memory with src")
+        return out
+
+
+class CondensedPencil(_Pencil):
     """``B^-1 A`` of a P2 pencil (A, B): B's condensed factorization plus
     A's coefficients, condensed against it by the same step.
 
@@ -540,17 +636,21 @@ class CondensedPencil:
     where S_B = B_vv - B_vm B_mm^-1 B_mv is B's vertex Schur complement.
     B's :class:`CondensedFactorization` (a stack of one) factors S_B, and
     its condensation step, which gave it S_B from B's half-diagonals, turns
-    A's into the coefficients above.  :meth:`apply` splits ``b`` through
-    the factorization, builds the vertex right-hand side from A's
-    coefficients, solves it and recovers the midpoints through the
-    factorization, and joins the parts.  B is refused as ``factorize(B)``
-    refuses it.
+    A's into the coefficients above.  For a real symmetric positive
+    definite B, S_B is too, and its kernel is LDL^T (``zpttrs``); any
+    other nonsingular B takes LU.  The operator's order of the entries is
+    condensed: :meth:`split` gives one contiguous vector of the m + 1
+    midpoints, then the m vertices, which :meth:`apply_parts` maps to the
+    same order and :meth:`join` interleaves.  B is refused as
+    ``factorize(B)`` refuses it.
     """
 
     kind = "condensed"
 
     def __init__(self, A, B):
         self._B = CondensedFactorization(_HalfDiagonals((B,)))
+        self._n = self._B._n
+        self._mids = self._n // 2 + 1
         # A's half-diagonals as rows of one, each condensed in place into a
         # coefficient array (each offset read at p = 0 before p = 1): mids
         # holds B_mm^-1 A_mm and A_vm - B_vm B_mm^-1 A_mm (vertex k's
@@ -566,36 +666,56 @@ class CondensedPencil:
         self._mid, self._from, self._vertex = (
             [x[0] for x in xs] for xs in (mids, froms, vertex))
 
-    def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``B^-1 A b`` into a new complex array, or into ``out``.  ``b``
-        is read only into copies made first, so ``out`` may be ``b``.
-        The one ``zgttrs`` call, through scipy's wrapper, runs without the
-        GIL, and the scratch is allocated per call, so threads may share
-        one operator."""
-        b = np.asarray(b)
+    def split(self, v: np.ndarray) -> np.ndarray:
+        """The midpoints, then the vertices, of the vector ``v`` of shape
+        (n,), as one new contiguous complex vector."""
+        _check_rhs(v, self._n, pencil=True)
+        p = np.empty(self._n, dtype=complex)
+        p[:self._mids] = v[0::2]
+        p[self._mids:] = v[1::2]
+        return p
+
+    def join(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The vector ``p`` of :meth:`split`'s order in natural order, in
+        ``out`` (a new complex array when None): the inverse of
+        :meth:`split`."""
+        return self._B.join((p[:self._mids], p[self._mids:]), out)
+
+    def apply_parts(self, src: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """``B^-1 A`` of the vector ``src``, both in :meth:`split`'s order,
+        into ``out`` (a C-contiguous complex (n,) array that shares no
+        memory with ``src``; a new one when None), which is returned.  The
+        vertex right-hand side is built in ``out``'s vertex part and solved
+        there in place by B's kernel.  The scratch is allocated per call,
+        so threads may share one operator; B's LDL^T solve (``zpttrs``)
+        holds the GIL, and its LU solve (``zgttrs``) runs without it."""
+        out = self._parts_out(src, out)
         a_mid, to_mid, to_next = self._mid
         from_left, from_right = self._from
         lower, diag, upper = self._vertex
-        _check_rhs(b, 2 * diag.size + 1, pencil=True)
-        b_mid, b_vert = self._B.split(b)
-        rhs = diag * b_vert
+        mids = self._mids
+        b_mid, b_vert = src[:mids], src[mids:]
+        y_mid, rhs = out[:mids], out[mids:]
+        np.multiply(diag, b_vert, out=rhs)
         tmp = np.empty_like(rhs)
         rhs[:-1] += np.multiply(upper[:-1], b_vert[1:], out=tmp[:-1])
         rhs[1:] += np.multiply(lower[:-1], b_vert[:-1], out=tmp[1:])
         rhs += np.multiply(to_mid, b_mid[:-1], out=tmp)
         rhs += np.multiply(to_next, b_mid[1:], out=tmp)
-        b_mid *= a_mid
-        b_mid[:-1] += np.multiply(from_left, b_vert, out=tmp)
-        b_mid[1:] += np.multiply(from_right, b_vert, out=tmp)
+        np.multiply(b_mid, a_mid, out=y_mid)
+        y_mid[:-1] += np.multiply(from_left, b_vert, out=tmp)
+        y_mid[1:] += np.multiply(from_right, b_vert, out=tmp)
         self._B._solve_vertices(rhs)
         # B's stack is of one: the vectors as its blocks of one row.
-        self._B._recover_midpoints(b_mid[None], rhs[None], tmp[None])
-        return self._B.join((b_mid, rhs), out)
+        self._B._recover_midpoints(y_mid[None], rhs[None], tmp[None])
+        return out
 
 
-class DensePencil:
+class DensePencil(_Pencil):
     """``B^-1 A`` of any other pencil (scalar and hand-built systems): a
-    product with A in complex storage, then a solve with ``factorize(B)``."""
+    product with A in complex storage, then a solve with ``factorize(B)``.
+    Its order of the entries is the natural one."""
 
     kind = "dense"
 
@@ -604,17 +724,31 @@ class DensePencil:
         self._B = factorize(B)
         self._A = A.astype(complex)
 
-    def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``B^-1 A b`` into a new complex array, or into ``out``."""
-        b = np.asarray(b)
-        _check_rhs(b, self._n, pencil=True)
-        y = np.empty(self._n, dtype=complex) if out is None else out
-        self._B.solve(self._A @ b, out=y[None])
-        return y
+    def split(self, v: np.ndarray) -> np.ndarray:
+        """A complex copy of the vector ``v`` of shape (n,)."""
+        _check_rhs(v, self._n, pencil=True)
+        return np.array(v, dtype=complex)
+
+    def join(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``p`` itself, or ``p`` copied into ``out`` when given."""
+        if out is None:
+            return p
+        out[...] = p
+        return out
+
+    def apply_parts(self, src: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """``B^-1 A src`` into ``out`` (a C-contiguous complex (n,) array
+        that shares no memory with ``src``; a new one when None), which is
+        returned."""
+        out = self._parts_out(src, out)
+        self._B.solve(self._A @ src, out=out[None])
+        return out
 
 
 def factorize_pencil(A, B):
-    """An operator whose ``apply(b, out=None)`` computes ``B^-1 A b``:
+    """An operator whose ``apply(b, out=None)`` computes ``B^-1 A b``, and
+    whose ``split``, ``apply_parts`` and ``join`` do so in its own order:
     :class:`CondensedPencil` when A and B are sparse with the P2 pattern,
     :class:`DensePencil` otherwise.  Both expose ``kind``, and both
     refuse B as ``factorize(B)`` does; A and B not square of one order

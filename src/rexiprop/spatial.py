@@ -374,14 +374,16 @@ def spectral_radius_estimate(sys: SystemMatrices) -> SpectralRadiusEstimate:
 
 def evaluate_state(u: np.ndarray, mesh: Mesh1D, xs) -> np.ndarray:
     """P2 interpolant of the interior coefficient vector u, of shape
-    (2*n_elems - 1,), at points xs."""
+    (2*n_elems - 1,), at points xs; a point outside the domain, or not
+    finite, raises SpatialError."""
     n = 2 * mesh.n_elems - 1
     if np.shape(u) != (n,):
         raise ValueError(f"state of shape {np.shape(u)} does not match the "
                          f"mesh's interior coefficients, shape {(n,)}")
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     tol = 1e-12 * (mesh.x1 - mesh.x0)
-    outside = (xs_arr < mesh.x0 - tol) | (xs_arr > mesh.x1 + tol)
+    # Written so that a NaN point, which no comparison holds for, is outside.
+    outside = ~((xs_arr >= mesh.x0 - tol) & (xs_arr <= mesh.x1 + tol))
     if np.any(outside):
         raise SpatialError(
             f"sample point x = {xs_arr[outside][0]} lies outside the domain "

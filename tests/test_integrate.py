@@ -755,19 +755,20 @@ def test_clenshaw_matches_direct_summation():
 
 
 def test_clenshaw_step_is_textbook_recurrence_in_degree_solves(fem):
-    # One pencil application (one vertex solve) per degree, and the bits of
+    # One pencil application (one vertex solve) per degree, each in the
+    # operator's condensed order, and the bits of
     # b_k = a_k u + 2 S b_{k+1} - b_{k+2} from b_{N+1} = b_{N+2} = 0, with
     # S = scale * B^-1 A applied by the stepper's own operator.
     sysm, _, u0, sr = fem
     stp = chebyshev_prepare(sysm, 0.02, sr_value=sr)
-    apply = stp.operator.apply
+    apply, apply_parts = stp.operator.apply, stp.operator.apply_parts
     calls = []
 
-    def counting_apply(b, out=None):
+    def counting_apply_parts(src, out=None):
         calls.append(1)
-        return apply(b, out=out)
+        return apply_parts(src, out)
 
-    stp.operator.apply = counting_apply
+    stp.operator.apply_parts = counting_apply_parts
     got = stp.step(u0)
     assert len(calls) == stp.degree == 26
 
@@ -1439,15 +1440,23 @@ def test_pencil_refuses_singular_b_as_factorize_does():
             chebyshev_prepare(bad, 0.01, sr_value=1.0)
 
 
-def test_pencil_serves_any_nonsingular_p2_b():
-    # B indefinite (a negated midpoint pivot), not symmetric, or complex:
-    # still the product with A, then the solve with B.
-    sysm, _ = _barrier_pencil(-5.0, 5.0, 5)
+def _indefinite_or_unsymmetric_or_complex_b(sysm):
+    """The 9-DOF barrier pencil with B made indefinite (a negated midpoint
+    pivot, which leaves the vertex complement positive definite, or a
+    negated vertex diagonal, which does not), not symmetric, or complex."""
     b_mat = sysm.B
+    return (_with_b(sysm, {(4, 4): -b_mat[4, 4]}),
+            _with_b(sysm, {(3, 3): -b_mat[3, 3]}),
+            _with_b(sysm, {(3, 4): 2.0 * b_mat[3, 4]}),
+            SystemMatrices(A=sysm.A, B=(1.0 + 0.5j) * b_mat))
+
+
+def test_pencil_serves_any_nonsingular_p2_b():
+    # B indefinite (a negated midpoint pivot or vertex diagonal), not
+    # symmetric, or complex: still the product with A, then the solve with B.
+    sysm, _ = _barrier_pencil(-5.0, 5.0, 5)
     rng = np.random.default_rng(24)
-    for pencil in (_with_b(sysm, {(4, 4): -b_mat[4, 4]}),
-                   _with_b(sysm, {(3, 4): 2.0 * b_mat[3, 4]}),
-                   SystemMatrices(A=sysm.A, B=(1.0 + 0.5j) * b_mat)):
+    for pencil in _indefinite_or_unsymmetric_or_complex_b(sysm):
         op = solvers.factorize_pencil(pencil.A, pencil.B)
         assert op.kind == "condensed"
         b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -1481,6 +1490,9 @@ class _ReferenceCondensation:
         # M_vv - M_vm M_mm^-1 M_mv, as zgttrf's dl, d, du.
         d, du, dl = self.vertex_diagonals(half, self.from_left,
                                           self.from_right)
+        self.factor(dl, d, du)
+
+    def factor(self, dl, d, du):
         *self.factors, info = sla.lapack.zgttrf(dl, d, du)
         assert info == 0
 
@@ -1510,6 +1522,23 @@ class _ReferenceCondensation:
         return self.recover(x_mid, self.solve_vertices(rhs))
 
 
+class _ReferenceLdlt(_ReferenceCondensation):
+    """The same condensation of a P2 matrix whose vertex complement is real
+    symmetric positive definite, its kernel LDL^T: scipy's f2py ``dpttrf``
+    of the complement's real diagonals, then ``zpttrs``."""
+
+    def factor(self, dl, d, du):
+        assert np.array_equal(dl, du) and not (d.imag.any() or dl.imag.any())
+        pivots, lower, info = sla.lapack.dpttrf(d.real, dl.real)
+        assert info == 0
+        self.factors = pivots, lower.astype(complex)
+
+    def solve_vertices(self, rhs):
+        x, info = sla.lapack.zpttrs(*self.factors, rhs)
+        assert info == 0
+        return x
+
+
 def _half_diagonals(mat):
     """The reader ``(k, p) -> mat.diagonal(k)[p::2]`` in complex storage."""
     return lambda k, p: mat.diagonal(k)[p::2].astype(complex)
@@ -1521,10 +1550,11 @@ def _interleave(mid, vert):
     return out
 
 
-def _reference_pencil_apply(a_mat, b_mat, b):
+def _reference_pencil_apply(a_mat, b_mat, b, reference=_ReferenceLdlt):
     """B^-1 A b by the documented pencil condensation: A condensed against
-    B's factorization, then one vertex solve and the midpoint recovery."""
-    fac = _ReferenceCondensation(b_mat)
+    B's factorization by ``reference`` (LDL^T by default, the kernel of an
+    SPD B), then one vertex solve and the midpoint recovery."""
+    fac = reference(b_mat)
     half = _half_diagonals(a_mat)
     a_mid = half(0, 0) * fac.inv_mid
     a_from_left = half(1, 0) * fac.inv_mid[:-1]
@@ -1569,8 +1599,10 @@ def test_condensed_solves_are_the_reference_bitwise(flagship, x0, x1,
 @pytest.mark.parametrize("x0, x1, n_elems",
                          [(-5.0, 5.0, 5)] + _REFERENCE_MESHES)
 def test_pencil_apply_is_the_reference_bitwise(x0, x1, n_elems):
-    # 9, 127, 999 and 7999 DOFs; f2py's zgttrf refuses the order-2
-    # complement of the smallest (5-DOF) P2 mesh.
+    # 9, 127, 999 and 7999 DOFs; f2py's zgttrf, which the LU reference
+    # calls, refuses the order-2 complement of the smallest (5-DOF) P2 mesh.
+    # B's vertex complement is real SPD, so its kernel is LDL^T; across
+    # kernels, the LU reference agrees to within 1e-14 (max norm, relative).
     sysm, _ = _barrier_pencil(x0, x1, n_elems)
     op = solvers.factorize_pencil(sysm.A, sysm.B)
     rng = np.random.default_rng(30)
@@ -1578,7 +1610,164 @@ def test_pencil_apply_is_the_reference_bitwise(x0, x1, n_elems):
               rng.standard_normal(sysm.n_dof)
               + 1j * rng.standard_normal(sysm.n_dof)):
         want = _reference_pencil_apply(sysm.A, sysm.B, b)
-        assert op.apply(b).tobytes() == want.tobytes()
+        got = op.apply(b)
+        assert got.tobytes() == want.tobytes()
+        lu = _reference_pencil_apply(sysm.A, sysm.B, b,
+                                     _ReferenceCondensation)
+        assert np.max(np.abs(got - lu)) <= 1e-14 * np.max(np.abs(lu))
+
+
+def _record_kernels(monkeypatch):
+    """Wrap the two tridiagonal solves of ``solvers``, ``zpttrs`` (LDL^T)
+    and ``zgttrs`` (LU), to record each call as (name, right-hand side,
+    solution) in the list returned."""
+    calls = []
+    for name in ("zpttrs", "zgttrs"):
+        def record(*args, _name=name, _kernel=getattr(solvers, name),
+                   **kwargs):
+            x, info = _kernel(*args, **kwargs)
+            calls.append((_name, args[-1], x))
+            return x, info
+
+        monkeypatch.setattr(solvers, name, record)
+    return calls
+
+
+def test_vertex_kernel_is_ldlt_for_a_real_spd_complement_only(flagship,
+                                                               monkeypatch):
+    # The kernel follows the complement's structure: barrier B on every
+    # mesh (the 5-DOF one, complement of order 2, included) and a stack of
+    # two of it take LDL^T, each row of the stack byte for byte the single
+    # solve; the flagship's REXI stacks take LU.
+    calls = _record_kernels(monkeypatch)
+
+    def kernels(solve):
+        del calls[:]
+        solve()
+        return [name for name, _, _ in calls]
+
+    rng = np.random.default_rng(31)
+    meshes = [(-3.0, 3.0, 3), (-5.0, 5.0, 5)] + _REFERENCE_MESHES
+    for x0, x1, n_elems in meshes:
+        sysm, _ = _barrier_pencil(x0, x1, n_elems)
+        b = rng.standard_normal(sysm.n_dof) + 1j * rng.standard_normal(
+            sysm.n_dof)
+        op = solvers.factorize_pencil(sysm.A, sysm.B)
+        assert kernels(lambda: op.apply(b)) == ["zpttrs"]
+        one, two = factorize(sysm.B), factorize(sysm.B, sysm.B)
+        assert kernels(lambda: one.solve(b)) == ["zpttrs"]
+        assert kernels(lambda: two.solve(b)) == ["zpttrs"]
+        for row in two.solve(b):
+            assert row.tobytes() == one.solve(b)[0].tobytes()
+        stack = solvers.factorize_shifted(sysm.A, sysm.B, 2e-4,
+                                          flagship.shifts)
+        assert kernels(lambda: stack.solve(b)) == ["zgttrs"]
+    # The LDL^T solve is in place, in the vertex part of apply_parts' out.
+    src = op.split(b)
+    out = np.empty_like(src)
+    assert kernels(lambda: op.apply_parts(src, out)) == ["zpttrs"]
+    (_, rhs, x), = calls
+    vertices = out[sysm.n_dof // 2 + 1:]
+    assert np.shares_memory(rhs, vertices) and np.shares_memory(x, vertices)
+    # A B whose complement is not real SPD takes LU.  The negated midpoint
+    # pivot leaves it SPD; the negated vertex diagonal makes dpttrf stop
+    # (info > 0), and LU then solves it.
+    sysm, _ = _barrier_pencil(-5.0, 5.0, 5)
+    b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    got = [kernels(lambda: solvers.factorize_pencil(pencil.A, pencil.B)
+                   .apply(b))
+           for pencil in _indefinite_or_unsymmetric_or_complex_b(sysm)]
+    assert got == [["zpttrs"], ["zgttrs"], ["zgttrs"], ["zgttrs"]]
+    # An argument error of dpttrf is raised, as zgttrf's is.
+    monkeypatch.setattr(solvers, "dpttrf", lambda d, e: (d, e, -2))
+    with pytest.raises(SolverError, match=re.escape(
+            "tridiagonal factorization failed (argument 2)")):
+        factorize(sysm.B)
+
+
+def test_pencil_parts_are_in_condensed_order():
+    # split gives one contiguous complex copy (midpoints, then vertices, on
+    # the condensed path; the natural order on the dense one), apply_parts
+    # maps it into that order without touching it, and join returns to
+    # natural order: the bits of apply.
+    rng = np.random.default_rng(32)
+    for sysm in (_barrier_pencil(-3.0, 3.0, 3)[0],
+                 _barrier_pencil(-30.0, 30.0, 500)[0],
+                 scalar_system(3.0), random_pencil(rng, 6)[0]):
+        op = solvers.factorize_pencil(sysm.A, sysm.B)
+        n = sysm.n_dof
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kept = b.copy()
+        p = op.split(b)
+        order = (np.concatenate([b[0::2], b[1::2]]) if op.kind == "condensed"
+                 else b)
+        assert p.dtype == complex and p.flags.c_contiguous
+        assert p.tobytes() == order.tobytes() and not np.shares_memory(p, b)
+        y = op.apply_parts(p)
+        assert p.tobytes() == order.tobytes()
+        assert op.join(y).tobytes() == op.apply(b).tobytes()
+        assert (op.join(y) is y) == (op.kind == "dense")
+        out = np.full(n, np.nan, dtype=complex)
+        assert op.apply_parts(p, out) is out
+        assert out.tobytes() == y.tobytes()
+        assert np.array_equal(b, kept)
+    assert op.split(b.real).tobytes() == (b.real + 0j).tobytes()
+
+
+def test_an_out_that_does_not_fit_is_refused_before_any_work(monkeypatch):
+    # A real or complex64 out used to receive the result with only a
+    # ComplexWarning, dropping its imaginary parts; an out of another
+    # shape failed in numpy's broadcast.  Refused for both factorizations,
+    # both pencils and apply_parts, naming the shape expected, before any
+    # solve and with out left unwritten.
+    def no_work(*args, **kwargs):
+        raise AssertionError("did work")
+
+    sysm, _ = _barrier_pencil(-5.0, 5.0, 5)
+    dense = random_pencil(np.random.default_rng(33), 6)[0]
+    solves = [factorize(sysm.B).solve, factorize(dense.B, dense.B).solve]
+    pencils = [solvers.factorize_pencil(s.A, s.B) for s in (sysm, dense)]
+    for name in ("zpttrs", "zgttrs", "lu_solve"):
+        monkeypatch.setattr(solvers, name, no_work)
+    for solve, shape in zip(solves, ((1, 9), (2, 6))):
+        rows, n = shape
+        for wrong in (np.full(shape, np.nan), np.full((rows, n + 1), np.nan,
+                                                      dtype=complex),
+                      np.full(n, np.nan, dtype=complex),
+                      np.full(shape, np.nan, dtype=np.complex64)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"out must be a complex array of shape {shape}, got "
+                    f"{wrong.dtype} array of shape {wrong.shape}")):
+                solve(np.ones(n), out=wrong)
+            assert np.isnan(wrong).all()
+        with pytest.raises(ValueError, match=re.escape(
+                f"out must be a complex array of shape {shape}, got list")):
+            solve(np.ones(n), out=[[0j] * n] * rows)
+    for op in pencils:
+        n = op._n
+        src = op.split(np.ones(n))
+        strided = np.full(2 * n, np.nan, dtype=complex)[::2]
+        for wrong in (np.full(n, np.nan),
+                      np.full(n + 1, np.nan, dtype=complex),
+                      np.full((1, n), np.nan, dtype=complex)):
+            for apply, layout in ((op.apply, ""),
+                                  (op.apply_parts, "C-contiguous ")):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"out must be a {layout}complex array of shape "
+                        f"{(n,)}, got {wrong.dtype} array of shape "
+                        f"{wrong.shape}")):
+                    apply(src, wrong)
+                assert np.isnan(wrong).all()
+        with pytest.raises(ValueError, match=re.escape(
+                f"out must be a C-contiguous complex array of shape {(n,)}, "
+                f"got complex128 array of shape {(n,)}")):
+            op.apply_parts(src, strided)
+        assert np.isnan(strided).all()
+        kept = src.copy()
+        with pytest.raises(ValueError,
+                           match="out must not share memory with src"):
+            op.apply_parts(src, src)
+        assert src.tobytes() == kept.tobytes()
 
 
 def test_pencil_refuses_a_right_hand_side_of_the_wrong_length(fem):
@@ -1586,10 +1775,11 @@ def test_pencil_refuses_a_right_hand_side_of_the_wrong_length(fem):
         op = solvers.factorize_pencil(sysm.A, sysm.B)
         n = sysm.n_dof
         for wrong in (np.ones(n + 1), np.ones((n, 2))):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"{wrong.shape} does not match a pencil of shape "
-                    f"{(n, n)}")):
-                op.apply(wrong)
+            for apply in (op.apply, op.split, op.apply_parts):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{wrong.shape} does not match a pencil of shape "
+                        f"{(n, n)}")):
+                    apply(wrong)
 
 
 def test_prepares_time_the_factorization(flagship, fem):

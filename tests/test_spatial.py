@@ -556,6 +556,18 @@ def test_evaluate_state_rejects_out_of_domain():
                        np.array([-1.0 - 1e-14, 0.0, 1.5]))
 
 
+def test_evaluate_state_refuses_points_that_are_not_finite():
+    # NaN used to pass the domain check and read nan+nanj, with a
+    # RuntimeWarning from the cast of its element index.
+    mesh = build_mesh(-1.0, 1.0, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        for evaluate in (evaluate_state, probability_density):
+            with pytest.raises(SpatialError, match=re.escape(
+                    f"sample point x = {bad} lies outside the domain "
+                    "(-1.0, 1.0)")):
+                evaluate(np.zeros(5, dtype=complex), mesh, [bad, 0.3])
+
+
 def test_evaluate_state_refuses_a_state_of_another_shape():
     # 4 elements: 7 interior coefficients.  A scalar, 2 or 1 entries, or a
     # (7, 2) block used to be broadcast over every node.
