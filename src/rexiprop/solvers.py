@@ -579,10 +579,14 @@ def factorize_shifted(A, B, tau: float, shifts: np.ndarray):
     of the sparse arithmetic, so the factors are bitwise those of the
     built matrices; no matrix is built.  Any other pencil builds the K
     shifted matrices and calls :func:`factorize`.  A :class:`SolverError`
-    names the failing shift's position in ``index``; no shifts (K = 0),
-    or A and B not square of one order, raise ValueError before any work.
+    names the failing shift's position in ``index``; shifts that are not a
+    1-D array, no shifts (K = 0), or A and B not square of one order,
+    raise ValueError before any work.
     """
     i_shifts = 1j * np.asarray(shifts)
+    if i_shifts.ndim != 1:
+        raise ValueError(f"factorize_shifted needs a 1-D array of shifts, "
+                         f"got shape {i_shifts.shape}")
     if i_shifts.size == 0:
         raise ValueError("factorize_shifted needs K >= 1 shifts, got none")
     _check_square("factorize_shifted", (A, B), "AB", "A")

@@ -701,6 +701,52 @@ def test_bessel_j_matches_scipy():
                       <= 1e-11 * np.abs(want[tail])), r
 
 
+def _list_bessel_j(r, count):
+    """Miller's recurrence as a Python list rebuilt on every rescale (the
+    form ``_bessel_j`` had before it ran in one array), and the number of
+    rescales it made."""
+    start = max(count, 2 * math.ceil(r)) + 32
+    j = [0.0] * (start + 2)
+    j[start] = 1.0
+    rescales = 0
+    for k in range(start, 0, -1):
+        j[k - 1] = 2 * k / r * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 2.0 ** 600:
+            j = [v * 2.0 ** -600 for v in j]
+            rescales += 1
+    values = np.array(j[:-1])
+    return values[:count + 1] / (values[0] + 2 * values[2::2].sum()), rescales
+
+
+def test_bessel_j_is_the_list_recurrence_bitwise():
+    # The in-place rescale of the one array moves no bit: each live entry
+    # is scaled by the same power of two, in the same order, as the list
+    # rebuild scaled it, at radii where the rescale fires 0 to 43 times
+    # (once at r = 0.05, where the start's 2k/r is about 3000).
+    for r, rescales in ((0.05, 1), (10.0, 0), (44.06, 0), (1753.15, 4),
+                        (2e4, 43)):
+        count = 2 * math.ceil(r) + 40
+        want, made = _list_bessel_j(r, count)
+        got = integrate._bessel_j(r, count)
+        assert made == rescales, r
+        assert got.dtype == want.dtype and got.shape == want.shape, r
+        assert got.tobytes() == want.tobytes(), r
+
+
+def test_bessel_j_peak_memory_is_about_its_result():
+    # One float64 array of about 2r entries and its normalized slice: the
+    # traced peak stays below 3x the result (it was 8x while the
+    # recurrence ran in a list, rebuilt on every rescale and then copied).
+    integrate._bessel_j(10.0, 40)  # warm-up
+    tracemalloc.start()
+    try:
+        result = integrate._bessel_j(2e4, 40040)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * result.nbytes, (peak, result.nbytes)
+
+
 def test_chebyshev_certificate_peak_memory():
     # The certificate holds the coefficients and the Bessel values only:
     # about 4 kB traced at degree 26.
@@ -935,6 +981,36 @@ def test_rexi_error_bound_examples():
         rexi_error_bound(-1.0, 1.0)
     with pytest.raises(ValueError):
         rexi_error_bound(1.0, -1.0)
+    for args, name in (((math.nan, 1.0), "sup_error"),
+                       ((math.inf, 1.0), "sup_error"),
+                       ((1e-9, math.inf), "cond_inf"),
+                       ((1e-9, math.nan), "cond_inf")):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be finite and >= 0"):
+            rexi_error_bound(*args)
+
+
+def test_dense_expm_refuses_a_tau_not_finite_or_a_misshaped_state(
+        monkeypatch):
+    # The 11-DOF zero-potential system: a length-3 or (11, 1) state and a
+    # NaN or infinite tau are refused before the decomposition is built
+    # (they raised numpy's matmul error, or returned an all-NaN state).
+    mesh = build_mesh(-5.0, 5.0, 6)
+    sysm = assemble_system(mesh, PotentialSpec.zero(), PhysicalConstants())
+    u = np.ones(sysm.n_dof, dtype=complex)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("did work")
+
+    monkeypatch.setattr(integrate, "dense_decomposition", no_work)
+    for tau in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"tau must be finite, got {tau}"):
+            dense_expm_apply(sysm, tau, u)
+    for bad in (np.ones(3), np.ones((sysm.n_dof, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"oracle state of shape {bad.shape} does not match a "
+                f"system of order {sysm.n_dof}")):
+            dense_expm_apply(sysm, 0.01, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -1299,6 +1375,27 @@ def test_factorizations_refuse_an_empty_stack(fem):
         for shifts in ([], np.array([], dtype=complex)):
             with pytest.raises(ValueError, match="K >= 1"):
                 solvers.factorize_shifted(a_mat, b_mat, 0.02, shifts)
+
+
+def test_factorize_shifted_refuses_shifts_not_one_dimensional(monkeypatch):
+    # A scalar shift and a (1, 2) array, on the 11-DOF zero-potential
+    # pencil, are refused before any work, naming the shape (they raised
+    # a TypeError on len() and numpy's broadcast error).
+    def no_work(*args, **kwargs):
+        raise AssertionError("did work")
+
+    sysm = assemble_system(build_mesh(-5.0, 5.0, 6), PotentialSpec.zero(),
+                           PhysicalConstants())
+    for name in ("_check_square", "_is_p2", "_HalfDiagonals",
+                 "CondensedFactorization", "DenseFactorization"):
+        monkeypatch.setattr(solvers, name, no_work)
+    for shifts, shape in ((np.complex128(1.0 + 2.0j), ()), (3.0, ()),
+                          (np.ones((1, 2)), (1, 2)),
+                          (np.ones((0, 2)), (0, 2))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"factorize_shifted needs a 1-D array of shifts, got shape "
+                f"{shape}")):
+            solvers.factorize_shifted(sysm.A, sysm.B, 0.02, shifts)
 
 
 def test_factorize_refuses_matrices_not_square_of_one_order(monkeypatch):
