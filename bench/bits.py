@@ -12,11 +12,14 @@ bytes of their shifts and weights), the messages of the two constructions
 it refuses, a damped approximant, the disc-side error profile of the
 Hankel construction, the Chebyshev coefficients at radius 10 (the
 steppers') and at radius 20000 (whose Bessel recurrence rescales 43
-times, where the full-scale reference's rescales 4 times), and, on the
-acceptance suite's tunneling system at desk and full scale, the solutions
-of the flagship's shifted stack for ``iB u0``, one solve with the mass
-matrix B for ``u0`` (so a change to the mass solve alone moves a line of
-its own), one application of ``B^-1 A`` to ``u0``, the final states of
+times, where the full-scale reference's rescales 4 times), the assembled
+matrices A and B (their CSR ``data``, ``indices`` and ``indptr``, one
+line per matrix, so a change to the assembly alone moves lines of its
+own) on a 3-element zero-potential mesh and on the acceptance suite's
+tunneling system at desk and full scale, and, on that system, the
+solutions of the flagship's shifted stack for ``iB u0``, one solve with
+the mass matrix B for ``u0`` (so a change to the mass solve alone moves a
+line of its own), one application of ``B^-1 A`` to ``u0``, the final states of
 REXI and Chebyshev runs, and a reference (its coefficients and its one
 step; the degrees are 83 and 1881).  Each Chebyshev certificate
 ``sup_error`` has a line of its own, so a change to the certificate alone
@@ -73,6 +76,13 @@ def emit(name: str, *parts) -> None:
     print(name, h.hexdigest(), flush=True)
 
 
+def emit_system(name: str, system) -> None:
+    """One line per matrix of ``system``: its CSR arrays."""
+    for label, mat in (("A", system.A), ("B", system.B)):
+        emit(f"assemble_system[{name}].{label}", mat.data, mat.indices,
+             mat.indptr)
+
+
 def approx_parts(ap):
     return approx_to_json(ap), ap.shifts, ap.weights
 
@@ -103,9 +113,13 @@ def main() -> None:
              np.float64(cc.sup_error))
 
     consts = PhysicalConstants()
+    emit_system("3 elements, zero potential",
+                assemble_system(build_mesh(0.0, 1.5, 3), PotentialSpec.zero(),
+                                consts))
     for name, (x0, x1), n_elems, steps, workers, t in SCALES:
         mesh = build_mesh(x0, x1, n_elems)
         system = assemble_system(mesh, BARRIER, consts)
+        emit_system(name, system)
         u0 = project_initial(mesh, PACKET, consts, system.B)
         emit(f"factorize_shifted[{name}].solve",
              factorize_shifted(system.A, system.B, DT, flagship.shifts)

@@ -377,8 +377,18 @@ def _bessel_j(r: float, count: int) -> np.ndarray:
     array, whose first count + 1 entries are returned normalized, so a
     call costs time linear in r (about 1 s at r = 672,019 on a 2-CPU VM)
     and traced memory about twice its result.
+
+    The rescale keeps 2k/r * J_k finite only while 2k/r < 2**423.  Below
+    that radius (r < 2 * start * 2**-423, about 1e-125) the values are the
+    series' leading terms J_k = (r/2)^k / k!, which the next term changes
+    by a factor (r/2)^2 / (k+1) < 1e-250, far below rounding.
     """
     start = max(count, 2 * math.ceil(r)) + 32
+    if 2 * start / r >= 2.0 ** 423:
+        j = np.empty(count + 1)
+        j[0] = 1.0
+        j[1:] = 0.5 * r / np.arange(1, count + 1)
+        return np.cumprod(j, out=j)
     j = np.zeros(start + 2)
     j[start] = 1.0
     for k in range(start, 0, -1):
@@ -388,7 +398,7 @@ def _bessel_j(r: float, count: int) -> np.ndarray:
     return j[:count + 1] / (j[0] + 2 * j[2:-1:2].sum())
 
 
-def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
+def chebyshev_coeffs(r: float, n: int | None) -> ChebyshevCoeffs:
     """Coefficients a_0..a_N with sum a_k T_k(x) matching exp(i r x) on
     [-1, 1], equivalently p(z) = sum a_k T_k(-iz/r) matching exp on
     i[-r, r]; built from samples at the N+1 Chebyshev points by a type-I
@@ -415,19 +425,32 @@ def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
     desk reference), where the truncation term is 2.9e-16.  The Bessel
     values come from ``_bessel_j`` up to the index max(N, 2*ceil(r)) + 32;
     the J_k(r) past it sum to less than 1e-28.
+
+    ``n = None`` takes the reference's degree: the smallest N >= ceil(r)
+    whose first dropped coefficient 2|J_{N+1}(r)| is below machine
+    epsilon, read from the Bessel values up to 2*ceil(r) + 32, which the
+    certificate then sums.  For N <= 2*ceil(r) that is the array a given
+    degree N reads; for a larger N (r below about 10) the values left out
+    lie past 2*ceil(r) + 32 and sum to less than 1e-28.
     """
-    if check_integer("degree", n) < 1:
+    if n is not None and check_integer("degree", n) < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     if not r > 0:
         raise ValueError(f"interval radius must be positive, got {r}")
     if not math.isfinite(r):
         raise ValueError(f"interval radius must be finite, got {r}")
+    eps = np.finfo(float).eps
+    if n is None:
+        bessel = _bessel_j(r, 2 * math.ceil(r) + 32)
+        n = math.ceil(r)
+        while not 2.0 * abs(bessel[n + 1]) < eps:
+            n += 1
+    else:
+        bessel = _bessel_j(r, max(n, 2 * math.ceil(r)) + 32)
     f = np.exp(1j * r * np.cos(np.pi * np.arange(n + 1) / n))
     a = np.fft.fft(np.concatenate([f, f[-2:0:-1]]))[: n + 1] / n
     a[0] *= 0.5
     a[-1] *= 0.5
-    bessel = _bessel_j(r, max(n, 2 * math.ceil(r)) + 32)
-    eps = np.finfo(float).eps
     truncation = 4.0 * float(np.abs(bessel[n + 1:]).sum())
     rounding = eps * ((1.0 + r) * (2.0 / math.pi * math.log(n + 1) + 1.0)
                       + float(np.abs(a).sum()))
@@ -437,12 +460,14 @@ def chebyshev_coeffs(r: float, n: int) -> ChebyshevCoeffs:
 class ChebyshevStepper(Stepper):
     """Clenshaw propagator for p(tau*M): the coefficients of p are built
     for i[-radius, radius], and the pencil operator B^-1 A
-    (``solvers.factorize_pencil``) is factored once, as ``operator``."""
+    (``solvers.factorize_pencil``) is factored once, as ``operator``.
+    ``degree=None`` takes the degree ``chebyshev_coeffs`` picks for a
+    reference."""
 
     kind = "Chebyshev"
 
     def __init__(self, system: SystemMatrices, tau: float, *,
-                 degree: int = 26, radius: float = 10.0,
+                 degree: int | None = 26, radius: float = 10.0,
                  sr_value: float | None = None,
                  override_admissibility: bool = False):
         # Built first: chebyshev_coeffs refuses a radius the admissibility
@@ -452,7 +477,7 @@ class ChebyshevStepper(Stepper):
                          override_admissibility)
         self.coeffs = cc.coeffs
         self.sup_error = cc.sup_error
-        self.degree = int(degree)
+        self.degree = len(cc.coeffs) - 1
         t0 = time.perf_counter()
         self.operator = factorize_pencil(system.A, system.B)
         self.timers["factor"] = time.perf_counter() - t0
@@ -515,9 +540,9 @@ def chebyshev_reference(
     81, 3967, 1984): R = SAFETY_FACTOR * t * sr(M), computed in the order
     the admissibility gate computes it, so the ratio is exactly 1.  The
     degree is the smallest d >= ceil(R) whose first dropped coefficient
-    2|J_{d+1}(R)| is below machine epsilon, read from the Bessel values
-    ``chebyshev_coeffs`` bounds its truncation with; the stepper's
-    ``sup_error`` is the certificate.
+    2|J_{d+1}(R)| is below machine epsilon (``chebyshev_coeffs`` with
+    ``n = None``), read from the one Bessel array its certificate sums;
+    the stepper's ``sup_error`` is the certificate.
     """
     if sr_value is None:
         sr_value = spectral_radius_estimate(sys)
@@ -525,12 +550,7 @@ def chebyshev_reference(
     if not 0 < radius < math.inf:
         raise ValueError(f"t * sr(M) must be positive and finite, got "
                          f"t = {t}, sr = {float(sr_value)}")
-    eps = np.finfo(float).eps
-    degree = math.ceil(radius)
-    bessel = _bessel_j(radius, 2 * degree + 32)
-    while not 2.0 * abs(bessel[degree + 1]) < eps:
-        degree += 1
-    return ChebyshevStepper(sys, t, degree=degree, radius=radius,
+    return ChebyshevStepper(sys, t, degree=None, radius=radius,
                             sr_value=sr_value)
 
 

@@ -126,6 +126,20 @@ def test_non_finite_config_float_is_config_error(tmp_path, capsys, key, text):
     assert f"config key {key!r}" in err and "finite" in err
 
 
+@pytest.mark.parametrize("x0, x1", [("0.0", "5e-324"),
+                                    ("-1e308", "1e308")])
+def test_config_element_width_not_positive_and_finite_is_config_error(
+        tmp_path, capsys, x0, x1):
+    cfg = write_config(tmp_path, x0=x0, x1=x1, n_elems=2)
+    out_dir = tmp_path / "out"
+    rc = main(["tunnel", "--config", cfg, "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "element width (x1 - x0) / n_elems" in err
+    assert f"x1 = {float(x1)}, n_elems = 2" in err
+    assert not out_dir.exists()
+
+
 def test_parse_config_not_key_value(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("just some words\n")

@@ -23,6 +23,7 @@ from rexiprop.approx import PartialFractionApproximation, evaluate_pfd
 from rexiprop.errors import AdmissibilityError, ApproximationError, SolverError
 from rexiprop.integrate import (
     SAFETY_FACTOR,
+    ChebyshevStepper,
     chebyshev_coeffs,
     chebyshev_prepare,
     chebyshev_reference,
@@ -731,6 +732,52 @@ def test_bessel_j_is_the_list_recurrence_bitwise():
         assert made == rescales, r
         assert got.dtype == want.dtype and got.shape == want.shape, r
         assert got.tobytes() == want.tobytes(), r
+
+
+def test_bessel_j_at_tiny_radii_is_its_leading_series_term():
+    # Where 2k/r passes 2**423 the rescaled recurrence would overflow
+    # (NaN); there the values are (r/2)^k / k!, J_0 = 1.
+    for r in (1e-127, 1e-130, 1e-150, 1e-300, 5e-324):
+        got = integrate._bessel_j(r, 36)
+        assert np.all(np.isfinite(got)) and got[0] == 1.0, r
+        assert got[1] == 0.5 * r and got[2] == (0.5 * r) ** 2 / 2, r
+    # Just above the switch the recurrence still runs, and agrees.
+    r = 2 * 68 * 2.0 ** -422
+    got = integrate._bessel_j(r, 36)
+    assert got[0] == 1.0 and got[1] == pytest.approx(0.5 * r, rel=1e-15)
+
+
+def test_tiny_chebyshev_radii_have_a_finite_true_certificate(fem):
+    for r in (1e-127, 1e-130, 1e-150, 1e-300):
+        cc = chebyshev_coeffs(r, 4)
+        assert math.isfinite(cc.sup_error), r
+        assert cc.sup_error >= _chebval_sup_error(r, cc.coeffs, 10_001), r
+    sysm, _, _, _ = fem
+    stepper = ChebyshevStepper(sysm, 1e-3, degree=4, radius=1e-200,
+                               override_admissibility=True)
+    assert math.isfinite(stepper.sup_error)
+    zero = assemble_system(build_mesh(-5.0, 5.0, 20), PotentialSpec.zero(),
+                           PhysicalConstants())
+    ref = chebyshev_reference(zero, 1e-135)
+    assert ref.interval_radius < 1e-132 and ref.degree == 1
+    assert math.isfinite(ref.sup_error) and ref.sup_error < 1e-15
+
+
+def test_chebyshev_reference_makes_one_bessel_call(fem, monkeypatch):
+    # The degree rule and the certificate read one Bessel array.
+    sysm, _, _, sr = fem
+    calls = []
+    bessel_j = integrate._bessel_j
+
+    def counted(r, count):
+        calls.append((r, count))
+        return bessel_j(r, count)
+
+    monkeypatch.setattr(integrate, "_bessel_j", counted)
+    ref = chebyshev_reference(sysm, 0.02, sr_value=sr)
+    assert len(calls) == 1, calls
+    r = ref.interval_radius
+    assert calls[0] == (r, 2 * math.ceil(r) + 32)
 
 
 def test_bessel_j_peak_memory_is_about_its_result():

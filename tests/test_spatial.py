@@ -1,11 +1,14 @@
 """Tests for meshing, assembly, wave packets, and spectral estimates."""
 
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import sympy
+from scipy.sparse import coo_matrix
 
 from rexiprop.errors import SpatialError
 from rexiprop.spatial import (
@@ -22,7 +25,10 @@ from rexiprop.spatial import (
     project_initial,
     spectral_radius_estimate,
     wave_packet_eval,
+    _GW,
+    _GX,
     _reference_blocks,
+    _shape,
 )
 
 
@@ -226,6 +232,18 @@ def test_spatial_types_refuse_bad_values(make, args, match):
         make(*args)
 
 
+def test_build_mesh_refuses_an_element_width_not_positive_and_finite():
+    # (0, 5e-324) halves to a width of 0 (repeated nodes, and a division
+    # by zero in assembly); (-1e308, 1e308) overflows x1 - x0 to inf.
+    for x0, x1, width in ((0.0, 5e-324, "0.0"), (-1e308, 1e308, "inf")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"element width (x1 - x0) / n_elems must be positive and "
+                f"finite, got {width} for x0 = {x0}, x1 = {x1}, "
+                f"n_elems = 2")):
+            build_mesh(x0, x1, 2)
+    assert build_mesh(0.0, 1e-320, 2).h > 0
+
+
 def test_build_mesh_refuses_an_element_count_that_is_not_an_integer():
     for bad in (4.0, 2.5, True):
         with pytest.raises(ValueError, match=re.escape(
@@ -300,11 +318,176 @@ def test_potential_enters_linearly():
 
 
 # ---------------------------------------------------------------------------
+# Direct CSR assembly against the generic COO assembly
+# ---------------------------------------------------------------------------
+
+CONSTS = PhysicalConstants()
+
+
+def _coo_potential_entries(mesh, potential):
+    """COO entries of the step-potential term, integrated piecewise."""
+    rows, cols, vals = [], [], []
+    if potential.kind != "step" or potential.v_max == 0.0:
+        return rows, cols, vals
+    half = 0.5 * potential.c_barr
+    h = mesh.h
+    first = max(0, int(math.floor((-half - mesh.x0) / h)) - 1)
+    last = min(mesh.n_elems - 1, int(math.ceil((half - mesh.x0) / h)) + 1)
+    for e in range(first, last + 1):
+        xl = mesh.x0 + e * h
+        xr = xl + h
+        if xr <= -half or xl >= half:
+            continue
+        cuts = [xl] + [c for c in (-half, half) if xl < c < xr] + [xr]
+        block = np.zeros((3, 3))
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if abs(0.5 * (a + b)) >= half:
+                continue  # this piece lies outside the barrier
+            xg = a + (b - a) * _GX
+            shp = _shape((xg - xl) / h)
+            block += potential.v_max * (b - a) * np.einsum(
+                "q,iq,jq->ij", _GW, shp, shp
+            )
+        idx = 2 * e + np.arange(3)
+        rows.extend(np.repeat(idx, 3))
+        cols.extend(np.tile(idx, 3))
+        vals.extend(block.ravel())
+    return rows, cols, vals
+
+
+def _coo_assemble(mesh, potential, consts):
+    """The generic assembly the direct one replaced: COO -> tocsr -> add
+    -> interior slice -> sum_duplicates.  Returns (A, B, sr_bound)."""
+    ne = mesh.n_elems
+    n_nodes = 2 * ne + 1
+    mass_e, stiff_e = _reference_blocks(mesh.h)
+
+    idx = 2 * np.arange(ne)[:, None] + np.arange(3)
+    rows = np.repeat(idx, 3, axis=1).ravel()
+    cols = np.tile(idx, (1, 3)).ravel()
+    shape = (n_nodes, n_nodes)
+
+    kinetic = consts.hbar**2 / (2.0 * consts.mass)
+    a_full = coo_matrix(
+        (np.tile(kinetic * stiff_e.ravel(), ne), (rows, cols)), shape=shape
+    ).tocsr()
+    pr, pc, pv = _coo_potential_entries(mesh, potential)
+    if pv:
+        a_full = a_full + coo_matrix((pv, (pr, pc)), shape=shape).tocsr()
+    b_full = coo_matrix(
+        (np.tile(consts.hbar * mass_e.ravel(), ne), (rows, cols)), shape=shape
+    ).tocsr()
+
+    interior = slice(1, n_nodes - 1)
+    a_mat = a_full[interior, interior].tocsr()
+    b_mat = b_full[interior, interior].tocsr()
+    a_mat.sum_duplicates()
+    b_mat.sum_duplicates()
+    v_max = potential.v_max if potential.kind == "step" else 0.0
+    bound = (consts.hbar / (2.0 * consts.mass) * 60.0 / mesh.h**2
+             + v_max / consts.hbar)
+    return a_mat, b_mat, float(np.nextafter(bound, np.inf))
+
+
+def _assert_same_bytes(mesh, potential, consts):
+    a_ref, b_ref, bound_ref = _coo_assemble(mesh, potential, consts)
+    sys_m = assemble_system(mesh, potential, consts)
+    for got, want in ((sys_m.A, a_ref), (sys_m.B, b_ref)):
+        assert got.format == "csr" and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
+    assert np.float64(sys_m.sr_bound).tobytes() == \
+        np.float64(bound_ref).tobytes()
+
+
+BARRIER = PotentialSpec.step_barrier(15.0, 0.005)
+
+
+@pytest.mark.parametrize("mesh, potential, consts", [
+    (build_mesh(0.0, 0.37, 1), PotentialSpec.zero(), CONSTS),
+    (build_mesh(-1.0, 1.0, 1), PotentialSpec.step_barrier(15.0, 0.5), CONSTS),
+    (build_mesh(0.0, 1.0, 2), PotentialSpec.zero(), CONSTS),
+    (build_mesh(-1.0, 1.0, 2), PotentialSpec.step_barrier(15.0, 0.5), CONSTS),
+    (build_mesh(0.0, 1.5, 3), PotentialSpec.zero(), CONSTS),
+    (build_mesh(-1.5, 1.5, 3), PotentialSpec.step_barrier(15.0, 0.3), CONSTS),
+    # the desk and full tunnelling meshes
+    (build_mesh(-30.0, 30.0, 500), BARRIER, CONSTS),
+    (build_mesh(-120.0, 120.0, 4000), BARRIER, CONSTS),
+    # barrier edges exactly on element boundaries: (-0.5, 0.5), h = 0.25
+    (build_mesh(-1.0, 1.0, 8), PotentialSpec.step_barrier(15.0, 1.0), CONSTS),
+    # wider than the domain, and outside it
+    (build_mesh(-1.0, 1.0, 8), PotentialSpec.step_barrier(15.0, 5.0), CONSTS),
+    (build_mesh(2.0, 3.0, 8), PotentialSpec.step_barrier(15.0, 0.5), CONSTS),
+    # v_max = 0, the zero potential, non-unit constants
+    (build_mesh(-1.0, 1.0, 8), PotentialSpec.step_barrier(0.0, 0.5), CONSTS),
+    (build_mesh(-1.0, 1.0, 8), PotentialSpec.zero(), CONSTS),
+    (build_mesh(-1.0, 1.0, 8), PotentialSpec.step_barrier(15.0, 0.37),
+     PhysicalConstants(hbar=0.7, mass=1.3)),
+    (build_mesh(-10.0, 10.0, 200), PotentialSpec.zero(),
+     PhysicalConstants(hbar=2.5, mass=0.2)),
+])
+def test_direct_assembly_is_the_coo_assembly_bytewise(mesh, potential, consts):
+    _assert_same_bytes(mesh, potential, consts)
+
+
+def test_direct_assembly_drops_an_entry_that_sums_to_zero():
+    # With hbar^2/(2m) = 1/2, h = 1 and v_max near 5, an element's
+    # vertex-vertex coupling is about 1/6 - v_max/30; the v_max found
+    # below makes it exactly 0 in float64, so A loses those entries (as a
+    # sparse sum drops them) and B keeps them.
+    mesh = build_mesh(-2.0, 2.0, 4)
+    v_max = 5.0
+    for _ in range(100):
+        potential = PotentialSpec.step_barrier(v_max, 8.0)
+        sys_m = assemble_system(mesh, potential, CONSTS)
+        if sys_m.A.nnz < sys_m.B.nnz:
+            break
+        v_max = float(np.nextafter(v_max, np.inf))
+    assert sys_m.A.nnz < sys_m.B.nnz, "no v_max cancels the coupling"
+    assert np.count_nonzero(sys_m.A.data) == sys_m.A.nnz
+    _assert_same_bytes(mesh, potential, CONSTS)
+
+
+def test_direct_assembly_sweep_is_the_coo_assembly_bytewise():
+    rng = np.random.default_rng(20261022)
+    for _ in range(60):
+        x0 = float(rng.uniform(-50.0, 10.0))
+        x1 = x0 + float(rng.uniform(0.1, 60.0))
+        n_elems = int(rng.integers(1, 300))
+        if rng.random() < 0.2:
+            potential = PotentialSpec.zero()
+        else:
+            potential = PotentialSpec.step_barrier(
+                float(rng.choice([0.0, rng.uniform(0.1, 500.0)])),
+                float(rng.uniform(1e-3, 2.0) * (x1 - x0)))
+        consts = PhysicalConstants(hbar=float(rng.uniform(0.1, 3.0)),
+                                   mass=float(rng.uniform(0.1, 3.0)))
+        _assert_same_bytes(build_mesh(x0, x1, n_elems), potential, consts)
+
+
+def test_assembly_peak_memory_is_below_twice_its_result():
+    # The generic COO chain peaked at 2.9x the returned arrays at 4000
+    # elements; the direct assembly holds one tiled stencil and its trim.
+    mesh = build_mesh(-120.0, 120.0, 4000)
+    assemble_system(mesh, BARRIER, CONSTS)  # warm-up
+    tracemalloc.start()
+    try:
+        sys_m = assemble_system(mesh, BARRIER, CONSTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(getattr(mat, name).nbytes for mat in (sys_m.A, sys_m.B)
+                 for name in ("data", "indices", "indptr"))
+    assert peak < 2 * result, (peak, result)
+
+
+# ---------------------------------------------------------------------------
 # Wave packet and projection
 # ---------------------------------------------------------------------------
 
 PACKET = WavePacketParams(r_bar=-3.0, p_bar=5.0, sigma=4.0)
-CONSTS = PhysicalConstants()
 
 
 def test_packet_peak_value():
