@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import hankel
 
-from .errors import ApproximationError, check_integer
+from .errors import ApproximationError, check_integer, check_nonnegative
 
 # Default knobs for the flagship construction (degree 16 on i*[-10, 10]).
 # The truncation length is deliberately generous: the expansion coefficients
@@ -224,13 +224,18 @@ class CFApproximation:
 
 def _cf_input(a: Sequence[complex], n: int):
     """(a, sigma, u, v): the window as a complex array and the (n+1)-st
-    singular triple of its Hankel matrix, with degeneracy guard."""
+    singular triple of its Hankel matrix, with degeneracy guard.  A window
+    that is not 1-D or not finite is refused, naming its shape or its
+    first entry that is not finite."""
     if check_integer("degree n", n) < 1:
         raise ValueError(f"degree n must be >= 1, got {n}")
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1:
         raise ValueError(
             f"coefficient window must be 1-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        i = np.argmax(~np.isfinite(a))
+        raise ValueError(f"coefficient window a[{i}] = {a[i]} is not finite")
     if len(a) - 1 < 2 * n:
         raise ValueError(
             f"series too short for degree {n}: need at least {2 * n + 1} "
@@ -377,8 +382,9 @@ class PartialFractionApproximation:
     estimated.  ``stabilize_factor`` records the total uniform damping of
     the weights (see :func:`stabilize`), None for undamped weights.  Values
     no construction produces are refused: no poles, an R1 that is not
-    finite and positive, shifts, weights or a sup error that are not
-    finite, a damping factor outside (0, 1), and repeated shifts (a
+    finite and positive, shifts or weights that are not finite, a sup
+    error that is not finite and >= 0 (as ``rexi_error_bound`` refuses
+    it), a damping factor outside (0, 1), and repeated shifts (a
     repeated shift is one pole, not two).
     """
 
@@ -399,9 +405,10 @@ class PartialFractionApproximation:
         r1 = self.domain_radius
         if not (math.isfinite(r1) and r1 > 0):
             raise ValueError(f"R1 must be finite and positive, got {r1}")
-        for key in ("shifts", "weights", "sup_error"):
+        for key in ("shifts", "weights"):
             if not np.all(np.isfinite(getattr(self, key))):
                 raise ValueError(f"{key} must be finite")
+        check_nonnegative("sup_error", self.sup_error)
         factor = self.stabilize_factor
         if factor is not None and not 0.0 < factor < 1.0:
             raise ValueError(

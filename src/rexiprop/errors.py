@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its one check of
-integer arguments.
+"""Exception types shared across the package, and its checks of integer
+and of finite non-negative arguments.
 
 The CLI maps these onto process exit codes, so the split matters:
 configuration problems are user-fixable without touching any math, while
@@ -7,6 +7,7 @@ NumericalError subclasses mean a requested computation is ill-posed or
 outside the method's validity region.
 """
 
+import math
 import numbers
 
 
@@ -17,6 +18,14 @@ def check_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_nonnegative(name: str, value) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` and the value
+    unless it is finite and >= 0."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)
 
 
 class ConfigError(ValueError):

@@ -75,7 +75,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .approx import PartialFractionApproximation, check_shift_distance
-from .errors import AdmissibilityError, SolverError, check_integer
+from .errors import (AdmissibilityError, SolverError, check_integer,
+                     check_nonnegative)
 from .solvers import DENSE_ORACLE_MAX_DOF, factorize_pencil, factorize_shifted
 from .spatial import SystemMatrices, spectral_radius_estimate
 
@@ -87,11 +88,11 @@ Observer = Callable[[int, float, np.ndarray], None]
 
 
 def max_step_size(r1: float, sr_m: float) -> float:
-    """Largest step keeping tau * sr(M) <= R1 (no safety factor)."""
-    if not sr_m > 0:
-        raise ValueError(f"spectral radius must be positive, got {sr_m}")
-    if not r1 > 0:
-        raise ValueError(f"interval radius must be positive, got {r1}")
+    """Largest step keeping tau * sr(M) <= R1 (no safety factor); each
+    argument must be finite and positive."""
+    for name, value in (("sr_m", sr_m), ("r1", r1)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     return r1 / sr_m
 
 
@@ -139,13 +140,10 @@ class Stepper:
             raise ValueError(f"tau must be finite, got {tau}")
         if sr_value is None:
             sr_value = spectral_radius_estimate(system)
-        if not (sr_value >= 0 and math.isfinite(sr_value)):
-            raise ValueError(
-                f"sr_value must be finite and >= 0, got {sr_value}")
+        self.sr_value = check_nonnegative("sr_value", sr_value)
         self.system = system
         self.tau = tau
         self.interval_radius = interval_radius
-        self.sr_value = float(sr_value)
         self.override_admissibility = override_admissibility
         self.override_used = False
         self.admissibility_ratio = (SAFETY_FACTOR * tau * self.sr_value
@@ -401,37 +399,38 @@ def _bessel_j(r: float, count: int) -> np.ndarray:
 def chebyshev_coeffs(r: float, n: int | None) -> ChebyshevCoeffs:
     """Coefficients a_0..a_N with sum a_k T_k(x) matching exp(i r x) on
     [-1, 1], equivalently p(z) = sum a_k T_k(-iz/r) matching exp on
-    i[-r, r]; built from samples at the N+1 Chebyshev points by a type-I
-    discrete cosine transform, computed as the FFT of their even extension
-    (numpy's FFT: importing scipy.fft would cost about 5 MB of memory).
+    i[-r, r]: the interpolant in the N+1 Chebyshev points, read from the
+    Jacobi-Anger series exp(i r x) = J_0(r) + 2 sum_k i^k J_k(r) T_k(x).
+    On those points T_j equals T_k, k = |((j + N) mod 2N) - N|, so a_k is
+    the sum of the series' terms s_j that fold onto k (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 4.2), added in
+    ascending j.  The factors i^j are taken from the exact table
+    [1, i, -1, -i].
 
     The certificate ``sup_error`` bounds max |p(x) - exp(i r x)| on [-1, 1]
     for the float64 coefficients, as the sum of two terms:
 
-    * truncation: exp(i r x) = J_0(r) + 2 sum_k i^k J_k(r) T_k(x), so the
-      exact interpolant errs by at most 4 sum_{k>N} |J_k(r)| (Trefethen,
-      Approximation Theory and Approximation Practice, Thm 4.2);
-    * rounding: eps (1 + r) (2/pi log(N+1) + 1) + eps sum |a_k|.  A
-      sample's argument r cos(theta) carries a relative rounding of about
-      eps, which moves the sample by about eps r, and exp adds eps; the
-      interpolant multiplies sample errors by at most the Lebesgue
-      constant of the Chebyshev points, 2/pi log(N+1) + 1; and the FFT
+    * truncation: the exact interpolant errs by at most
+      4 sum_{k>N} |J_k(r)| (the same theorem);
+    * rounding: eps ((N + 1) + sum |a_k|).  Each Bessel value carries an
+      absolute error of about eps (they are normalized so that
+      J_0 + 2 sum J_2k = 1), one per coefficient, and evaluating the sum
       adds about eps per unit of coefficient mass.  This is a first-order
       model of the rounding, not a worst case; the tests hold it above
       the error that float64 and extended-precision evaluations read.
 
     Once N is well past r the error is the coefficients' own rounding:
-    an extended-precision evaluation reads 1.4e-14 at r = 44, N = 83 (the
+    an extended-precision evaluation reads 8.6e-16 at r = 44, N = 83 (the
     desk reference), where the truncation term is 2.9e-16.  The Bessel
-    values come from ``_bessel_j`` up to the index max(N, 2*ceil(r)) + 32;
-    the J_k(r) past it sum to less than 1e-28.
+    values come from one ``_bessel_j`` call, up to the index
+    max(N, 2*ceil(r)) + 32; the J_k(r) past it sum to less than 1e-28.
 
     ``n = None`` takes the reference's degree: the smallest N >= ceil(r)
     whose first dropped coefficient 2|J_{N+1}(r)| is below machine
     epsilon, read from the Bessel values up to 2*ceil(r) + 32, which the
-    certificate then sums.  For N <= 2*ceil(r) that is the array a given
-    degree N reads; for a larger N (r below about 10) the values left out
-    lie past 2*ceil(r) + 32 and sum to less than 1e-28.
+    fold and the certificate then sum.  For N <= 2*ceil(r) that is the
+    array a given degree N reads; for a larger N (r below about 10) the
+    values left out lie past 2*ceil(r) + 32 and sum to less than 1e-28.
     """
     if n is not None and check_integer("degree", n) < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
@@ -440,20 +439,21 @@ def chebyshev_coeffs(r: float, n: int | None) -> ChebyshevCoeffs:
     if not math.isfinite(r):
         raise ValueError(f"interval radius must be finite, got {r}")
     eps = np.finfo(float).eps
+    bessel = _bessel_j(r, max(n or 0, 2 * math.ceil(r)) + 32)
     if n is None:
-        bessel = _bessel_j(r, 2 * math.ceil(r) + 32)
         n = math.ceil(r)
         while not 2.0 * abs(bessel[n + 1]) < eps:
             n += 1
-    else:
-        bessel = _bessel_j(r, max(n, 2 * math.ceil(r)) + 32)
-    f = np.exp(1j * r * np.cos(np.pi * np.arange(n + 1) / n))
-    a = np.fft.fft(np.concatenate([f, f[-2:0:-1]]))[: n + 1] / n
-    a[0] *= 0.5
-    a[-1] *= 0.5
+    j = np.arange(bessel.size)
+    series = 2.0 * bessel * np.array([1, 1j, -1, -1j])[j % 4]
+    series[0] = bessel[0]
+    a = np.zeros(n + 1, dtype=complex)
+    # The fold index overwrites j: at r = 672,019 an array of its own
+    # would add 10 MiB to the peak.
+    np.remainder(j + n, 2 * n, out=j)
+    np.add.at(a, np.abs(j - n, out=j), series)
     truncation = 4.0 * float(np.abs(bessel[n + 1:]).sum())
-    rounding = eps * ((1.0 + r) * (2.0 / math.pi * math.log(n + 1) + 1.0)
-                      + float(np.abs(a).sum()))
+    rounding = eps * ((n + 1) + float(np.abs(a).sum()))
     return ChebyshevCoeffs(coeffs=a, sup_error=float(truncation + rounding))
 
 
@@ -541,8 +541,9 @@ def chebyshev_reference(
     the admissibility gate computes it, so the ratio is exactly 1.  The
     degree is the smallest d >= ceil(R) whose first dropped coefficient
     2|J_{d+1}(R)| is below machine epsilon (``chebyshev_coeffs`` with
-    ``n = None``), read from the one Bessel array its certificate sums;
-    the stepper's ``sup_error`` is the certificate.
+    ``n = None``), read from the one Bessel array that its coefficients
+    fold and its certificate sums; the stepper's ``sup_error`` is the
+    certificate.
     """
     if sr_value is None:
         sr_value = spectral_radius_estimate(sys)
@@ -641,7 +642,5 @@ def dense_expm_apply(
 
 def rexi_error_bound(sup_error: float, cond_inf: float) -> float:
     """A-priori bound sup_error * cond_inf on ||exp(tau M) - r(tau M)||_inf."""
-    for name, value in (("sup_error", sup_error), ("cond_inf", cond_inf)):
-        if not (value >= 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    return sup_error * cond_inf
+    return (check_nonnegative("sup_error", sup_error)
+            * check_nonnegative("cond_inf", cond_inf))

@@ -579,10 +579,13 @@ def factorize_shifted(A, B, tau: float, shifts: np.ndarray):
     of the sparse arithmetic, so the factors are bitwise those of the
     built matrices; no matrix is built.  Any other pencil builds the K
     shifted matrices and calls :func:`factorize`.  A :class:`SolverError`
-    names the failing shift's position in ``index``; shifts that are not a
-    1-D array, no shifts (K = 0), or A and B not square of one order,
-    raise ValueError before any work.
+    names the failing shift's position in ``index``; a tau or shift that is
+    not finite, shifts that are not a 1-D array, no shifts (K = 0), or A
+    and B not square of one order, raise ValueError before any work.
     """
+    for name, value in (("tau", tau), ("shifts", shifts)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
     i_shifts = 1j * np.asarray(shifts)
     if i_shifts.ndim != 1:
         raise ValueError(f"factorize_shifted needs a 1-D array of shifts, "

@@ -33,6 +33,7 @@ from rexiprop.approx import (
     sup_error_on_interval,
 )
 from rexiprop.errors import ApproximationError
+from rexiprop.integrate import rexi_error_bound
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +324,24 @@ def test_cf_complex_window_is_refused():
     assert cf_approximate(a, 4).n_poles > 0
 
 
+def test_cf_window_not_finite_is_refused():
+    # NaN raised numpy's LinAlgError after a RuntimeWarning, inf claimed no
+    # denominator roots outside the unit circle, and cf_circle_error
+    # returned sigma = nan; the first entry not finite is named instead.
+    a = np.array([1.0 / math.factorial(j) for j in range(41)])
+    cases = (({0: np.nan}, 0), ({20: np.nan, 30: np.inf}, 20),
+             ({7: np.inf, 40: np.nan}, 7), ({40: -np.inf}, 40))
+    for entries, first in cases:
+        bad = a.copy()
+        for index, value in entries.items():
+            bad[index] = value
+        for build in (cf_approximate, cf_circle_error):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"coefficient window a[{first}] = "
+                    f"{complex(entries[first])} is not finite")):
+                build(bad, 4)
+
+
 def test_cf_degenerate_tail_is_an_error():
     # A polynomial symbol of lower degree has an exactly zero singular value
     # at this index; the construction cannot proceed.
@@ -504,6 +523,27 @@ def test_pfd_refuses_values_no_construction_produces():
         with pytest.raises(ValueError, match=match):
             PartialFractionApproximation(**{**good, **bad})
     PartialFractionApproximation(**good, stabilize_factor=0.5)
+
+
+def test_negative_certificate_is_refused_as_the_error_bound_refuses_it(
+        flagship):
+    # A negative sup_error loaded, and a run recorded it, while
+    # rexi_error_bound refused it; all three now give one message.
+    with pytest.raises(ValueError, match=re.escape(
+            "sup_error must be finite and >= 0, got -1e-09")):
+        PartialFractionApproximation(
+            shifts=flagship.shifts, weights=flagship.weights,
+            domain_radius=10.0, sup_error=-1e-9)
+    with pytest.raises(ValueError, match=re.escape(
+            "sup_error must be finite and >= 0, got -1e-09")):
+        rexi_error_bound(-1e-9, 1.0)
+    doc = json.loads(approx_to_json(flagship))
+    doc["sup_error"] = -flagship.sup_error
+    with pytest.raises(ValueError, match=re.escape(
+            f"sup_error must be finite and >= 0, got {-flagship.sup_error}")):
+        approx_from_json(json.dumps(doc))
+    doc["sup_error"] = 0.0
+    assert approx_from_json(json.dumps(doc)).sup_error == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,23 @@ def test_cmd_tunnel_prints_loaded_approx_warnings(tmp_path, capsys):
     assert md["approx_warnings"] == list(lossy.warnings)
 
 
+def test_cmd_tunnel_refuses_an_approx_file_with_a_negative_certificate(
+        tmp_path, capsys, flagship):
+    # It ran and wrote the negative sup_error into metadata.json.
+    doc = json.loads(approx_to_json(flagship))
+    doc["sup_error"] = -flagship.sup_error
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc) + "\n")
+    out_dir = tmp_path / "out"
+    rc = main(["tunnel", "--config", write_config(tmp_path,
+                                                  approx_path=str(path)),
+               "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert (f"sup_error must be finite and >= 0, got {-flagship.sup_error}"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def test_cmd_tunnel_default_approximant(tmp_path, capsys, flagship):
     # Without approx_path the run builds the degree-16, R1 = 10 flagship.
     out_dir = tmp_path / "out"

@@ -108,6 +108,17 @@ def test_max_step_size_rejects_nonpositive(r1, sr):
         max_step_size(r1, sr)
 
 
+@pytest.mark.parametrize("r1, sr, name", [
+    (math.inf, 1.0, "r1"), (10.0, math.inf, "sr_m"), (math.nan, 1.0, "r1"),
+    (10.0, math.nan, "sr_m"), (10.0, -math.inf, "sr_m")])
+def test_max_step_size_rejects_values_not_finite(r1, sr, name):
+    # inf / 1 read inf and 10 / inf read 0.0: neither is a step.
+    bad = r1 if name == "r1" else sr
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be finite and positive, got {bad}")):
+        max_step_size(r1, sr)
+
+
 @given(
     r1=st.floats(min_value=1e-3, max_value=1e3),
     sr=st.floats(min_value=1e-3, max_value=1e3),
@@ -274,6 +285,23 @@ def test_prepare_singular_shift_names_index(flagship):
     )
     with pytest.raises(SolverError, match=r"j = 0"):
         rexi_prepare(sys1, flagship, 1.0, sr_value=1.0, workers=1)
+
+
+def test_prepare_reraises_a_solver_error_of_no_shift_unwrapped(flagship,
+                                                                monkeypatch):
+    # A SolverError with index None names no shift, so the constructor
+    # raises that very exception, not one wrapped around it.
+    failure = SolverError("not attributable to one shift")
+
+    def factor(*args):
+        raise failure
+
+    monkeypatch.setattr(integrate, "factorize_shifted", factor)
+    with pytest.raises(SolverError) as raised:
+        rexi_prepare(scalar_system(1.0), flagship, 1.0, sr_value=1.0,
+                     workers=1)
+    assert raised.value is failure
+    assert raised.value.__cause__ is None
 
 
 def test_prepare_refuses_shift_on_the_interval(flagship, monkeypatch):
@@ -676,11 +704,72 @@ def test_chebyshev_certificate_is_a_bound():
                     "the evaluation's rounding")
 def test_chebyshev_certificate_bounds_the_coefficients_own_error():
     # Evaluated in extended precision, the float64 coefficients' error is
-    # their own: past the truncation, the rounding of the samples (1.4e-14
-    # on the desk reference, whose truncation term is 2.9e-16).
+    # their own: past the truncation, the rounding of the folded Bessel
+    # values (8.6e-16 on the desk reference, whose truncation term is
+    # 2.9e-16).
     for r, coeffs, sup in _certificate_cases():
         assert sup >= _chebval_sup_error(r, coeffs, dtype=np.longdouble), (
             r, coeffs.size)
+
+
+def _sampled_chebyshev_coeffs(r, n):
+    """The interpolant's coefficients as ``chebyshev_coeffs`` once built
+    them, from exp(i r x) sampled at the N+1 Chebyshev points by a type-I
+    DCT (the FFT of the samples' even extension), and that construction's
+    first-order rounding model eps (1 + r) (2/pi log(N+1) + 1)
+    + eps sum |a_k|."""
+    f = np.exp(1j * r * np.cos(np.pi * np.arange(n + 1) / n))
+    a = np.fft.fft(np.concatenate([f, f[-2:0:-1]]))[: n + 1] / n
+    a[0] *= 0.5
+    a[-1] *= 0.5
+    rounding = EPS * ((1.0 + r) * (2.0 / math.pi * math.log(n + 1) + 1.0)
+                      + float(np.abs(a).sum()))
+    return a, rounding
+
+
+def test_folded_series_is_the_sampled_interpolant():
+    # Folding the Jacobi-Anger series at N gives the polynomial the sampled
+    # DCT gives, to within that construction's own rounding.
+    rng = np.random.default_rng(35)
+    cases = [(r, coeffs.size - 1) for r, coeffs, _ in _certificate_cases()]
+    cases += [(2000.0, 2133), (2e4, 20120)]
+    cases += [(float(np.exp(rng.uniform(np.log(0.05), np.log(3000.0)))),
+               int(rng.integers(1, 400))) for _ in range(40)]
+    for r, n in cases:
+        folded = chebyshev_coeffs(r, n).coeffs
+        sampled, rounding = _sampled_chebyshev_coeffs(r, n)
+        assert folded.shape == sampled.shape, (r, n)
+        assert np.max(np.abs(folded - sampled)) <= rounding, (r, n)
+
+
+def test_chebyshev_coeffs_sample_no_exp_and_run_no_fft(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("chebyshev_coeffs sampled exp or ran an FFT")
+
+    want = chebyshev_coeffs(44.06, 83)
+    monkeypatch.setattr(np, "exp", refused)
+    monkeypatch.setattr(np.fft, "fft", refused)
+    got = chebyshev_coeffs(44.06, 83)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert got.sup_error == want.sup_error
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == EPS,
+                    reason="np.longdouble is float64 here, so an evaluation "
+                    "in it would not separate the coefficients' error from "
+                    "the evaluation's rounding")
+def test_folded_coefficients_carry_no_error_growing_with_r():
+    # The sampled DCT's coefficients read 1.3e-14 on the desk reference
+    # and 7.0e-13 at (1753.15, 1881) in extended precision; the folded
+    # Bessel values read 8.6e-16 and 5.0e-15.
+    sysm, _ = _barrier_pencil(-30.0, 30.0, 500)
+    ref = chebyshev_reference(sysm, 0.02)
+    assert ref.degree == 83
+    assert _chebval_sup_error(ref.interval_radius, ref.coeffs,
+                              dtype=np.longdouble) <= 5e-15
+    full = chebyshev_coeffs(1753.15, 1881)
+    assert _chebval_sup_error(1753.15, full.coeffs, 10_001,
+                              dtype=np.longdouble) <= 1e-13
 
 
 def test_bessel_j_matches_scipy():
@@ -795,8 +884,8 @@ def test_bessel_j_peak_memory_is_about_its_result():
 
 
 def test_chebyshev_certificate_peak_memory():
-    # The certificate holds the coefficients and the Bessel values only:
-    # about 4 kB traced at degree 26.
+    # The certificate holds the coefficients, the Bessel values and the
+    # series folded onto them: about 8 kB traced at degree 26.
     chebyshev_coeffs(10.0, 26)  # warm-up
     tracemalloc.start()
     try:
@@ -1443,6 +1532,34 @@ def test_factorize_shifted_refuses_shifts_not_one_dimensional(monkeypatch):
                 f"factorize_shifted needs a 1-D array of shifts, got shape "
                 f"{shape}")):
             solvers.factorize_shifted(sysm.A, sysm.B, 0.02, shifts)
+
+
+def test_factorize_shifted_refuses_a_step_or_shift_not_finite(flagship,
+                                                               monkeypatch):
+    # They warned, then raised a SolverError on a zero vertex pivot (exit 3
+    # at the CLI); now a ValueError names the argument before any work, on
+    # the P2 pencil and on a hand-built one.
+    def no_work(*args, **kwargs):
+        raise AssertionError("did work")
+
+    p2 = assemble_system(build_mesh(-5.0, 5.0, 100), PotentialSpec.zero(),
+                         PhysicalConstants())
+    scalar = scalar_system(2.0)
+    for name in ("_check_square", "_is_p2", "_HalfDiagonals",
+                 "CondensedFactorization", "DenseFactorization"):
+        monkeypatch.setattr(solvers, name, no_work)
+    shifts = flagship.shifts.copy()
+    for sysm in (p2, scalar):
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"tau must be finite, got {tau}")):
+                solvers.factorize_shifted(sysm.A, sysm.B, tau, shifts)
+        for bad in (complex(math.nan, 0.0), complex(1.0, math.inf)):
+            broken = shifts.copy()
+            broken[3] = bad
+            with pytest.raises(ValueError, match=re.escape(
+                    f"shifts must be finite, got {broken}")):
+                solvers.factorize_shifted(sysm.A, sysm.B, 0.02, broken)
 
 
 def test_factorize_refuses_matrices_not_square_of_one_order(monkeypatch):
